@@ -35,6 +35,7 @@ from .wedge import (
     rank_subset,
     signed_matrix,
     subset_name,
+    subset_table,
     unrank_subset,
     wedge_adjacency,
     wedge_degrees,
@@ -68,6 +69,7 @@ from .spins import (
 from .dynamics import (
     WaveState,
     evolve_block,
+    evolve_block_series,
     evolve_full_oracle,
     propagate,
     transfer_fidelity,

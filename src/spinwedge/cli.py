@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .dynamics import WaveState, evolve_block
+from .dynamics import WaveState, evolve_block_series
 from .graphs import (
     Graph,
     complete_graph,
@@ -37,7 +37,7 @@ from .spectra import (
 )
 from .spins import ModelSpec, block_hamiltonian
 from .verify import run_verification
-from .wedge import build_wedge_graph, rank_subset, subset_name, unrank_subset, wedge_to_dot, wedge_to_json
+from .wedge import build_wedge_graph, rank_subset, subset_name, subset_table, wedge_to_dot, wedge_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -186,13 +186,10 @@ def cmd_verify(args) -> int:
     corpus = None
     if args.graph is not None:
         corpus = [(args.graph, parse_graph_source(args.graph))]
-    threads_env = os.environ.get("SPINWEDGE_THREADS")
-    threads = int(threads_env) if threads_env else None
     report = run_verification(
         tol=args.tol,
         seed=args.seed,
         random_states=args.random_states,
-        threads=threads,
         corpus=corpus,
     )
     _emit("\n".join(report.lines()), args.output)
@@ -235,23 +232,21 @@ def cmd_evolve(args) -> int:
         if not 0 <= args.to < g.n:
             raise ValueError(f"--to vertex {args.to} out of range for n={g.n}")
 
-    dim = math.comb(g.n, k)
-    start = np.zeros(dim, dtype=complex)
-    start[rank_subset(subset, g.n)] = 1.0
-    state0 = WaveState(k, start)
-
     if args.to is not None:
         tracked = [args.to]
         labels = [subset_name((args.to,))]
     else:
-        tracked = list(range(dim))
-        labels = [subset_name(unrank_subset(r, g.n, k)) for r in range(dim)]
+        rows = subset_table(g.n, k).tolist()
+        tracked = list(range(len(rows)))
+        labels = [subset_name(row) for row in rows]
 
-    series = []
-    for t in times:
-        evolved = evolve_block(g, spec, state0, t)
-        probs = np.abs(evolved.amplitudes) ** 2
-        series.append({"t": t, "probabilities": [float(probs[i]) for i in tracked]})
+    start = np.zeros(math.comb(g.n, k), dtype=complex)
+    start[rank_subset(subset, g.n)] = 1.0
+    evolved = evolve_block_series(g, spec, WaveState(k, start), times)
+    series = [
+        {"t": t, "probabilities": (np.abs(state.amplitudes[tracked]) ** 2).tolist()}
+        for t, state in zip(times, evolved)
+    ]
 
     if args.format == "csv":
         lines = ["t," + ",".join(f"p_{label}" for label in labels)]

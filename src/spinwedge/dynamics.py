@@ -2,12 +2,12 @@
 
 Propagators are exact spectral exponentials U(t) = V exp(-i t diag) V^T of
 the real symmetric sector (or full-space) hamiltonian, so unitarity holds to
-solver precision and no time stepping is involved.
+solver precision and no time stepping is involved.  One decomposition serves
+every time point and every state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,7 @@ __all__ = [
     "WaveState",
     "propagate",
     "evolve_block",
+    "evolve_block_series",
     "evolve_full_oracle",
     "transfer_fidelity",
 ]
@@ -45,23 +46,44 @@ class WaveState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def propagate(dec: EigenDecomposition, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(-i t H) given the spectral decomposition of H."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    phases = np.exp(-1j * t * dec.values)
-    return dec.vectors @ (phases * (dec.vectors.T @ np.asarray(amplitudes, dtype=complex)))
+def propagate(dec: EigenDecomposition, states: np.ndarray, times) -> np.ndarray:
+    """Apply exp(-i t H), given the spectral decomposition of H, for every t.
+
+    ``states`` is one vector or a (dim, s) block of column states.  A scalar
+    time returns an array shaped like ``states``; a 1-D array of times stacks
+    the results along a new leading axis.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"times must be finite, got {times}")
+    x = np.asarray(states, dtype=complex)
+    coeffs = dec.vectors.T @ x.reshape(x.shape[0], -1)
+    phases = np.exp(-1j * np.multiply.outer(t.reshape(-1), dec.values))
+    out = dec.vectors @ (phases[:, :, None] * coeffs)
+    return out.reshape(t.shape + x.shape)
 
 
-def evolve_block(g: Graph, spec: ModelSpec, state: WaveState, t: float) -> WaveState:
-    """Evolve a sector state for time t under the sector hamiltonian."""
+def evolve_block_series(g: Graph, spec: ModelSpec, state: WaveState, times) -> list[WaveState]:
+    """Evolve a sector state to every time in ``times`` from one diagonalization.
+
+    Each result is a WaveState, so every time point passes its norm check.
+    """
     h = block_hamiltonian(g, state.k, spec)
     if h.shape[0] != state.amplitudes.shape[0]:
         raise ValueError(
             f"state has {state.amplitudes.shape[0]} amplitudes but sector k={state.k} "
             f"of this graph has dimension {h.shape[0]}"
         )
-    return WaveState(state.k, propagate(eigh(h), state.amplitudes, t))
+    evolved = propagate(eigh(h), state.amplitudes, np.atleast_1d(times))
+    return [WaveState(state.k, amplitudes) for amplitudes in evolved]
+
+
+def evolve_block(g: Graph, spec: ModelSpec, state: WaveState, t: float) -> WaveState:
+    """Evolve a sector state for time t under the sector hamiltonian."""
+    (evolved,) = evolve_block_series(g, spec, state, [t])
+    return evolved
 
 
 def evolve_full_oracle(g: Graph, spec: ModelSpec, full_state: np.ndarray, t: float) -> np.ndarray:
@@ -82,8 +104,5 @@ def transfer_fidelity(g: Graph, spec: ModelSpec, from_vertex: int, to_vertex: in
     dec = eigh(block_hamiltonian(g, 1, spec))
     start = np.zeros(g.n, dtype=complex)
     start[from_vertex] = 1.0
-    probs = []
-    for t in times:
-        amps = propagate(dec, start, t)
-        probs.append(float(abs(amps[to_vertex]) ** 2))
-    return probs
+    amplitudes = propagate(dec, start, np.atleast_1d(times))
+    return (np.abs(amplitudes[:, to_vertex]) ** 2).tolist()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wedge import unrank_subset
+from .wedge import subset_table
 
 __all__ = [
     "DEFAULT_TOL",
@@ -289,8 +289,8 @@ def lift_eigenvector(base: EigenDecomposition, indices) -> LiftedEigenpair:
 
     The amplitude on the ordered subset (l_0 < ... < l_{k-1}) is the k x k
     determinant of base eigenvector components picked by rows l and columns
-    ``indices``; repeated indices would antisymmetrize to zero and are
-    rejected.
+    ``indices``; all C(d, k) minors are taken in one stacked determinant.
+    Repeated indices would antisymmetrize to zero and are rejected.
     """
     idx = tuple(int(i) for i in indices)
     if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -298,17 +298,12 @@ def lift_eigenvector(base: EigenDecomposition, indices) -> LiftedEigenpair:
     d = base.dim
     if idx and not (0 <= idx[0] and idx[-1] < d):
         raise ValueError(f"indices {idx} out of range for dimension {d}")
-    k = len(idx)
-    m = math.comb(d, k)
-    amplitudes = np.empty(m)
-    cols = list(idx)
-    for r in range(m):
-        rows = unrank_subset(r, d, k)
-        amplitudes[r] = np.linalg.det(base.vectors[np.ix_(rows, cols)]) if k else 1.0
+    rows = subset_table(d, len(idx))
+    amplitudes = np.linalg.det(base.vectors[rows[:, :, None], np.array(idx, dtype=np.intp)])
     norm = float(np.linalg.norm(amplitudes))
     if norm == 0.0:
         raise RuntimeError("lifted vector vanished; base eigenvectors are degenerate-dependent")
-    if abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > LIFT_NORM_TOL:
         # Base columns are orthonormal, so the minor vector is unit length up
         # to roundoff; a visible defect means the inputs were not orthonormal.
         raise ValueError("base decomposition is not orthonormal enough to lift")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import CapacityError, Graph
 from .spectra import Spectrum
-from .wedge import build_wedge_graph, unrank_subset, wedge_adjacency, wedge_laplacian
+from .wedge import WedgeGraph, build_wedge_graph, subset_table, wedge_adjacency, wedge_degrees, wedge_laplacian
 
 __all__ = [
     "FULL_SPIN_LIMIT",
@@ -34,6 +34,9 @@ __all__ = [
 
 # Full-space work is dense 2^n x 2^n; fail fast beyond desk scale.
 FULL_SPIN_LIMIT = 14
+
+# Basis states are int64 bitmasks.
+_STATE_BITS = 62
 
 _MODELS = ("xy", "heisenberg")
 
@@ -64,34 +67,32 @@ class SpinBasisMap:
     """Bijection between combinadic ranks of k-subsets and weight-k bitstrings.
 
     Bit b of ``to_state(r)`` is set iff vertex b belongs to the rank-r subset.
-    Colex rank order coincides with ascending numeric order of the masks.
+    Colex rank order coincides with ascending numeric order of the masks, so
+    ``states`` is sorted and ``to_rank`` is a binary search.
     """
 
     def __init__(self, n: int, k: int):
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= {n}, got k={k}")
+        if n > _STATE_BITS:
+            raise CapacityError(f"bitstring states limited to {_STATE_BITS} spins, got {n}")
         self.n = n
         self.k = k
-        states = []
-        for r in range(math.comb(n, k)):
-            mask = 0
-            for v in unrank_subset(r, n, k):
-                mask |= 1 << v
-            states.append(mask)
-        self.states = tuple(states)
-        self._ranks = {s: r for r, s in enumerate(states)}
+        self.states = np.left_shift(np.int64(1), subset_table(n, k)).sum(axis=1, dtype=np.int64)
+        self.states.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.states)
 
     def to_state(self, rank: int) -> int:
-        return self.states[rank]
+        return int(self.states[rank])
 
     def to_rank(self, state: int) -> int:
-        try:
-            return self._ranks[state]
-        except KeyError:
-            raise ValueError(f"state {state:#b} does not have weight {self.k}") from None
+        if 0 <= state < 1 << self.n:
+            r = int(np.searchsorted(self.states, state))
+            if r < len(self.states) and self.states[r] == state:
+                return r
+        raise ValueError(f"state {state:#b} does not have weight {self.k}")
 
 
 def _check_full_capacity(n: int) -> None:
@@ -121,39 +122,43 @@ def full_hamiltonian(g: Graph, spec: ModelSpec) -> np.ndarray:
     return h
 
 
-def block_hamiltonian(g: Graph, k: int, spec: ModelSpec) -> np.ndarray:
+def _sector_wedge(g: Graph, k: int, wedge: WedgeGraph | None) -> WedgeGraph:
+    if wedge is None:
+        return build_wedge_graph(g, k)
+    if wedge.k != k or wedge.base != g:
+        raise ValueError(f"wedge power k={wedge.k} does not belong to sector k={k} of this graph")
+    return wedge
+
+
+def block_hamiltonian(g: Graph, k: int, spec: ModelSpec, wedge: WedgeGraph | None = None) -> np.ndarray:
     """The k-excitation sector: wedge adjacency (XY) or laplacian (Heisenberg),
-    shifted by the sector field energy B*(n - 2k)."""
-    w = build_wedge_graph(g, k)
+    shifted by the sector field energy B*(n - 2k).
+
+    ``wedge`` is the prebuilt k-th wedge power of g; it is built when omitted.
+    """
+    w = _sector_wedge(g, k, wedge)
     h = wedge_adjacency(w) if spec.is_xy else wedge_laplacian(w)
     if spec.field_b != 0.0:
-        h = h + spec.field_b * (g.n - 2 * k) * np.eye(w.num_vertices)
+        h[np.diag_indices(w.num_vertices)] += spec.field_b * (g.n - 2 * k)
     return h
 
 
-def block_matvec(g: Graph, k: int, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """Apply the k-sector hamiltonian by bitwise hop enumeration.
+def block_matvec(g: Graph, k: int, spec: ModelSpec, x: np.ndarray, wedge: WedgeGraph | None = None) -> np.ndarray:
+    """Apply the k-sector hamiltonian by scattering along the wedge hops.
 
     Matrix-free counterpart of :func:`block_hamiltonian`; never materializes
-    the matrix.
+    the matrix.  ``wedge`` is as there.
     """
-    basis = SpinBasisMap(g.n, k)
+    w = _sector_wedge(g, k, wedge)
     x = np.asarray(x)
-    if x.shape != (len(basis),):
-        raise ValueError(f"state vector must have length {len(basis)}, got shape {x.shape}")
-    y = np.zeros(len(basis), dtype=np.result_type(x.dtype, float))
-    for a, s in enumerate(basis.states):
-        xa = x[a]
-        if xa == 0:
-            continue
-        for u, v in g.edges:
-            if ((s >> u) & 1) != ((s >> v) & 1):
-                b = basis.to_rank(s ^ ((1 << u) | (1 << v)))
-                if spec.is_xy:
-                    y[b] += xa
-                else:
-                    y[a] += xa
-                    y[b] -= xa
+    if x.shape != (w.num_vertices,):
+        raise ValueError(f"state vector must have length {w.num_vertices}, got shape {x.shape}")
+    a, b, _ = w.hops
+    y = np.zeros(w.num_vertices, dtype=np.result_type(x.dtype, float))
+    np.add.at(y, a, x[b])
+    np.add.at(y, b, x[a])
+    if not spec.is_xy:
+        y = wedge_degrees(w) * x - y
     if spec.field_b != 0.0:
         y += spec.field_b * (g.n - 2 * k) * x
     return y
@@ -169,7 +174,7 @@ def project_full_to_blocks(g: Graph, spec: ModelSpec) -> list[Spectrum]:
     _check_full_capacity(n)
     h = full_hamiltonian(g, spec)
     maps = [SpinBasisMap(n, k) for k in range(n + 1)]
-    order = np.array([s for m in maps for s in m.states])
+    order = np.concatenate([m.states for m in maps])
     permuted = h[np.ix_(order, order)]
     spectra: list[Spectrum] = []
     offset = 0

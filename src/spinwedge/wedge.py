@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +33,7 @@ __all__ = [
     "rank_subset",
     "unrank_subset",
     "subset_name",
+    "subset_table",
     "hop_sign",
     "build_wedge_graph",
     "signed_matrix",
@@ -112,6 +114,21 @@ def subset_name(elements) -> str:
     return "".join(str(e) for e in elems)
 
 
+def subset_table(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n) as an ascending row; row r is the rank-r subset.
+
+    Raises CapacityError beyond BLOCK_DIM_LIMIT rows, before allocating them.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= {n}, got k={k}")
+    m = math.comb(n, k)
+    if m > BLOCK_DIM_LIMIT:
+        raise CapacityError(f"C({n},{k})={m} subsets exceed the sector limit {BLOCK_DIM_LIMIT}")
+    # Lexicographic order of descending tuples is reversed colex order.
+    descending = np.array(list(itertools.combinations(range(n - 1, -1, -1), k)), dtype=np.int64)
+    return np.ascontiguousarray(descending.reshape(m, k)[::-1, ::-1])
+
+
 def hop_sign(subset, src: int, dst: int) -> int:
     """Sign of moving occupied src to empty dst with the rest of subset fixed.
 
@@ -127,14 +144,23 @@ def hop_sign(subset, src: int, dst: int) -> int:
 class WedgeGraph:
     """The k-th wedge power of a base graph, with signed hop edges.
 
-    ``signed_edges`` holds (a, b, sign) with a < b combinadic ranks; each
-    entry corresponds to exactly one base-graph edge traversal.
+    ``signed_edges`` holds (a, b, sign) with a < b combinadic ranks, sorted;
+    each entry corresponds to exactly one base-graph edge traversal.
     """
 
     base: Graph
     k: int
     num_vertices: int
     signed_edges: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def hops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``signed_edges`` as int arrays: lower ranks, upper ranks, signs.
+
+        Every sector operator is assembled from these arrays.
+        """
+        table = np.array(self.signed_edges, dtype=np.int64).reshape(-1, 3)
+        return table[:, 0], table[:, 1], table[:, 2]
 
     def skeleton(self) -> Graph:
         """Unsigned graph on the subset ranks."""
@@ -144,68 +170,108 @@ class WedgeGraph:
         return unrank_subset(rank, self.base.n, self.k)
 
     def vertex_names(self) -> list[str]:
-        return [subset_name(self.vertex_subset(r)) for r in range(self.num_vertices)]
+        return [subset_name(row) for row in subset_table(self.base.n, self.k).tolist()]
 
     def negative_edges(self) -> list[tuple[int, int]]:
         return [(a, b) for a, b, s in self.signed_edges if s < 0]
 
 
+def _colex_weights(n: int, k: int, cap: int) -> np.ndarray:
+    """weights[v, j] = C(v, j+1), saturated at cap.
+
+    The colex rank of an ascending row t is sum_j weights[t[j], j].  Every term
+    of a valid rank is below C(n, k), so with cap = C(n, k) saturation never
+    touches a term that is summed, and no entry overflows for any n.
+    """
+    return np.array(
+        [[min(math.comb(v, j + 1), cap) for j in range(k)] for v in range(n)], dtype=np.int64
+    ).reshape(n, k)
+
+
+def _rising_hops(g: Graph, k: int):
+    """Every hop of the k-th wedge power that moves an occupied u to an empty v
+    along a base edge u < v.
+
+    That raises the occupation bitmask, hence the rank, so each wedge edge is
+    found exactly once, from its lower end.  Vectorized over the colex subset
+    table.  Returns the lower ranks, the upper ranks, the number of occupied
+    vertices strictly between u and v, and the number of all vertices there.
+    """
+    table = subset_table(g.n, k)
+    m = len(table)
+    occupied = np.zeros((m, g.n), dtype=bool)
+    occupied[np.arange(m)[:, None], table] = True
+    lower = [np.flatnonzero(occupied[:, u] & ~occupied[:, v]) for u, v in g.edges]
+    a = np.concatenate([np.empty(0, dtype=np.intp), *lower])
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    counts = [r.size for r in lower]
+    src = np.repeat(ends[:, 0], counts)
+    dst = np.repeat(ends[:, 1], counts)
+    moved = table[a]
+    crossed = np.count_nonzero((moved > src[:, None]) & (moved < dst[:, None]), axis=1)
+    moved = np.where(moved == src[:, None], dst[:, None], moved)
+    moved.sort(axis=1)
+    b = _colex_weights(g.n, k, m)[moved, np.arange(k)].sum(axis=1)
+    return a, b, crossed, dst - src - 1
+
+
 def build_wedge_graph(g: Graph, k: int) -> WedgeGraph:
     """Enumerate the k-subset vertices and all signed single-element hops.
 
-    Cost O(C(n,k) * |E| * k).  k=0 gives the one-vertex edgeless graph, k=1
-    reproduces g itself with every sign +1.
+    The sign of a hop is the parity of the occupied vertices strictly between
+    its endpoints.  Above k = n/2 the hops are those of the n-k holes, so the
+    subset table is never wider than min(k, n-k).  k=0 gives the one-vertex
+    edgeless graph, k=1 reproduces g itself with every sign +1.
     """
     n = g.n
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")
     m = math.comb(n, k)
     if m > BLOCK_DIM_LIMIT:
-        raise CapacityError(
-            f"wedge power has C({n},{k})={m} vertices, limit {BLOCK_DIM_LIMIT}"
-        )
-    edges = []
-    for a in range(m):
-        subset = unrank_subset(a, n, k)
-        occupied = 0
-        for e in subset:
-            occupied |= 1 << e
-        for u, v in g.edges:
-            for src, dst in ((u, v), (v, u)):
-                if occupied >> src & 1 and not occupied >> dst & 1:
-                    target = tuple(sorted(subset[: subset.index(src)] + subset[subset.index(src) + 1 :] + (dst,)))
-                    b = rank_subset(target, n)
-                    if a < b:
-                        edges.append((a, b, hop_sign(subset, src, dst)))
-    edges.sort()
-    return WedgeGraph(g, k, m, tuple(edges))
+        raise CapacityError(f"wedge power has C({n},{k})={m} vertices, limit {BLOCK_DIM_LIMIT}")
+    if 2 * k <= n:
+        a, b, crossed, _ = _rising_hops(g, k)
+    else:
+        # Complementing reverses colex rank order, and moving a particle u -> v
+        # moves a hole v -> u; between the endpoints, what is not a hole is a
+        # particle.
+        hole_a, hole_b, holes, between = _rising_hops(g, n - k)
+        a, b, crossed = m - 1 - hole_b, m - 1 - hole_a, between - holes
+    signs = np.where(crossed & 1, -1, 1)
+    order = np.lexsort((b, a))
+    edges = tuple(zip(a[order].tolist(), b[order].tolist(), signs[order].tolist()))
+    return WedgeGraph(g, k, m, edges)
+
+
+def _hop_matrix(w: WedgeGraph, values) -> np.ndarray:
+    """Symmetric matrix with ``values`` on every hop and zeros elsewhere."""
+    a, b, _ = w.hops
+    c = np.zeros((w.num_vertices, w.num_vertices))
+    c[a, b] = values
+    c[b, a] = values
+    return c
 
 
 def signed_matrix(w: WedgeGraph) -> np.ndarray:
     """Matrix of the antisymmetrized hops: entries in {-1, 0, +1}."""
-    c = np.zeros((w.num_vertices, w.num_vertices))
-    for a, b, s in w.signed_edges:
-        c[a, b] = s
-        c[b, a] = s
-    return c
+    return _hop_matrix(w, w.hops[2])
 
 
 def wedge_adjacency(w: WedgeGraph) -> np.ndarray:
     """Plain adjacency of the wedge power: absolute value of the signed matrix."""
-    return np.abs(signed_matrix(w))
+    return _hop_matrix(w, 1.0)
 
 
 def wedge_degrees(w: WedgeGraph) -> np.ndarray:
     """Legal single-element moves out of each subset."""
-    d = np.zeros(w.num_vertices)
-    for a, b, _ in w.signed_edges:
-        d[a] += 1.0
-        d[b] += 1.0
-    return d
+    a, b, _ = w.hops
+    return np.bincount(np.concatenate((a, b)), minlength=w.num_vertices).astype(float)
 
 
 def wedge_laplacian(w: WedgeGraph) -> np.ndarray:
-    return np.diag(wedge_degrees(w)) - wedge_adjacency(w)
+    lap = _hop_matrix(w, -1.0)
+    lap[np.diag_indices(w.num_vertices)] = wedge_degrees(w)
+    return lap
 
 
 def _tuple_indices(n: int, k: int, dim: int) -> np.ndarray:

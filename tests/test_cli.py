@@ -152,6 +152,13 @@ def test_evolve_invalid_subset_exits_2(capsys):
     assert code == 2
 
 
+def test_evolve_capacity_guard_before_allocation(capsys):
+    subset = ",".join(str(v) for v in range(20))
+    code, _, err = run(capsys, "evolve", "--graph", "path:40", "-k", "20", "--subset", subset, "--times", "1")
+    assert code == 2
+    assert "C(40,20)" in err
+
+
 def test_evolve_requires_initial_state(capsys):
     code, _, _ = run(capsys, "evolve", "--graph", "path:4", "-k", "1", "--times", "1")
     assert code == 2

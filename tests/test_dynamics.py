@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,10 +11,15 @@ from spinwedge import (
     SpinBasisMap,
     WaveState,
     block_hamiltonian,
+    cli,
     complete_graph,
+    cycle_graph,
+    eigh,
     evolve_block,
+    evolve_block_series,
     evolve_full_oracle,
     path_graph,
+    propagate,
     transfer_fidelity,
 )
 
@@ -146,3 +152,65 @@ def test_full_oracle_capacity_guard():
 def test_transfer_vertex_range_check():
     with pytest.raises(ValueError):
         transfer_fidelity(path_graph(3), ModelSpec("xy"), 0, 3, [1.0])
+
+
+def test_propagate_batch_matches_single_calls():
+    dec = eigh(block_hamiltonian(cycle_graph(6), 3, ModelSpec("heisenberg", 0.3)))
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+    times = np.array([0.0, 0.4, 2.5])
+    batch = propagate(dec, states, times)
+    assert batch.shape == (3, 20, 4)
+    for i, t in enumerate(times):
+        for j in range(4):
+            single = propagate(dec, states[:, j], t)
+            assert single.shape == (20,)
+            assert np.linalg.norm(batch[i, :, j] - single) <= 1e-12
+
+
+def test_propagate_rejects_bad_times():
+    dec = eigh(block_hamiltonian(path_graph(3), 1, ModelSpec("xy")))
+    with pytest.raises(ValueError):
+        propagate(dec, _basis_state(3, 0), [0.5, math.inf])
+    with pytest.raises(ValueError):
+        propagate(dec, _basis_state(3, 0), [[0.5]])
+
+
+def test_series_matches_single_time_evolution():
+    g = complete_graph(5)
+    spec = ModelSpec("xy", -0.2)
+    state = WaveState(2, _basis_state(10, 7))
+    series = evolve_block_series(g, spec, state, [0.3, 1.1, 4.0])
+    for t, out in zip([0.3, 1.1, 4.0], series):
+        assert np.linalg.norm(out.amplitudes - evolve_block(g, spec, state, t).amplitudes) <= 1e-12
+
+
+def test_series_enforces_norm_at_every_time(monkeypatch):
+    import spinwedge.dynamics as dyn
+
+    real = dyn.propagate
+
+    def leaky(dec, states, times):
+        out = real(dec, states, times)
+        out[-1] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(dyn, "propagate", leaky)
+    with pytest.raises(ValueError, match="norm"):
+        evolve_block_series(path_graph(4), ModelSpec("xy"), WaveState(1, _basis_state(4, 0)), [0.5, 1.0])
+
+
+def test_evolve_command_diagonalizes_once(monkeypatch, capsys):
+    import spinwedge.dynamics as dyn
+
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(dyn, "eigh", counting)
+    argv = ["evolve", "--graph", "path:6", "-k", "2", "--subset", "0,1", "--times", "0.5,1,2,3,5,8"]
+    assert cli.main(argv) == 0
+    assert calls == [(15, 15)]
+    assert len(json.loads(capsys.readouterr().out)) == 6

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinwedge import (
+    EigenDecomposition,
     ModelSpec,
     Spectrum,
     adjacency,
@@ -25,6 +26,7 @@ from spinwedge import (
     wedge_adjacency,
     xy_path_spectrum,
 )
+from spinwedge.spectra import LIFT_NORM_TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -215,6 +217,16 @@ def test_lift_eigenvector_norm_and_orthonormal_set():
         vectors.append(pair.vector)
     gram = np.array(vectors) @ np.array(vectors).T
     assert np.abs(gram - np.eye(6)).max() <= 1e-10
+
+
+def test_lift_rejects_norm_defect_above_table_tolerance():
+    # A 1e-9 scale error in the base columns is far below the old hard-coded
+    # 1e-6 but far above LIFT_NORM_TOL.
+    base = eigh(adjacency(path_graph(5)))
+    skewed = EigenDecomposition(base.values, base.vectors * (1.0 + 1e-9))
+    with pytest.raises(ValueError, match="orthonormal"):
+        lift_eigenvector(skewed, (0, 2))
+    assert abs(np.linalg.norm(lift_eigenvector(base, (0, 2)).vector) - 1.0) <= LIFT_NORM_TOL
 
 
 def test_lift_rejects_repeated_indices():

@@ -11,6 +11,7 @@ from spinwedge import (
     adjacency,
     block_hamiltonian,
     block_matvec,
+    build_wedge_graph,
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
@@ -149,6 +150,19 @@ def test_matvec_matches_dense(model):
         dense = h @ x
         free = block_matvec(g, k, spec, x)
         assert np.linalg.norm(free - dense) <= 1e-12 * max(1.0, np.linalg.norm(dense))
+
+
+def test_prebuilt_wedge_must_match_graph_and_k():
+    g = path_graph(5)
+    w = build_wedge_graph(g, 2)
+    spec = ModelSpec("heisenberg", 0.4)
+    assert np.array_equal(block_hamiltonian(g, 2, spec, w), block_hamiltonian(g, 2, spec))
+    x = np.arange(10.0)
+    assert np.array_equal(block_matvec(g, 2, spec, x, w), block_matvec(g, 2, spec, x))
+    with pytest.raises(ValueError):
+        block_hamiltonian(g, 3, spec, w)
+    with pytest.raises(ValueError):
+        block_matvec(cycle_graph(5), 2, spec, x, w)
 
 
 def test_matvec_dimension_error():

@@ -1,9 +1,14 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
+import spinwedge.verify as verify_mod
 from spinwedge import WedgeGraph, build_wedge_graph, complete_graph, cycle_graph, erdos_renyi_graph, path_graph
 from spinwedge.verify import (
     CheckResult,
     check_complement_isomorphism,
+    check_johnson_family,
     check_path_closed_form,
     default_corpus,
     run_verification,
@@ -27,6 +32,21 @@ def corrupting_builder(target_graph, target_k, edge_index=0):
             a, b, s = edges[edge_index]
             edges[edge_index] = (a, b, -s)
             return WedgeGraph(w.base, w.k, w.num_vertices, tuple(edges))
+        return w
+
+    return build
+
+
+def relabelling_builder(target_graph, target_k):
+    """Shift every rank of one wedge power by one, cyclically: the same graph
+    under another vertex labelling, hence the same spectrum."""
+
+    def build(g, k):
+        w = build_wedge_graph(g, k)
+        if g == target_graph and k == target_k:
+            m = w.num_vertices
+            moved = ((min((a + 1) % m, (b + 1) % m), max((a + 1) % m, (b + 1) % m), s) for a, b, s in w.signed_edges)
+            return WedgeGraph(w.base, w.k, m, tuple(sorted(moved)))
         return w
 
     return build
@@ -80,15 +100,6 @@ def test_first_failure_names_graph_k_and_check():
     assert "first failure" in summary and "path:4" in summary
 
 
-def test_threads_do_not_change_results():
-    seq = run_verification(corpus=SMALL_CORPUS, random_states=3)
-    par = run_verification(corpus=SMALL_CORPUS, random_states=3, threads=4)
-    assert [(r.check, r.subject, r.k, r.passed) for r in seq.results] == [
-        (r.check, r.subject, r.k, r.passed) for r in par.results
-    ]
-    assert [r.max_error for r in seq.results] == [r.max_error for r in par.results]
-
-
 def test_check_result_line_format():
     line = CheckResult("some_check", "path:4", 1.5e-12, 1e-9, True, k=2).line()
     assert line.startswith("[PASS]") and "path:4 k=2" in line and "1.500e-12" in line
@@ -103,3 +114,50 @@ def test_complement_isomorphism_check():
     g = cycle_graph(5)
     wedges = {k: build_wedge_graph(g, k) for k in range(6)}
     assert check_complement_isomorphism("cycle:5", g, wedges).passed
+
+
+def test_relabelled_isospectral_sector_fails_sector_vs_full():
+    target = cycle_graph(4)
+    report = run_verification(corpus=SMALL_CORPUS, random_states=2, wedge_builder=relabelling_builder(target, 2))
+    by_check = {(r.check, r.subject): r for r in report.results}
+    for model in ("xy", "heisenberg"):
+        r = by_check[(f"sector_vs_full_{model}", "cycle:4")]
+        assert not r.passed and r.k == 2 and "k=[2]" in r.note
+        assert by_check[(f"sector_union_{model}", "cycle:4")].passed
+        assert by_check[(f"sector_vs_full_{model}", "path:4")].passed
+    assert len(report.results) == len(run_verification(corpus=SMALL_CORPUS, random_states=2).results)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_complete_ground_energy_checked_for_every_n(n, monkeypatch):
+    by_check = {r.check: r for r in check_johnson_family(n, 1e-9)}
+    assert by_check["xy_complete_ground_energy"].passed
+
+    real = verify_mod.full_hamiltonian
+
+    def shifted(g, spec):
+        h = real(g, spec)
+        return h + 0.5 * np.eye(len(h)) if spec.is_xy else h
+
+    monkeypatch.setattr(verify_mod, "full_hamiltonian", shifted)
+    by_check = {r.check: r for r in check_johnson_family(n, 1e-9)}
+    assert not by_check["xy_complete_ground_energy"].passed
+    assert by_check["heis_complete_value_set"].passed
+
+
+def test_each_wedge_power_built_once_per_graph(monkeypatch):
+    import spinwedge.spins as spins_mod
+
+    builds = Counter()
+
+    def counting(g, k):
+        builds[(g, k)] += 1
+        return build_wedge_graph(g, k)
+
+    for module in (verify_mod, spins_mod):
+        monkeypatch.setattr(module, "build_wedge_graph", counting)
+    g = cycle_graph(5)
+    report = run_verification(corpus=[("cycle:5", g)], random_states=2)
+    assert report.passed
+    assert {k: builds[(g, k)] for k in range(g.n + 1)} == {k: 1 for k in range(g.n + 1)}
+    assert max(builds.values()) == 1

@@ -1,8 +1,11 @@
+import hashlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinwedge import (
     CapacityError,
@@ -14,15 +17,35 @@ from spinwedge import (
     erdos_renyi_graph,
     find_isomorphism,
     hop_sign,
+    johnson_spectrum,
     path_graph,
     signed_matrix,
     subset_name,
+    subset_table,
+    unrank_subset,
     wedge_adjacency,
     wedge_degrees,
     wedge_laplacian,
     wedge_to_dot,
     wedge_to_json,
+    xy_path_spectrum,
 )
+from spinwedge.spectra import Spectrum, compare_spectra
+
+
+def reference_signed_edges(g, k):
+    """Loop reference for build_wedge_graph: every subset, base edge and direction."""
+    subsets = sorted(itertools.combinations(range(g.n), k), key=lambda s: s[::-1])
+    rank = {s: r for r, s in enumerate(subsets)}
+    edges = []
+    for a, s in enumerate(subsets):
+        for u, v in g.edges:
+            for src, dst in ((u, v), (v, u)):
+                if src in s and dst not in s:
+                    b = rank[tuple(sorted(set(s) - {src} | {dst}))]
+                    if a < b:
+                        edges.append((a, b, hop_sign(s, src, dst)))
+    return tuple(sorted(edges))
 
 
 def test_hop_sign_counts_occupied_between():
@@ -201,3 +224,98 @@ def test_spectrum_sum_rules(g):
         assert abs(np.sum(np.linalg.eigvalsh(wedge_adjacency(w)))) <= 1e-9
         lap_sum = np.sum(np.linalg.eigvalsh(wedge_laplacian(w)))
         assert abs(lap_sum - wedge_degrees(w).sum()) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "g,ks",
+    [
+        (path_graph(1), range(2)),
+        (cycle_graph(7), range(8)),
+        (complete_graph(7), range(8)),
+        (erdos_renyi_graph(9, 0.4, 1), range(10)),
+        (erdos_renyi_graph(12, 0.3, 5), (4, 6, 9)),
+        # Beyond 63 vertices a subset no longer fits an int64 bitmask.
+        (path_graph(70), (1, 2, 68)),
+        (erdos_renyi_graph(66, 0.05, 1), (2, 65)),
+    ],
+)
+def test_build_matches_loop_reference(g, ks):
+    for k in ks:
+        assert build_wedge_graph(g, k).signed_edges == reference_signed_edges(g, k), k
+
+
+def test_near_full_sectors_of_long_graphs():
+    # With k = n-1 the single hole walks the graph; hole h is rank n-1-h.  On
+    # the cycle the wrap hop carries every other particle past the moved one.
+    n = 3001
+    assert build_wedge_graph(path_graph(n), n).signed_edges == ()
+    assert build_wedge_graph(path_graph(n), n - 1).signed_edges == tuple((i, i + 1, 1) for i in range(n - 1))
+    edges = build_wedge_graph(cycle_graph(n), n - 1).signed_edges
+    assert edges == ((0, 1, 1), (0, n - 1, -1)) + tuple((i, i + 1, 1) for i in range(1, n - 1))
+
+
+@pytest.mark.parametrize("n,k", [(0, 0), (1, 1), (7, 0), (7, 3), (9, 9), (70, 2)])
+def test_subset_table_rows_are_colex_ranks(n, k):
+    table = subset_table(n, k)
+    assert table.shape == (math.comb(n, k), k)
+    for r in (0, len(table) // 2, len(table) - 1):
+        assert tuple(table[r]) == unrank_subset(r, n, k)
+    masks = [sum(1 << int(v) for v in row) for row in table]
+    assert masks == sorted(masks) and len(set(masks)) == len(masks)
+
+
+def test_path90_k2_matches_closed_form():
+    # Colex ranks of pairs {i < j} are C(j,2) + i, so a hop along the path moves
+    # the rank by at most n - 2 and the banded eigensolver applies.
+    w = build_wedge_graph(path_graph(90), 2)
+    a, b, _ = w.hops
+    band = np.zeros((int(np.max(b - a)) + 1, w.num_vertices))
+    band[b - a, a] = 1.0
+    vals = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)
+    cmp = compare_spectra(xy_path_spectrum(90, 2), Spectrum(tuple(vals)))
+    assert cmp.equal, cmp.max_gap
+
+
+def test_complete70_k2_matches_johnson():
+    w = build_wedge_graph(complete_graph(70), 2)
+    vals = np.linalg.eigvalsh(wedge_adjacency(w))
+    cmp = compare_spectra(johnson_spectrum(70, 2), Spectrum(tuple(vals)))
+    assert cmp.equal, cmp.max_gap
+
+
+def test_wedge_outputs_unchanged_cycle5_k2():
+    w = build_wedge_graph(cycle_graph(5), 2)
+    assert wedge_to_json(w) == (
+        '{"n": 10, "edges": [[0, 1], [0, 7], [1, 2], [1, 3], [1, 8], [2, 4], [3, 4], [3, 6], [3, 9], '
+        '[4, 5], [4, 7], [5, 8], [6, 7], [7, 8], [8, 9]], "signs": {"0-7": -1, "1-8": -1, "3-9": -1}}'
+    )
+    assert wedge_to_dot(w) == (
+        'graph {\n  01 -- 02;\n  01 -- 14 [label="-1"];\n  02 -- 12;\n  02 -- 03;\n  02 -- 24 [label="-1"];\n'
+        '  12 -- 13;\n  03 -- 13;\n  03 -- 04;\n  03 -- 34 [label="-1"];\n  13 -- 23;\n  13 -- 14;\n  23 -- 24;\n'
+        '  04 -- 14;\n  14 -- 24;\n  24 -- 34;\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "g,k,json_sha,dot_sha",
+    [
+        (erdos_renyi_graph(9, 0.4, 1), 4,
+         "c74701535a849be6276d82e8a62e71aad028fadd90e9eab727805b2aab8eb08f",
+         "344b4eeb56c92dfaf251ed112f0ee4e488657f2edfb97fe21f292cdc7d6f6af0"),
+        (cycle_graph(12), 3,
+         "68c51a91f8e705b7e0c6b2865911d7dc288c62e2700ed163c9e5f5fb9e844849",
+         "8ecaf0316fb2d617422b88df66b7a3165759c9e2d02026b522483f03e6649b95"),
+    ],
+)
+def test_wedge_output_digests_unchanged(g, k, json_sha, dot_sha):
+    w = build_wedge_graph(g, k)
+    assert hashlib.sha256(wedge_to_json(w).encode()).hexdigest() == json_sha
+    assert hashlib.sha256(wedge_to_dot(w).encode()).hexdigest() == dot_sha
+
+
+def test_hop_matrices_agree_with_signed_matrix():
+    w = build_wedge_graph(erdos_renyi_graph(7, 0.5, 3), 3)
+    c = signed_matrix(w)
+    assert np.array_equal(wedge_adjacency(w), np.abs(c))
+    assert np.array_equal(wedge_laplacian(w), np.diag(wedge_degrees(w)) - np.abs(c))
+    assert np.array_equal(wedge_degrees(w), np.abs(c).sum(axis=1))

@@ -27,15 +27,18 @@ from .graphs import (
     path_graph,
 )
 from .wedge import (
-    KSubset,
+    LiftRoute,
     WedgeGraph,
     alt_delta_oracle,
     build_wedge_graph,
     hop_sign,
+    lift_route,
     rank_subset,
+    sector_dimension,
     signed_matrix,
     subset_name,
     subset_table,
+    switching_signs,
     unrank_subset,
     wedge_adjacency,
     wedge_degrees,
@@ -56,6 +59,7 @@ from .spectra import (
     lift_spectrum,
     path_eigenvector,
     path_spectrum,
+    subset_sums,
     xy_path_spectrum,
 )
 from .spins import (
@@ -71,6 +75,7 @@ from .dynamics import (
     evolve_block,
     evolve_block_series,
     evolve_full_oracle,
+    lift_propagate,
     propagate,
     transfer_fidelity,
 )

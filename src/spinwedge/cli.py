@@ -8,6 +8,7 @@ as a JSON file path.  File output is written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import numpy as np
 from .dynamics import WaveState, evolve_block_series
 from .graphs import (
     Graph,
+    adjacency,
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
@@ -33,11 +35,21 @@ from .spectra import (
     Spectrum,
     compare_spectra,
     johnson_spectrum,
+    subset_sums,
     xy_path_spectrum,
 )
 from .spins import ModelSpec, block_hamiltonian
 from .verify import run_verification
-from .wedge import build_wedge_graph, rank_subset, subset_name, subset_table, wedge_to_dot, wedge_to_json
+from .wedge import (
+    build_wedge_graph,
+    lift_route,
+    rank_subset,
+    sector_dimension,
+    subset_name,
+    subset_table,
+    wedge_to_dot,
+    wedge_to_json,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -104,12 +116,29 @@ def cmd_wedge(args) -> int:
 
 
 def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: list[int], tol: float, want_union: bool):
+    """Sector spectra; an XY sector on the lift route is the j-sums of the base
+    eigenvalues plus the field shift, with no C(n,k) x C(n,k) matrix built."""
+    for k in ks:
+        sector_dimension(g.n, k)
+    wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
+    base_values = None
     blocks = []
     union_vals: list[float] = []
     for k in ks:
-        vals = np.linalg.eigvalsh(block_hamiltonian(g, k, spec))
+        route = lift_route(g, k, wedge_of) if spec.is_xy else None
+        if route is None:
+            vals = np.linalg.eigvalsh(block_hamiltonian(g, k, spec, wedge_of(k)))
+        else:
+            if base_values is None:
+                base_values = np.linalg.eigvalsh(adjacency(g))
+            vals = subset_sums(base_values, route.j) + spec.field_b * (g.n - 2 * k)
         union_vals.extend(vals)
-        blocks.append({"k": k, "dim": len(vals), "spectrum": json.loads(Spectrum(tuple(vals), tol).to_json())})
+        blocks.append({
+            "k": k,
+            "dim": len(vals),
+            "route": "dense" if route is None else "lift",
+            "spectrum": json.loads(Spectrum(tuple(vals), tol).to_json()),
+        })
     payload = {
         "graph": label,
         "n": g.n,
@@ -232,23 +261,20 @@ def cmd_evolve(args) -> int:
         if not 0 <= args.to < g.n:
             raise ValueError(f"--to vertex {args.to} out of range for n={g.n}")
 
-    if args.to is not None:
-        tracked = [args.to]
-        labels = [subset_name((args.to,))]
-    else:
-        rows = subset_table(g.n, k).tolist()
-        tracked = list(range(len(rows)))
-        labels = [subset_name(row) for row in rows]
-
-    start = np.zeros(math.comb(g.n, k), dtype=complex)
+    tracked = slice(None) if args.to is None else [args.to]
+    start = np.zeros(sector_dimension(g.n, k), dtype=complex)
     start[rank_subset(subset, g.n)] = 1.0
     evolved = evolve_block_series(g, spec, WaveState(k, start), times)
     series = [
-        {"t": t, "probabilities": (np.abs(state.amplitudes[tracked]) ** 2).tolist()}
+        {"t": t, "probabilities": (np.abs(state.amplitudes[tracked]) ** 2).tolist(), "route": state.route}
         for t, state in zip(times, evolved)
     ]
 
     if args.format == "csv":
+        if args.to is None:
+            labels = [subset_name(row) for row in subset_table(g.n, k).tolist()]
+        else:
+            labels = [subset_name((args.to,))]
         lines = ["t," + ",".join(f"p_{label}" for label in labels)]
         for row in series:
             lines.append(",".join([repr(row["t"])] + [repr(p) for p in row["probabilities"]]))

@@ -4,17 +4,23 @@ Propagators are exact spectral exponentials U(t) = V exp(-i t diag) V^T of
 the real symmetric sector (or full-space) hamiltonian, so unitarity holds to
 solver precision and no time stepping is involved.  One decomposition serves
 every time point and every state.
+
+An XY basis state whose sector has a lift route (see
+:func:`spinwedge.wedge.lift_route`) is evolved from the n x n base graph
+instead: its amplitudes are signed j x j minors of U1(t) = exp(-i A t).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CapacityError, Graph
+from .graphs import CapacityError, Graph, adjacency
 from .spectra import EigenDecomposition, UNITARITY_TOL, eigh
 from .spins import ModelSpec, block_hamiltonian, full_hamiltonian
+from .wedge import LiftRoute, build_wedge_graph, lift_route, sector_dimension, subset_table
 
 __all__ = [
     "FULL_EVOLUTION_LIMIT",
@@ -22,6 +28,7 @@ __all__ = [
     "propagate",
     "evolve_block",
     "evolve_block_series",
+    "lift_propagate",
     "evolve_full_oracle",
     "transfer_fidelity",
 ]
@@ -31,10 +38,15 @@ FULL_EVOLUTION_LIMIT = 10
 
 @dataclass(frozen=True)
 class WaveState:
-    """Normalized complex amplitudes over one excitation sector's subsets."""
+    """Normalized complex amplitudes over one excitation sector's subsets.
+
+    ``route`` names what computed an evolved state, "lift" or "dense"; it is
+    None for a state given as input.
+    """
 
     k: int
     amplitudes: np.ndarray
+    route: str | None = None
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -65,19 +77,62 @@ def propagate(dec: EigenDecomposition, states: np.ndarray, times) -> np.ndarray:
     return out.reshape(t.shape + x.shape)
 
 
+def lift_propagate(
+    g: Graph, spec: ModelSpec, route: LiftRoute, start_rank: int, times, base: EigenDecomposition | None = None
+) -> np.ndarray:
+    """Column ``start_rank`` of exp(-i t H) on XY sector route.k, for every t.
+
+    One eigh of the n x n adjacency (``base``, computed when omitted) gives
+    the columns S0 of U1(t) for all times; the amplitude on S is
+    D[S] D[S0] det U1(t)[S, S0] on side j, times the field phase
+    exp(-i B (n - 2k) t).  Returns a (times, C(n,k)) array.
+    """
+    if not spec.is_xy:
+        raise ValueError("the lift route covers the xy model only")
+    n, k, j = g.n, route.k, route.j
+    m = sector_dimension(n, k)
+    if not 0 <= start_rank < m:
+        raise ValueError(f"start rank {start_rank} out of range for C({n},{k})={m}")
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise ValueError(f"times must be a 1-D array of finite values, got {times}")
+    r0 = start_rank if j == k else m - 1 - start_rank
+    rows = subset_table(n, j)
+    if base is None:
+        base = eigh(adjacency(g))
+    phases = np.exp(-1j * np.multiply.outer(t, base.values))
+    columns = base.vectors @ (phases[:, :, None] * base.vectors[rows[r0]].T)  # U1(t)[:, S0]
+    amplitudes = np.linalg.det(columns[:, rows, :]) * (route.signs * route.signs[r0])
+    if j != k:
+        amplitudes = amplitudes[:, ::-1]
+    return amplitudes * np.exp(-1j * spec.field_b * (n - 2 * k) * t)[:, None]
+
+
 def evolve_block_series(g: Graph, spec: ModelSpec, state: WaveState, times) -> list[WaveState]:
     """Evolve a sector state to every time in ``times`` from one diagonalization.
 
-    Each result is a WaveState, so every time point passes its norm check.
+    An XY basis state (a single nonzero amplitude) takes the lift route when
+    its sector has one; every other state diagonalizes the sector.  Each
+    result is a WaveState, so every time point passes its norm check.
     """
-    h = block_hamiltonian(g, state.k, spec)
-    if h.shape[0] != state.amplitudes.shape[0]:
+    m = sector_dimension(g.n, state.k)
+    if state.amplitudes.shape[0] != m:
         raise ValueError(
             f"state has {state.amplitudes.shape[0]} amplitudes but sector k={state.k} "
-            f"of this graph has dimension {h.shape[0]}"
+            f"of this graph has dimension {m}"
         )
-    evolved = propagate(eigh(h), state.amplitudes, np.atleast_1d(times))
-    return [WaveState(state.k, amplitudes) for amplitudes in evolved]
+    times = np.atleast_1d(times)
+    wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
+    occupied = np.flatnonzero(state.amplitudes)
+    route = lift_route(g, state.k, wedge_of) if spec.is_xy and occupied.size == 1 else None
+    if route is not None:
+        (r0,) = occupied
+        evolved = state.amplitudes[r0] * lift_propagate(g, spec, route, int(r0), times)
+        name = "lift"
+    else:
+        evolved = propagate(eigh(block_hamiltonian(g, state.k, spec, wedge_of(state.k))), state.amplitudes, times)
+        name = "dense"
+    return [WaveState(state.k, amplitudes, name) for amplitudes in evolved]
 
 
 def evolve_block(g: Graph, spec: ModelSpec, state: WaveState, t: float) -> WaveState:

@@ -42,6 +42,7 @@ __all__ = [
     "xy_path_spectrum",
     "johnson_spectrum",
     "complete_graph_spectra",
+    "subset_sums",
     "lift_spectrum",
     "lift_eigenvector",
     "compare_spectra",
@@ -230,31 +231,20 @@ def complete_graph_spectra(n: int, model: str) -> Spectrum:
     """Full 2^n spin spectrum on the complete graph, assembled per sector.
 
     XY sectors contribute Johnson adjacency values; Heisenberg sectors the
-    Johnson laplacian values j(n+1-j).
+    Johnson laplacian values k(n-k) minus those, that is j(n+1-j).
     """
+    # spins imports this module, so ModelSpec can only be imported here.
+    from .spins import ModelSpec
+
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    model = _canonical_model(model)
+    is_xy = ModelSpec(model).is_xy
     values: list[float] = []
     for k in range(n + 1):
-        for j in range(min(k, n - k) + 1):
-            mult = math.comb(n, j) - (math.comb(n, j - 1) if j > 0 else 0)
-            if model == "xy":
-                v = float(k * (n - k) - j * (n + 1 - j))
-            else:
-                v = float(j * (n + 1 - j))
-            values.extend([v] * mult)
+        for v, mult in _johnson_distinct(n, k):
+            values.extend([v if is_xy else k * (n - k) - v] * mult)
     assert len(values) == 2**n
     return Spectrum(tuple(values))
-
-
-def _canonical_model(model: str) -> str:
-    m = model.lower()
-    if m == "xy":
-        return "xy"
-    if m in ("heis", "heisenberg"):
-        return "heisenberg"
-    raise ValueError(f"unknown model {model!r}, expected 'xy' or 'heisenberg'")
 
 
 @dataclass(frozen=True)
@@ -270,18 +260,30 @@ class LiftedEigenpair:
     vector: np.ndarray
 
 
+def subset_sums(values, k: int) -> np.ndarray:
+    """Sums of k distinct entries of ``values``, one per k-subset, sorted.
+
+    Above k = d/2 each sum is the total minus the sum over the complement,
+    so the subset table is never wider than min(k, d-k).
+    """
+    values = np.asarray(values, dtype=float)
+    d = values.size
+    if not 0 <= k <= d:
+        raise ValueError(f"need 0 <= k <= {d}, got k={k}")
+    if 2 * k <= d:
+        sums = values[subset_table(d, k)].sum(axis=1)
+    else:
+        sums = values.sum() - values[subset_table(d, d - k)].sum(axis=1)
+    return np.sort(sums)
+
+
 def lift_spectrum(base: EigenDecomposition, k: int) -> Spectrum:
     """All sums of k distinct base eigenvalues over increasing index sets.
 
     This is the spectrum of the signed wedge matrix (not, in general, of the
     unsigned wedge adjacency).
     """
-    d = base.dim
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= {d}, got k={k}")
-    vals = base.values
-    sums = [math.fsum(vals[j] for j in combo) for combo in itertools.combinations(range(d), k)]
-    return Spectrum(tuple(sums))
+    return Spectrum(tuple(subset_sums(base.values, k)))
 
 
 def lift_eigenvector(base: EigenDecomposition, indices) -> LiftedEigenpair:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import propagate
+from .dynamics import lift_propagate, propagate
 from .graphs import (
     Graph,
     adjacency,
@@ -31,6 +31,7 @@ from .graphs import (
 from .spectra import (
     DEFAULT_TOL,
     MATVEC_RTOL,
+    EigenDecomposition,
     UNITARITY_TOL,
     Spectrum,
     compare_spectra,
@@ -40,6 +41,7 @@ from .spectra import (
     lift_spectrum,
     path_eigenvector,
     path_spectrum,
+    subset_sums,
     xy_path_spectrum,
 )
 from .spins import (
@@ -50,7 +52,14 @@ from .spins import (
     full_hamiltonian,
     project_full_to_blocks,
 )
-from .wedge import alt_delta_oracle, build_wedge_graph, signed_matrix, wedge_adjacency, wedge_laplacian
+from .wedge import (
+    alt_delta_oracle,
+    build_wedge_graph,
+    lift_route,
+    signed_matrix,
+    wedge_adjacency,
+    wedge_laplacian,
+)
 
 __all__ = [
     "FIELD_VALUES",
@@ -134,17 +143,35 @@ def _result(check, subject, err, tol, k=None, note="") -> CheckResult:
     return CheckResult(check, subject, float(err), tol, bool(err <= tol), k, note)
 
 
+def sector_decompositions(g: Graph, wedges: dict) -> dict:
+    """eigh of every field-free sector hamiltonian, keyed by (model name, k).
+
+    Computed once per graph and shared by the checks that take ``decs``.
+    """
+    return {(m.model, k): eigh(block_hamiltonian(g, k, m, w)) for m in _MODELS for k, w in wedges.items()}
+
+
+def _sector_dec(g: Graph, k: int, model: ModelSpec, wedge, decs: dict | None):
+    if decs is not None and model.field_b == 0.0:
+        return decs[(model.model, k)]
+    return eigh(block_hamiltonian(g, k, model, wedge))
+
+
 def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
-    """Dimensions, handshake sums, k=1 identity, one-subset end sectors."""
+    """Dimensions, handshake sums, k=1 identity, one-subset end sectors.
+
+    The handshake count is independent of the wedge builder: twice the hops
+    of wedge power k must equal the summed cut sizes of the weight-k
+    occupation bitmasks of the base graph.
+    """
+    bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n)) & 1
+    cuts = sum((bits[:, u] ^ bits[:, v] for u, v in g.edges), np.zeros(1 << g.n, dtype=np.int64))
+    cut_sums = np.bincount(bits.sum(axis=1), weights=cuts, minlength=g.n + 1)
     results = []
     worst = 0.0
     bad_k = None
     for k, w in wedges.items():
-        if w.num_vertices != math.comb(g.n, k):
-            worst = max(worst, 1.0)
-            bad_k = k
-        degs = 2 * len(w.signed_edges)
-        if degs != int(wedge_adjacency(w).sum()):
+        if w.num_vertices != math.comb(g.n, k) or 2 * len(w.signed_edges) != cut_sums[k]:
             worst = max(worst, 1.0)
             bad_k = k
     results.append(_result("wedge_dimensions", name, worst, 0.0, k=bad_k))
@@ -266,6 +293,48 @@ def check_lift(name: str, g: Graph, wedges: dict, tol: float) -> list[CheckResul
     ]
 
 
+def check_free_fermion_route(
+    name: str, g: Graph, wedges: dict, times, tol: float, decs: dict | None = None
+) -> CheckResult:
+    """Every XY sector on the lift route against the dense route.
+
+    For each: the switching is exact (D . C_j . D == A_j as integer
+    matrices), the j-sums of the base spectrum equal the dense sector
+    spectrum, and the lift amplitudes from one basis state equal dense
+    propagation at ``times``, all with a field so that the sector phase
+    counts: the dense reference is the field-free decomposition (``decs``,
+    see :func:`sector_decompositions`) shifted by B*(n-2k).  Sectors k in
+    {0, 1, n-1, n}, and every sector of a path, must take the lift route.
+    """
+    spec = ModelSpec("xy", FIELD_VALUES[0])
+    base = eigh(adjacency(g))
+    worst, bad_k = 0.0, None
+    lifted, unrouted = [], []
+    for k, w in wedges.items():
+        route = lift_route(g, k, wedges.__getitem__)
+        if route is None:
+            if name.startswith("path:") or k in (0, 1, g.n - 1, g.n):
+                unrouted.append(k)
+                worst, bad_k = math.inf, k
+            continue
+        lifted.append(k)
+        d, wj = route.signs, wedges[route.j]
+        exact = np.array_equal(d[:, None] * signed_matrix(wj) * d, wedge_adjacency(wj))
+        shift = spec.field_b * (g.n - 2 * k)
+        dec0 = _sector_dec(g, k, ModelSpec("xy"), w, decs)
+        dec = EigenDecomposition(dec0.values + shift, dec0.vectors)
+        sums = subset_sums(base.values, route.j) + shift
+        cmp = compare_spectra(Spectrum(tuple(sums), tol), Spectrum(tuple(dec.values), tol))
+        r0 = dec.dim // 2
+        dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
+        amp_err = float(np.max(np.abs(lift_propagate(g, spec, route, r0, times, base) - dense)))
+        err = max(cmp.max_gap, amp_err) if exact and cmp.equal else math.inf
+        if err > worst:
+            worst, bad_k = err, k
+    note = f"lift k={lifted}" + (f"; must lift but dense: k={unrouted}" if unrouted else "")
+    return _result("free_fermion_route", name, worst, tol, k=bad_k, note=note)
+
+
 def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, tol: float) -> CheckResult:
     """Heisenberg sectors are positive semidefinite with one zero mode per
     connected component of the wedge power."""
@@ -282,13 +351,17 @@ def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, tol: float) -> Chec
     return _result("heis_psd_kernel", name, worst, tol, k=bad_k)
 
 
-def check_field_shift(name: str, g: Graph, wedges: dict, tol: float) -> CheckResult:
-    """Adding a field shifts sector eigenvalues by B*(n-2k) and keeps eigenvectors."""
+def check_field_shift(name: str, g: Graph, wedges: dict, tol: float, decs: dict | None = None) -> CheckResult:
+    """Adding a field shifts sector eigenvalues by B*(n-2k) and keeps eigenvectors.
+
+    ``decs`` holds the field-free decompositions (see
+    :func:`sector_decompositions`); they are computed when omitted.
+    """
     worst = 0.0
     bad_k = None
     for model_name in ("xy", "heisenberg"):
         for k, w in wedges.items():
-            dec0 = eigh(block_hamiltonian(g, k, ModelSpec(model_name), w))
+            dec0 = _sector_dec(g, k, ModelSpec(model_name), w, decs)
             for b in FIELD_VALUES:
                 hb = block_hamiltonian(g, k, ModelSpec(model_name, b), w)
                 shift = b * (g.n - 2 * k)
@@ -322,12 +395,14 @@ def check_dynamics(
     times,
     tol: float,
     wedges: dict | None = None,
+    decs: dict | None = None,
 ) -> list[CheckResult]:
     """Sector evolution against full-space evolution for random sector states.
 
     Per sector, all states are propagated to all times in one call, once in
     the sector and once embedded in the full space.  ``wedges`` maps k to the
-    prebuilt wedge powers of g; they are built when omitted.
+    prebuilt wedge powers of g, and ``decs`` holds the sector decompositions
+    (see :func:`sector_decompositions`); both are computed when omitted.
     """
     full_dec = eigh(full_hamiltonian(g, model))
     worst = 0.0
@@ -336,7 +411,7 @@ def check_dynamics(
     worst_energy = 0.0
     for k in range(g.n + 1):
         h = block_hamiltonian(g, k, model, None if wedges is None else wedges[k])
-        block_dec = eigh(h)
+        block_dec = _sector_dec(g, k, model, None if wedges is None else wedges[k], decs)
         idx = SpinBasisMap(g.n, k).states
         draws = rng.normal(size=(n_states, 2, len(idx)))
         z = (draws[:, 0] + 1j * draws[:, 1]).T
@@ -441,16 +516,18 @@ def _graph_checks(index, name, g, tol, seed, n_states, times, builder) -> list[C
     results: list[CheckResult] = []
     results += check_structure(name, g, wedges)
     results += check_lift(name, g, wedges, tol)
+    decs = sector_decompositions(g, wedges)
+    results.append(check_free_fermion_route(name, g, wedges, times, tol, decs))
     oracle = check_signed_oracle(name, g, wedges)
     if oracle is not None:
         results.append(oracle)
     results.append(check_heis_psd_kernel(name, g, wedges, tol))
-    results.append(check_field_shift(name, g, wedges, tol))
+    results.append(check_field_shift(name, g, wedges, tol, decs))
     results.append(check_complement_isomorphism(name, g, wedges))
     for model in _MODELS:
         results += check_sector_spectra(name, g, model, wedges, tol)
         results.append(check_block_matvec(name, g, model, wedges, rng))
-        results += check_dynamics(name, g, model, rng, n_states, times, tol, wedges)
+        results += check_dynamics(name, g, model, rng, n_states, times, tol, wedges, decs)
     family = name.split(":", 1)[0]
     if family == "path":
         results += check_path_closed_form(g.n, tol, builder)

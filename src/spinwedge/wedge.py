@@ -28,14 +28,17 @@ from .graphs import CapacityError, Graph, export_dot
 __all__ = [
     "BLOCK_DIM_LIMIT",
     "TENSOR_DIM_LIMIT",
-    "KSubset",
     "WedgeGraph",
+    "LiftRoute",
+    "sector_dimension",
     "rank_subset",
     "unrank_subset",
     "subset_name",
     "subset_table",
     "hop_sign",
     "build_wedge_graph",
+    "switching_signs",
+    "lift_route",
     "signed_matrix",
     "wedge_adjacency",
     "wedge_degrees",
@@ -86,23 +89,6 @@ def unrank_subset(rank: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class KSubset:
-    """A k-subset together with its colex combinadic rank."""
-
-    elements: tuple[int, ...]
-    rank: int
-
-    @classmethod
-    def from_elements(cls, elements, n: int) -> "KSubset":
-        elems = tuple(int(e) for e in elements)
-        return cls(elems, rank_subset(elems, n))
-
-    @classmethod
-    def from_rank(cls, rank: int, n: int, k: int) -> "KSubset":
-        return cls(unrank_subset(rank, n, k), rank)
-
-
 def subset_name(elements) -> str:
     """Concatenated-label vertex name, e.g. (0, 2, 4) -> "024".
 
@@ -114,16 +100,25 @@ def subset_name(elements) -> str:
     return "".join(str(e) for e in elems)
 
 
-def subset_table(n: int, k: int) -> np.ndarray:
-    """Every k-subset of range(n) as an ascending row; row r is the rank-r subset.
+def sector_dimension(n: int, k: int) -> int:
+    """C(n, k), the dimension of sector k; the one sector capacity guard.
 
-    Raises CapacityError beyond BLOCK_DIM_LIMIT rows, before allocating them.
+    Raises CapacityError, naming k and C(n, k), beyond BLOCK_DIM_LIMIT.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")
     m = math.comb(n, k)
     if m > BLOCK_DIM_LIMIT:
-        raise CapacityError(f"C({n},{k})={m} subsets exceed the sector limit {BLOCK_DIM_LIMIT}")
+        raise CapacityError(f"sector k={k} has C({n},{k})={m} subsets, above the sector limit {BLOCK_DIM_LIMIT}")
+    return m
+
+
+def subset_table(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n) as an ascending row; row r is the rank-r subset.
+
+    Raises CapacityError beyond BLOCK_DIM_LIMIT rows, before allocating them.
+    """
+    m = sector_dimension(n, k)
     # Lexicographic order of descending tuples is reversed colex order.
     descending = np.array(list(itertools.combinations(range(n - 1, -1, -1), k)), dtype=np.int64)
     return np.ascontiguousarray(descending.reshape(m, k)[::-1, ::-1])
@@ -224,11 +219,7 @@ def build_wedge_graph(g: Graph, k: int) -> WedgeGraph:
     edgeless graph, k=1 reproduces g itself with every sign +1.
     """
     n = g.n
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= {n}, got k={k}")
-    m = math.comb(n, k)
-    if m > BLOCK_DIM_LIMIT:
-        raise CapacityError(f"wedge power has C({n},{k})={m} vertices, limit {BLOCK_DIM_LIMIT}")
+    m = sector_dimension(n, k)
     if 2 * k <= n:
         a, b, crossed, _ = _rising_hops(g, k)
     else:
@@ -241,6 +232,74 @@ def build_wedge_graph(g: Graph, k: int) -> WedgeGraph:
     order = np.lexsort((b, a))
     edges = tuple(zip(a[order].tolist(), b[order].tolist(), signs[order].tolist()))
     return WedgeGraph(g, k, m, edges)
+
+
+def switching_signs(w: WedgeGraph) -> np.ndarray | None:
+    """The +-1 vector D with D[a] * sign * D[b] = +1 on every hop, or None.
+
+    D exists exactly when D . C . D equals the unsigned adjacency, C the
+    signed matrix: every cycle of hops has a positive sign product.  A parity
+    union-find with path compression takes the hops in order and checks each
+    one against the parities fixed so far, stopping at the first
+    contradiction.  O(vertices + hops), no dense matrix.
+    """
+    a, b, s = w.hops
+    parent = list(range(w.num_vertices))
+    odd = [0] * w.num_vertices  # parity of each vertex relative to its parent
+
+    def find(x: int) -> int:
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        acc = 0
+        for y in reversed(path):
+            acc ^= odd[y]
+            odd[y] = acc
+            parent[y] = x
+        return x
+
+    for u, v, sign in zip(a.tolist(), b.tolist(), s.tolist()):
+        ru, rv = find(u), find(v)
+        # After find, odd[] holds parity relative to the root.
+        flip = odd[u] ^ odd[v] ^ (sign < 0)
+        if ru != rv:
+            parent[ru] = rv
+            odd[ru] = flip
+        elif flip:
+            return None
+    for x in range(w.num_vertices):
+        find(x)
+    return 1 - 2 * np.array(odd, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class LiftRoute:
+    """Sector k of the XY model as a free-fermion problem.
+
+    The signed wedge power C_j of side j (k or n-k) switches to its
+    adjacency: A_j = D . C_j . D with D = ``signs`` over the j-subset ranks.
+    The sector spectrum is then the j-sums of the base spectrum, and
+    exp(-i A_j t)[S, S0] = D[S] D[S0] det U1(t)[S, S0] with U1 = exp(-i A t).
+    A_k is A_{n-k} relabelled by the complement r -> C(n,k) - 1 - r.
+    """
+
+    k: int
+    j: int
+    signs: np.ndarray
+
+
+def lift_route(g: Graph, k: int, wedge_of=None) -> LiftRoute | None:
+    """The lift route of sector k, or None when neither side switches.
+
+    Tries the smaller side of k and n-k first.  ``wedge_of(j)`` returns the
+    j-th wedge power of g; it defaults to building it.
+    """
+    for j in sorted({k, g.n - k}):
+        d = switching_signs(wedge_of(j) if wedge_of is not None else build_wedge_graph(g, j))
+        if d is not None:
+            return LiftRoute(k, j, d)
+    return None
 
 
 def _hop_matrix(w: WedgeGraph, values) -> np.ndarray:

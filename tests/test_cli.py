@@ -222,3 +222,35 @@ def test_output_written_atomically(tmp_path, capsys):
     assert data["graph"] == "path:3"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".spinwedge-")]
     assert leftovers == []
+
+
+def test_spectrum_all_checks_every_sector_before_any_work(capsys, monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigvalsh called before the capacity guard")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    code, _, err = run(capsys, "spectrum", "--graph", "er:20:0.3:0", "-k", "all")
+    assert code == 2
+    assert "k=5" in err and "C(20,5)=15504" in err
+
+
+def test_spectrum_blocks_name_their_route(capsys):
+    code, out, _ = run(capsys, "spectrum", "--graph", "cycle:6", "-k", "all")
+    assert code == 0
+    routes = [b["route"] for b in json.loads(out)["blocks"]]
+    assert routes == ["lift", "lift", "dense", "lift", "dense", "lift", "lift"]
+    code, out, _ = run(capsys, "spectrum", "--graph", "cycle:6", "-k", "all", "--model", "heis")
+    assert {b["route"] for b in json.loads(out)["blocks"]} == {"dense"}
+    code, out, _ = run(capsys, "spectrum", "--graph", "cycle:6", "-k", "3", "--format", "csv")
+    lines = out.strip().splitlines()
+    assert lines[0] == "k,index,value" and len(lines) == 21 and "lift" not in out
+
+
+def test_evolve_rows_name_their_route(capsys):
+    argv = ["evolve", "--graph", "cycle:6", "-k", "2", "--subset", "0,3", "--times", "0.5,2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and [row["route"] for row in json.loads(out)] == ["dense", "dense"]
+    code, out, _ = run(capsys, *argv[:4], "3", "--subset", "0,2,4", "--times", "0.5,2")
+    assert code == 0 and [row["route"] for row in json.loads(out)] == ["lift", "lift"]
+    code, out, _ = run(capsys, *argv[:4], "3", "--subset", "0,2,4", "--times", "0.5,2", "--format", "csv")
+    assert code == 0 and out.splitlines()[0].startswith("t,p_012,") and "lift" not in out

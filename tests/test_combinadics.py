@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from spinwedge import KSubset, rank_subset, unrank_subset
+from spinwedge import rank_subset, unrank_subset
 
 
 def test_rank_colex_extremes():
@@ -65,9 +65,3 @@ def test_unrank_input_errors():
         unrank_subset(-1, 4, 2)
     with pytest.raises(ValueError):
         unrank_subset(0, 4, 5)
-
-
-def test_ksubset_constructors():
-    s = KSubset.from_elements((1, 3), 5)
-    assert s.rank == rank_subset((1, 3), 5)
-    assert KSubset.from_rank(s.rank, 5, 2) == s

@@ -186,21 +186,26 @@ def test_series_matches_single_time_evolution():
 
 
 def test_series_enforces_norm_at_every_time(monkeypatch):
+    # Heisenberg takes the dense route, an XY basis state on a path the lift.
     import spinwedge.dynamics as dyn
 
-    real = dyn.propagate
+    for route, model in (("propagate", "heisenberg"), ("lift_propagate", "xy")):
+        real = getattr(dyn, route)
 
-    def leaky(dec, states, times):
-        out = real(dec, states, times)
-        out[-1] *= 1.0 + 1e-6
-        return out
+        def leaky(*args, real=real, **kwargs):
+            out = real(*args, **kwargs)
+            out[-1] *= 1.0 + 1e-6
+            return out
 
-    monkeypatch.setattr(dyn, "propagate", leaky)
-    with pytest.raises(ValueError, match="norm"):
-        evolve_block_series(path_graph(4), ModelSpec("xy"), WaveState(1, _basis_state(4, 0)), [0.5, 1.0])
+        with monkeypatch.context() as patch:
+            patch.setattr(dyn, route, leaky)
+            with pytest.raises(ValueError, match="norm"):
+                evolve_block_series(path_graph(4), ModelSpec(model), WaveState(1, _basis_state(4, 0)), [0.5, 1.0])
 
 
 def test_evolve_command_diagonalizes_once(monkeypatch, capsys):
+    # The lift route diagonalizes the 6-vertex path, the dense route the
+    # C(6,2) = 15 dimensional sector.
     import spinwedge.dynamics as dyn
 
     calls = []
@@ -210,7 +215,10 @@ def test_evolve_command_diagonalizes_once(monkeypatch, capsys):
         return eigh(m)
 
     monkeypatch.setattr(dyn, "eigh", counting)
-    argv = ["evolve", "--graph", "path:6", "-k", "2", "--subset", "0,1", "--times", "0.5,1,2,3,5,8"]
-    assert cli.main(argv) == 0
-    assert calls == [(15, 15)]
-    assert len(json.loads(capsys.readouterr().out)) == 6
+    for model, shape, route in (("xy", (6, 6), "lift"), ("heis", (15, 15), "dense")):
+        calls.clear()
+        argv = ["evolve", "--graph", "path:6", "--model", model, "-k", "2", "--subset", "0,1"]
+        assert cli.main(argv + ["--times", "0.5,1,2,3,5,8"]) == 0
+        assert calls == [shape]
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 6 and {row["route"] for row in rows} == {route}

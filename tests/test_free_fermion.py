@@ -1,0 +1,256 @@
+"""The free-fermion lift route for XY sectors: the switching test, the route
+rule, and agreement of the lift with the dense route."""
+
+import itertools
+import json
+import math
+import random
+
+import numpy as np
+import pytest
+
+import spinwedge.verify as verify_mod
+import spinwedge.wedge as wedge_mod
+from spinwedge import (
+    Graph,
+    ModelSpec,
+    Spectrum,
+    WaveState,
+    WedgeGraph,
+    block_hamiltonian,
+    build_wedge_graph,
+    cli,
+    compare_spectra,
+    cycle_graph,
+    eigh,
+    erdos_renyi_graph,
+    evolve_block_series,
+    lift_route,
+    path_graph,
+    propagate,
+    signed_matrix,
+    subset_sums,
+    switching_signs,
+    wedge_adjacency,
+)
+from spinwedge.verify import check_free_fermion_route, default_corpus, run_verification
+
+STAR5 = Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
+
+
+def _spectrum_cap_graphs(seed, n=14, p=0.3, graphs=24):
+    """The seeded G(14, 0.3) inputs of the benchmark's spectrum_cap workload."""
+    rng = random.Random(seed)
+    return [
+        Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
+        for _ in range(graphs)
+    ]
+
+
+def _switches_by_search(w):
+    """Whether some +-1 vector switches the signed matrix to the adjacency,
+    by trying them all (the first entry fixed, as -D works when D does)."""
+    c, a = signed_matrix(w), wedge_adjacency(w)
+    m = w.num_vertices
+    for rest in itertools.product((1, -1), repeat=m - 1):
+        d = np.array((1,) + rest)
+        if np.array_equal(d[:, None] * c * d, a):
+            return True
+    return False
+
+
+def _sectors(graphs):
+    for name, g in graphs:
+        for k in range(g.n + 1):
+            yield name, g, k
+
+
+SMALL = [
+    ("path:5", path_graph(5)),
+    ("cycle:6", cycle_graph(6)),
+    ("star:5", STAR5),
+    ("er:6:0.5:2", erdos_renyi_graph(6, 0.5, 2)),
+]
+
+
+@pytest.mark.parametrize("name, g, k", [s for s in _sectors(SMALL) if math.comb(s[1].n, s[2]) <= 15])
+def test_switching_signs_is_exact(name, g, k):
+    w = build_wedge_graph(g, k)
+    d = switching_signs(w)
+    assert (d is not None) == _switches_by_search(w)
+    if d is not None:
+        assert np.array_equal(d[:, None] * signed_matrix(w) * d, wedge_adjacency(w))
+
+
+def test_switching_signs_on_every_corpus_wedge():
+    for name, g, k in _sectors(default_corpus()):
+        w = build_wedge_graph(g, k)
+        d = switching_signs(w)
+        if d is not None:
+            assert set(d.tolist()) <= {1, -1}
+            assert np.array_equal(d[:, None] * signed_matrix(w) * d, wedge_adjacency(w)), (name, k)
+        else:
+            assert np.any(signed_matrix(w) < 0), (name, k)
+
+
+def test_switching_signs_stops_at_a_contradiction():
+    w = build_wedge_graph(cycle_graph(6), 2)
+    a, b, s = w.hops
+    flipped = WedgeGraph(w.base, w.k, w.num_vertices, tuple(zip(a.tolist(), b.tolist(), [1] * len(s))))
+    assert switching_signs(w) is None
+    assert np.array_equal(switching_signs(flipped), np.ones(w.num_vertices, dtype=np.int64))
+
+
+def test_route_rule_facts():
+    for n in range(1, 15):
+        g = path_graph(n)
+        for k in range(n + 1):
+            assert lift_route(g, k).j == min(k, n - k)
+    c7 = cycle_graph(7)
+    for k in range(1, 7):
+        assert lift_route(c7, k).j == (k if k % 2 else 7 - k)
+    for name, g in default_corpus() + [("star:5", STAR5)]:
+        for k in {0, 1, g.n - 1, g.n}:
+            assert lift_route(g, k) is not None, (name, k)
+    dense = [(cycle_graph(6), 2), (cycle_graph(6), 4), (STAR5, 2), (STAR5, 3)]
+    dense += [(erdos_renyi_graph(6, 0.5, 2), k) for k in (2, 3, 4)]
+    for g, k in dense:
+        assert lift_route(g, k) is None
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_spectrum_cap_graphs_stay_dense(seed):
+    for g in _spectrum_cap_graphs(seed):
+        assert lift_route(g, 5) is None
+
+
+def test_lift_and_dense_routes_agree_on_the_corpus():
+    for name, g, k in _sectors(default_corpus()):
+        if lift_route(g, k) is None:
+            continue
+        m = math.comb(g.n, k)
+        for b in (0.0, 0.5):
+            spec = ModelSpec("xy", b)
+            dec = eigh(block_hamiltonian(g, k, spec))
+            for r0 in sorted({0, m // 2, m - 1}):
+                start = np.zeros(m, dtype=complex)
+                start[r0] = 1j
+                series = evolve_block_series(g, spec, WaveState(k, start), [0.5, 1.0, 5.0])
+                dense = propagate(dec, start, [0.5, 1.0, 5.0])
+                assert {s.route for s in series} == {"lift"}
+                err = max(np.max(np.abs(s.amplitudes - d)) for s, d in zip(series, dense))
+                assert err <= 1e-10, (name, k, b, r0)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in default_corpus()])
+def test_spectrum_routes_agree(name, capsys):
+    g = dict(default_corpus())[name]
+    for b in (0.0, 0.5):
+        assert cli.main(["spectrum", "--graph", name, "-k", "all", "--field", str(b)]) == 0
+        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        for block in blocks:
+            k = block["k"]
+            route = lift_route(g, k)
+            assert block["route"] == ("dense" if route is None else "lift")
+            dense = np.linalg.eigvalsh(block_hamiltonian(g, k, ModelSpec("xy", b)))
+            assert compare_spectra(Spectrum(tuple(block["spectrum"]["values"])), Spectrum(tuple(dense))).equal
+
+
+def test_non_basis_and_heisenberg_states_take_the_dense_route():
+    g = path_graph(5)
+    start = np.zeros(10, dtype=complex)
+    start[[1, 4]] = 1 / math.sqrt(2)
+    (out,) = evolve_block_series(g, ModelSpec("xy"), WaveState(2, start), [0.7])
+    assert out.route == "dense"
+    start = np.zeros(10, dtype=complex)
+    start[3] = 1.0
+    (out,) = evolve_block_series(g, ModelSpec("heisenberg"), WaveState(2, start), [0.7])
+    assert out.route == "dense"
+
+
+def test_subset_sums_match_fsum_on_both_sides():
+    values = np.random.default_rng(3).normal(size=9)
+    for k in range(10):
+        want = sorted(math.fsum(values[list(c)]) for c in itertools.combinations(range(9), k))
+        assert np.allclose(subset_sums(values, k), want, atol=1e-13, rtol=0)
+
+
+def test_evolve_on_a_3001_vertex_path_takes_the_lift(capsys):
+    n, missing, t = 3001, 1500, 1.0
+    subset = ",".join(str(v) for v in range(n) if v != missing)
+    assert cli.main(["evolve", "--graph", f"path:{n}", "-k", str(n - 1), "--subset", subset, "--times", str(t)]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["route"] == "lift"
+    # The sector is the path itself relabelled by the missing vertex v at
+    # rank n-1-v; the path propagator follows from its sine eigenvectors.
+    x = np.arange(1, n + 1)
+    vectors = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(x, x) / (n + 1))
+    values = 2.0 * np.cos(np.pi * x / (n + 1))
+    column = vectors @ (np.exp(-1j * values * t) * vectors[missing])
+    probs = np.array(row["probabilities"])
+    assert np.max(np.abs(probs[::-1] - np.abs(column) ** 2)) <= 1e-10
+
+
+def test_verify_check_fails_on_a_false_switching(monkeypatch):
+    real = wedge_mod.switching_signs
+    g = cycle_graph(6)
+
+    def all_ones(w):
+        if w.base == g and w.k == 2:
+            return np.ones(w.num_vertices, dtype=np.int64)
+        return real(w)
+
+    wedges = {k: build_wedge_graph(g, k) for k in range(7)}
+    assert check_free_fermion_route("cycle:6", g, wedges, verify_mod.DYNAMICS_TIMES, 1e-9).passed
+    monkeypatch.setattr(wedge_mod, "switching_signs", all_ones)
+    result = check_free_fermion_route("cycle:6", g, wedges, verify_mod.DYNAMICS_TIMES, 1e-9)
+    assert not result.passed and result.k == 2
+
+
+def _flipping_builder(flips):
+    """Flip the sign of the hop (a, b) of path:5's wedge power k, for each
+    (k, a, b) in ``flips``."""
+
+    def build(g, k):
+        w = build_wedge_graph(g, k)
+        edges = tuple((a, b, -s if g == path_graph(5) and (k, a, b) in flips else s) for a, b, s in w.signed_edges)
+        return WedgeGraph(w.base, w.k, w.num_vertices, edges)
+
+    return build
+
+
+def test_verify_check_fails_when_a_path_sector_is_not_lifted():
+    # {0,2}-{1,2} at k=2 and {1,3,4}-{0,3,4} at k=3 each lie on a 4-cycle of
+    # hops; flipping one side alone leaves the other side to route the sector.
+    corpus = [("path:5", path_graph(5))]
+    one_side = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(2, 1, 2)}))
+    by_check = {r.check: r for r in one_side.results}
+    assert by_check["free_fermion_route"].passed
+    both = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(2, 1, 2), (3, 7, 8)}))
+    by_check = {r.check: r for r in both.results}
+    result = by_check["free_fermion_route"]
+    assert not result.passed and result.k in (2, 3) and "must lift but dense: k=[2, 3]" in result.note
+
+
+def test_handshake_counts_cut_sizes_independently():
+    g = cycle_graph(5)
+
+    def dropping(graph, k):
+        w = build_wedge_graph(graph, k)
+        if k == 2:
+            return WedgeGraph(w.base, w.k, w.num_vertices, w.signed_edges[1:])
+        return w
+
+    report = run_verification(corpus=[("cycle:5", g)], random_states=2, wedge_builder=dropping)
+    by_check = {r.check: r for r in report.results}
+    assert not by_check["wedge_dimensions"].passed and by_check["wedge_dimensions"].k == 2
+    clean = run_verification(corpus=[("cycle:5", g)], random_states=2)
+    assert {r.check: r for r in clean.results}["wedge_dimensions"].passed
+
+
+def test_full_corpus_has_one_route_check_per_graph():
+    report = run_verification()
+    assert report.passed
+    assert len(report.results) == 531
+    route_checks = [r.subject for r in report.results if r.check == "free_fermion_route"]
+    assert route_checks == [name for name, _ in default_corpus()]

@@ -19,7 +19,6 @@ from .graphs import (
     degree_matrix,
     erdos_renyi_graph,
     export_dot,
-    find_isomorphism,
     graph_from_edge_list,
     graph_from_json,
     graph_to_json,

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CapacityError, Graph, adjacency
+from .graphs import Graph, adjacency
 from .spectra import EigenDecomposition, UNITARITY_TOL, eigh
 from .spins import ModelSpec, block_hamiltonian, full_hamiltonian
 from .wedge import LiftRoute, build_wedge_graph, lift_route, sector_dimension, subset_table
 
 __all__ = [
-    "FULL_EVOLUTION_LIMIT",
     "WaveState",
     "propagate",
     "evolve_block",
@@ -32,9 +31,6 @@ __all__ = [
     "evolve_full_oracle",
     "transfer_fidelity",
 ]
-
-FULL_EVOLUTION_LIMIT = 10
-
 
 @dataclass(frozen=True)
 class WaveState:
@@ -141,14 +137,16 @@ def evolve_block(g: Graph, spec: ModelSpec, state: WaveState, t: float) -> WaveS
     return evolved
 
 
-def evolve_full_oracle(g: Graph, spec: ModelSpec, full_state: np.ndarray, t: float) -> np.ndarray:
-    """Exact evolution on the whole 2^n space; the cross-check for evolve_block."""
-    if g.n > FULL_EVOLUTION_LIMIT:
-        raise CapacityError(f"full evolution limited to {FULL_EVOLUTION_LIMIT} spins, got {g.n}")
-    full_state = np.asarray(full_state, dtype=complex)
-    if full_state.shape != (1 << g.n,):
-        raise ValueError(f"full state must have length {1 << g.n}, got shape {full_state.shape}")
-    return propagate(eigh(full_hamiltonian(g, spec)), full_state, t)
+def evolve_full_oracle(g: Graph, spec: ModelSpec, states: np.ndarray, times) -> np.ndarray:
+    """Exact evolution on the whole 2^n space; the cross-check for evolve_block.
+
+    ``states`` and ``times`` are as in :func:`propagate`.  Graphs beyond
+    FULL_SPIN_LIMIT spins raise CapacityError before anything is allocated.
+    """
+    x = np.asarray(states, dtype=complex)
+    if x.ndim not in (1, 2) or x.shape[0] != 1 << g.n:
+        raise ValueError(f"full states must have {1 << g.n} rows, got shape {x.shape}")
+    return propagate(eigh(full_hamiltonian(g, spec)), x, times)
 
 
 def transfer_fidelity(g: Graph, spec: ModelSpec, from_vertex: int, to_vertex: int, times) -> list[float]:

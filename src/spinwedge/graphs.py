@@ -1,4 +1,4 @@
-"""Labelled simple graphs: families, matrices, serialization, isomorphism search.
+"""Labelled simple graphs: families, matrices, serialization.
 
 Vertices are identified with their labels 0..n-1; the integer order on labels
 is the total vertex order used everywhere else in the package (subset sorting,
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +26,10 @@ __all__ = [
     "degree_matrix",
     "laplacian",
     "connected_components",
-    "find_isomorphism",
     "export_dot",
     "graph_to_json",
     "graph_from_json",
 ]
-
-# Isomorphism search is intended for small graphs only (invariant screening
-# plus backtracking, no canonical labelling).
-ISOMORPHISM_VERTEX_LIMIT = 5000
-
-# Dense spectral screening inside find_isomorphism is skipped above this size.
-_SPECTRAL_SCREEN_LIMIT = 512
 
 
 class CapacityError(ValueError):
@@ -92,14 +83,6 @@ class Graph:
         if u > v:
             u, v = v, u
         return (u, v) in self.edges
-
-    def neighbor_masks(self) -> list[int]:
-        """Adjacency as one python int bitmask per vertex."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
 
 
 def graph_from_edge_list(n: int, pairs) -> Graph:
@@ -175,136 +158,6 @@ def connected_components(g: Graph) -> int:
         if ru != rv:
             parent[ru] = rv
     return len({find(v) for v in range(g.n)})
-
-
-def _refine_colors(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
-    """Joint iterated neighborhood color refinement over both graphs.
-
-    Returns stable vertex colorings drawn from a shared palette, or None when
-    the color histograms already certify non-isomorphism.
-    """
-    nb1, nb2 = g1.neighbor_masks(), g2.neighbor_masks()
-    deg1, deg2 = g1.degrees(), g2.degrees()
-    c1, c2 = list(deg1), list(deg2)
-    num_colors = -1
-    while True:
-        sig1 = [
-            (c1[v], tuple(sorted(c1[w] for w in _bits(nb1[v])))) for v in range(g1.n)
-        ]
-        sig2 = [
-            (c2[v], tuple(sorted(c2[w] for w in _bits(nb2[v])))) for v in range(g2.n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2)))}
-        c1 = [palette[s] for s in sig1]
-        c2 = [palette[s] for s in sig2]
-        if Counter(c1) != Counter(c2):
-            return None
-        if len(palette) == num_colors:
-            return c1, c2
-        num_colors = len(palette)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
-    """Search for a bijection perm with (u,v) in E1 iff (perm[u],perm[v]) in E2.
-
-    Invariant screening (size, degree sequence, adjacency spectrum for small
-    graphs, color refinement) followed by most-constrained-first backtracking.
-    Absence of an isomorphism returns None.
-    """
-    if g1.n != g2.n or g1.num_edges != g2.num_edges:
-        return None
-    n = g1.n
-    if n > ISOMORPHISM_VERTEX_LIMIT:
-        raise CapacityError(f"isomorphism search limited to {ISOMORPHISM_VERTEX_LIMIT} vertices, got {n}")
-    if n == 0:
-        return []
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return None
-    if n <= _SPECTRAL_SCREEN_LIMIT:
-        s1 = np.round(np.linalg.eigvalsh(adjacency(g1)), 6)
-        s2 = np.round(np.linalg.eigvalsh(adjacency(g2)), 6)
-        if not np.array_equal(s1, s2):
-            return None
-
-    refined = _refine_colors(g1, g2)
-    if refined is None:
-        return None
-    col1, col2 = refined
-    nb1, nb2 = g1.neighbor_masks(), g2.neighbor_masks()
-    by_color2: dict[int, list[int]] = {}
-    for w in range(n):
-        by_color2.setdefault(col2[w], []).append(w)
-
-    mapping = [-1] * n
-    image = [-1] * n  # inverse map on g2
-    mapped_mask = 0
-
-    # Explicit stack of (vertex, candidate iterator) frames; recursion depth
-    # would otherwise track n.
-    stack: list[tuple[int, object]] = []
-
-    def pick_vertex() -> int:
-        best, best_key = -1, None
-        for v in range(n):
-            if mapping[v] != -1:
-                continue
-            anchored = (nb1[v] & mapped_mask).bit_count()
-            key = (-anchored, len(by_color2[col1[v]]), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
-
-    def candidates(v: int):
-        req = 0
-        for u in _bits(nb1[v] & mapped_mask):
-            req |= 1 << mapping[u]
-        img_mask = 0
-        for u in _bits(mapped_mask):
-            img_mask |= 1 << mapping[u]
-        for w in by_color2[col1[v]]:
-            if image[w] == -1 and (nb2[w] & img_mask) == req:
-                yield w
-
-    v = pick_vertex()
-    stack.append((v, candidates(v)))
-    while stack:
-        v, it = stack[-1]
-        w = next(it, None)
-        if w is None:
-            stack.pop()
-            if mapping[v] != -1:
-                image[mapping[v]] = -1
-                mapping[v] = -1
-                mapped_mask ^= 1 << v
-            continue
-        if mapping[v] != -1:
-            image[mapping[v]] = -1
-            mapping[v] = -1
-            mapped_mask ^= 1 << v
-        mapping[v] = w
-        image[w] = v
-        mapped_mask |= 1 << v
-        if mapped_mask.bit_count() == n:
-            break
-        nxt = pick_vertex()
-        stack.append((nxt, candidates(nxt)))
-
-    if mapped_mask.bit_count() != n:
-        return None
-    # Final full check: edges map onto edges bijectively.
-    e2 = set(g2.edges)
-    for u, v in g1.edges:
-        a, b = mapping[u], mapping[v]
-        if (min(a, b), max(a, b)) not in e2:
-            return None
-    return mapping
 
 
 def _dot_id(name: str) -> str:

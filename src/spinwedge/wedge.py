@@ -161,9 +161,6 @@ class WedgeGraph:
         """Unsigned graph on the subset ranks."""
         return Graph(self.num_vertices, tuple((a, b) for a, b, _ in self.signed_edges))
 
-    def vertex_subset(self, rank: int) -> tuple[int, ...]:
-        return unrank_subset(rank, self.base.n, self.k)
-
     def vertex_names(self) -> list[str]:
         return [subset_name(row) for row in subset_table(self.base.n, self.k).tolist()]
 
@@ -333,7 +330,7 @@ def wedge_laplacian(w: WedgeGraph) -> np.ndarray:
     return lap
 
 
-def _tuple_indices(n: int, k: int, dim: int) -> np.ndarray:
+def _tuple_indices(n: int, k: int) -> np.ndarray:
     """Little-endian digit index of the sorted tuple of every k-subset rank."""
     idx = np.empty(math.comb(n, k), dtype=np.int64)
     for r in range(idx.size):
@@ -395,7 +392,7 @@ def alt_delta_oracle(g: Graph, k: int) -> np.ndarray:
     ).tocsr()
 
     conjugated = alt_un @ delta @ alt_un  # k!^2 times Alt Delta Alt, exactly
-    idx = _tuple_indices(n, k, dim)
+    idx = _tuple_indices(n, k)
     sub = conjugated[idx][:, idx].toarray()
     fact = math.factorial(k)
     q, rem = np.divmod(sub, fact)

@@ -22,6 +22,7 @@ from spinwedge import (
     propagate,
     transfer_fidelity,
 )
+from spinwedge.spins import FULL_SPIN_LIMIT
 
 
 def _basis_state(dim, i):
@@ -146,7 +147,21 @@ def test_evolve_rejects_nonfinite_time():
 
 def test_full_oracle_capacity_guard():
     with pytest.raises(CapacityError):
-        evolve_full_oracle(Graph(11, ()), ModelSpec("xy"), np.zeros(2**11), 1.0)
+        evolve_full_oracle(Graph(FULL_SPIN_LIMIT + 1, ()), ModelSpec("xy"), np.zeros(2 ** (FULL_SPIN_LIMIT + 1)), 1.0)
+
+
+def test_full_oracle_evolves_a_block_at_every_time():
+    g, spec = cycle_graph(4), ModelSpec("heisenberg", 0.4)
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+    times = np.array([0.0, 0.9, 2.2])
+    out = evolve_full_oracle(g, spec, states, times)
+    assert out.shape == (3, 16, 3)
+    for i, t in enumerate(times):
+        for c in range(3):
+            assert np.allclose(out[i, :, c], evolve_full_oracle(g, spec, states[:, c], t), atol=1e-12)
+    with pytest.raises(ValueError):
+        evolve_full_oracle(g, spec, np.zeros(15), 1.0)
 
 
 def test_transfer_vertex_range_check():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spinwedge import (
-    CapacityError,
     Graph,
     adjacency,
     complete_graph,
@@ -13,7 +12,6 @@ from spinwedge import (
     degree_matrix,
     export_dot,
     erdos_renyi_graph,
-    find_isomorphism,
     graph_from_edge_list,
     graph_from_json,
     graph_to_json,
@@ -101,40 +99,6 @@ def test_erdos_renyi_deterministic():
     assert erdos_renyi_graph(6, 0.5, 0) == erdos_renyi_graph(6, 0.5, 0)
     draws = {erdos_renyi_graph(6, 0.5, s) for s in range(5)}
     assert all(g.n == 6 for g in draws)
-
-
-def test_iso_p3_vs_k3_is_none():
-    assert find_isomorphism(path_graph(3), complete_graph(3)) is None
-
-
-@pytest.mark.parametrize("g", [path_graph(5), cycle_graph(6), complete_graph(4), erdos_renyi_graph(7, 0.5, 1)])
-def test_iso_self_succeeds(g):
-    perm = find_isomorphism(g, g)
-    assert perm is not None
-    edges = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
-    assert edges == set(g.edges)
-
-
-def test_iso_finds_relabeling():
-    g = erdos_renyi_graph(7, 0.5, 2)
-    relabel = [3, 5, 0, 6, 1, 4, 2]
-    h = graph_from_edge_list(7, [(relabel[u], relabel[v]) for u, v in g.edges])
-    perm = find_isomorphism(g, h)
-    assert perm is not None
-    edges = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
-    assert edges == set(h.edges)
-
-
-def test_iso_regular_but_not_isomorphic():
-    # C_6 and two triangles are both 2-regular on 6 vertices.
-    two_triangles = graph_from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert find_isomorphism(cycle_graph(6), two_triangles) is None
-
-
-def test_iso_capacity_guard():
-    big = Graph(5001, ())
-    with pytest.raises(CapacityError):
-        find_isomorphism(big, big)
 
 
 def test_dot_p2():

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from spinwedge.verify import (
     CheckResult,
     check_complement_isomorphism,
     check_johnson_family,
+    check_named_isomorphisms,
     check_path_closed_form,
     default_corpus,
     run_verification,
@@ -50,6 +52,22 @@ def relabelling_builder(target_graph, target_k):
         return w
 
     return build
+
+
+def dropping_builder(target_graph, target_k):
+    """Drop the first hop of one wedge power."""
+
+    def build(g, k):
+        w = build_wedge_graph(g, k)
+        if g == target_graph and k == target_k:
+            return WedgeGraph(w.base, w.k, w.num_vertices, w.signed_edges[1:])
+        return w
+
+    return build
+
+
+# sha256 of the "check subject" lines of the default run, one per check.
+CHECK_LIST_DIGEST = "c744d3ad72160d5ce9edcee9d7dae697240a6d371fbecf23860d6e31af58cdc1"
 
 
 def test_default_corpus_composition():
@@ -114,6 +132,49 @@ def test_complement_isomorphism_check():
     g = cycle_graph(5)
     wedges = {k: build_wedge_graph(g, k) for k in range(6)}
     assert check_complement_isomorphism("cycle:5", g, wedges).passed
+    # A cyclic relabelling of power 3 keeps it a path on 4 ranks, isomorphic
+    # to power 1, but puts its hops on the wrong subsets.
+    g = path_graph(4)
+    relabel = relabelling_builder(g, 3)
+    r = check_complement_isomorphism("path:4", g, {k: relabel(g, k) for k in range(5)})
+    assert not r.passed and r.k == 1
+
+
+@pytest.mark.parametrize(
+    "g,k,bad_k",
+    [
+        (cycle_graph(5), 3, 2),
+        (complete_graph(4), 2, 2),
+        (erdos_renyi_graph(6, 0.5, 1), 4, 2),
+        (path_graph(7), 5, 2),
+        # Rotating the ranks of C_5's first power is an automorphism: same hops.
+        (cycle_graph(5), 1, None),
+    ],
+)
+def test_complement_map_sees_relabelled_powers(g, k, bad_k):
+    relabel = relabelling_builder(g, k)
+    r = check_complement_isomorphism("g", g, {j: relabel(g, j) for j in range(g.n + 1)})
+    assert r.passed == (bad_k is None) and r.k == bad_k
+
+
+def test_named_isomorphisms_follow_the_left_out_vertex():
+    assert all(r.passed for r in check_named_isomorphisms())
+    by_check = {r.check: r for r in check_named_isomorphisms(relabelling_builder(path_graph(6), 5))}
+    assert not by_check["named_isomorphism_k5"].passed and by_check["named_isomorphism_k3"].passed
+
+
+def test_named_isomorphism_fails_on_a_dropped_hop():
+    # Any relabelling of K_4 is K_4 again; only a missing hop shows.
+    by_check = {r.check: r for r in check_named_isomorphisms(dropping_builder(complete_graph(4), 3))}
+    assert not by_check["named_isomorphism_k3"].passed and by_check["named_isomorphism_k5"].passed
+
+
+def test_check_list_is_pinned():
+    report = run_verification()
+    assert report.passed, report.first_failure
+    lines = "\n".join(f"{r.check} {r.subject}" for r in report.results)
+    assert len(report.results) == 531
+    assert hashlib.sha256(lines.encode()).hexdigest() == CHECK_LIST_DIGEST
 
 
 def test_relabelled_isospectral_sector_fails_sector_vs_full():
@@ -125,6 +186,10 @@ def test_relabelled_isospectral_sector_fails_sector_vs_full():
         assert not r.passed and r.k == 2 and "k=[2]" in r.note
         assert by_check[(f"sector_union_{model}", "cycle:4")].passed
         assert by_check[(f"sector_vs_full_{model}", "path:4")].passed
+        # The full space evolves every sector's states superposed; the wrong
+        # sector still shows.
+        r = by_check[(f"dynamics_block_vs_full_{model}", "cycle:4")]
+        assert not r.passed and r.k == 2
     assert len(report.results) == len(run_verification(corpus=SMALL_CORPUS, random_states=2).results)
 
 

@@ -15,10 +15,10 @@ from spinwedge import (
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
-    find_isomorphism,
     hop_sign,
     johnson_spectrum,
     path_graph,
+    rank_subset,
     signed_matrix,
     subset_name,
     subset_table,
@@ -48,6 +48,11 @@ def reference_signed_edges(g, k):
     return tuple(sorted(edges))
 
 
+def mapped_edges(w, image):
+    """The hops of w carried through the rank map image, as sorted pairs."""
+    return sorted(tuple(sorted((image[a], image[b]))) for a, b, _ in w.signed_edges)
+
+
 def test_hop_sign_counts_occupied_between():
     assert hop_sign((0, 1), 1, 2) == 1
     assert hop_sign((0, 2), 0, 3) == -1  # passes occupied vertex 2
@@ -60,7 +65,10 @@ def test_p3_k2_structure():
     assert w.num_vertices == 3
     # Ranks: 0={0,1}, 1={0,2}, 2={1,2}; hops 1->2 and 0->1, both positive.
     assert w.signed_edges == ((0, 1, 1), (1, 2, 1))
-    assert find_isomorphism(w.skeleton(), path_graph(3)) is not None
+    # S -> the vertex S leaves out carries the hops onto the edges of P_3.
+    left_out = [({0, 1, 2} - set(unrank_subset(r, 3, 2))).pop() for r in range(3)]
+    assert left_out == [2, 1, 0]
+    assert mapped_edges(w, left_out) == list(path_graph(3).edges)
 
 
 def test_k4_k2_is_octahedron():
@@ -165,7 +173,8 @@ def test_complement_isomorphism_small():
     g = cycle_graph(5)
     w2 = build_wedge_graph(g, 2)
     w3 = build_wedge_graph(g, 3)
-    assert find_isomorphism(w2.skeleton(), w3.skeleton()) is not None
+    complement = [rank_subset(sorted(set(range(5)) - set(unrank_subset(r, 5, 2))), 5) for r in range(10)]
+    assert mapped_edges(w2, complement) == [(a, b) for a, b, _ in w3.signed_edges]
 
 
 def test_build_rejects_bad_k():

@@ -58,6 +58,7 @@ from .spectra import (
     lift_spectrum,
     path_eigenvector,
     path_spectrum,
+    subset_minors,
     subset_sums,
     xy_path_spectrum,
 )
@@ -71,7 +72,6 @@ from .spins import (
 )
 from .dynamics import (
     WaveState,
-    evolve_block,
     evolve_block_series,
     evolve_full_oracle,
     lift_propagate,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
 Graphs are given inline ("path:6", "cycle:5", "complete:4", "er:6:0.5:0") or
-as a JSON file path.  File output is written atomically.
+as a JSON file path.  JSON output is compact, one line.  File output is
+written atomically.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: list[int], tol:
             "k": k,
             "dim": len(vals),
             "route": "dense" if route is None else "lift",
-            "spectrum": json.loads(Spectrum(tuple(vals), tol).to_json()),
+            "spectrum": Spectrum(tuple(vals), tol).to_dict(),
         })
     payload = {
         "graph": label,
@@ -149,7 +150,7 @@ def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: list[int], tol:
         "ground_energy": min(union_vals),
     }
     if want_union:
-        payload["union"] = json.loads(Spectrum(tuple(union_vals), tol).to_json())
+        payload["union"] = Spectrum(tuple(union_vals), tol).to_dict()
     return payload
 
 
@@ -165,7 +166,7 @@ def cmd_spectrum(args) -> int:
     g = parse_graph_source(args.graph)
     ks = _parse_k(args.k, g.n, allow_all=True)
     payload = _spectrum_payload(g, args.graph, _model_spec(args), ks, args.tol, args.k == "all")
-    text = _spectrum_csv(payload) if args.format == "csv" else json.dumps(payload, indent=2)
+    text = _spectrum_csv(payload) if args.format == "csv" else json.dumps(payload)
     _emit(text, args.output)
     return EXIT_OK
 
@@ -188,13 +189,13 @@ def cmd_closed_form(args) -> int:
             base = johnson_spectrum(n, k)
             spec = Spectrum(tuple(k * (n - k) - v for v in base.values), base.tol)
         union_vals.extend(spec.values)
-        blocks.append({"k": k, "dim": len(spec), "spectrum": json.loads(spec.to_json())})
+        blocks.append({"k": k, "dim": len(spec), "spectrum": spec.to_dict()})
     payload = {
         "family": args.family,
         "n": n,
         "model": args.model,
         "blocks": blocks,
-        "union": json.loads(Spectrum(tuple(union_vals)).to_json()),
+        "union": Spectrum(tuple(union_vals)).to_dict(),
         "ground_energy": min(union_vals),
     }
     if args.check:
@@ -207,7 +208,7 @@ def cmd_closed_form(args) -> int:
             equal = equal and cmp.equal
             worst = max(worst, cmp.max_gap if cmp.equal else math.inf)
         payload["cross_check"] = {"ran": True, "equal": equal, "max_gap": worst}
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(json.dumps(payload), args.output)
     return EXIT_OK
 
 
@@ -280,7 +281,7 @@ def cmd_evolve(args) -> int:
             lines.append(",".join([repr(row["t"])] + [repr(p) for p in row["probabilities"]]))
         _emit("\n".join(lines), args.output)
     else:
-        _emit(json.dumps(series, indent=2), args.output)
+        _emit(json.dumps(series), args.output)
     return EXIT_OK
 
 

@@ -7,7 +7,8 @@ every time point and every state.
 
 An XY basis state whose sector has a lift route (see
 :func:`spinwedge.wedge.lift_route`) is evolved from the n x n base graph
-instead: its amplitudes are signed j x j minors of U1(t) = exp(-i A t).
+instead: its amplitudes are signed minors of U1(t) = exp(-i A t), taken on
+the smaller side min(k, n-k) by :func:`spinwedge.spectra.subset_minors`.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, adjacency
-from .spectra import EigenDecomposition, UNITARITY_TOL, eigh
+from .spectra import EigenDecomposition, UNITARITY_TOL, eigh, subset_minors
 from .spins import ModelSpec, block_hamiltonian, full_hamiltonian
 from .wedge import LiftRoute, build_wedge_graph, lift_route, sector_dimension, subset_table
 
 __all__ = [
     "WaveState",
     "propagate",
-    "evolve_block",
     "evolve_block_series",
     "lift_propagate",
     "evolve_full_oracle",
@@ -81,25 +81,37 @@ def lift_propagate(
     One eigh of the n x n adjacency (``base``, computed when omitted) gives
     the columns S0 of U1(t) for all times; the amplitude on S is
     D[S] D[S0] det U1(t)[S, S0] on side j, times the field phase
-    exp(-i B (n - 2k) t).  Returns a (times, C(n,k)) array.
+    exp(-i B (n - 2k) t).  The minors are taken on the side h = min(k, n-k),
+    in one :func:`subset_minors` call over all times.  Returns a
+    (times, C(n,k)) array.
     """
     if not spec.is_xy:
         raise ValueError("the lift route covers the xy model only")
-    n, k, j = g.n, route.k, route.j
+    n, k = g.n, route.k
     m = sector_dimension(n, k)
     if not 0 <= start_rank < m:
         raise ValueError(f"start rank {start_rank} out of range for C({n},{k})={m}")
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)):
         raise ValueError(f"times must be a 1-D array of finite values, got {times}")
-    r0 = start_rank if j == k else m - 1 - start_rank
-    rows = subset_table(n, j)
+    h = min(k, n - k)
+    # Complementing a k-subset of rank r gives the (n-k)-subset of rank m-1-r.
+    r0 = start_rank if h == k else m - 1 - start_rank
+    rows = subset_table(n, h)
     if base is None:
         base = eigh(adjacency(g))
     phases = np.exp(-1j * np.multiply.outer(t, base.values))
     columns = base.vectors @ (phases[:, :, None] * base.vectors[rows[r0]].T)  # U1(t)[:, S0]
-    amplitudes = np.linalg.det(columns[:, rows, :]) * (route.signs * route.signs[r0])
-    if j != k:
+    minors = subset_minors(columns)
+    signs = route.signs
+    if route.j != h:
+        # Side j = n-h switched.  U1(t) is unitary with determinant
+        # exp(-i t tr A) = 1, so det U1[S', S0'] on the complements is
+        # (-1)^(sum S + sum S0) times the conjugate of det U1[S, S0].
+        signs = signs[::-1] * (1 - 2 * (rows.sum(axis=1) & 1))
+        minors = minors.conj()
+    amplitudes = minors * (signs * signs[r0])
+    if h != k:
         amplitudes = amplitudes[:, ::-1]
     return amplitudes * np.exp(-1j * spec.field_b * (n - 2 * k) * t)[:, None]
 
@@ -131,14 +143,8 @@ def evolve_block_series(g: Graph, spec: ModelSpec, state: WaveState, times) -> l
     return [WaveState(state.k, amplitudes, name) for amplitudes in evolved]
 
 
-def evolve_block(g: Graph, spec: ModelSpec, state: WaveState, t: float) -> WaveState:
-    """Evolve a sector state for time t under the sector hamiltonian."""
-    (evolved,) = evolve_block_series(g, spec, state, [t])
-    return evolved
-
-
 def evolve_full_oracle(g: Graph, spec: ModelSpec, states: np.ndarray, times) -> np.ndarray:
-    """Exact evolution on the whole 2^n space; the cross-check for evolve_block.
+    """Exact evolution on the whole 2^n space; the cross-check for sector evolution.
 
     ``states`` and ``times`` are as in :func:`propagate`.  Graphs beyond
     FULL_SPIN_LIMIT spins raise CapacityError before anything is allocated.

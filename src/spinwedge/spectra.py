@@ -16,14 +16,14 @@ Numerical tolerances (the single place they are defined):
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .wedge import subset_table
+from .wedge import sector_dimension, subset_table
 
 __all__ = [
     "DEFAULT_TOL",
@@ -43,6 +43,7 @@ __all__ = [
     "johnson_spectrum",
     "complete_graph_spectra",
     "subset_sums",
+    "subset_minors",
     "lift_spectrum",
     "lift_eigenvector",
     "compare_spectra",
@@ -120,14 +121,13 @@ class Spectrum:
                 groups.append((v, 1))
         return groups
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "values": list(self.values),
-                "multiplicity_collapsed": [[v, c] for v, c in self.collapsed()],
-                "tol": self.tol,
-            }
-        )
+    def to_dict(self) -> dict:
+        """The JSON form: values, (value, multiplicity) pairs and tol."""
+        return {
+            "values": list(self.values),
+            "multiplicity_collapsed": [[v, c] for v, c in self.collapsed()],
+            "tol": self.tol,
+        }
 
 
 @dataclass(frozen=True)
@@ -277,6 +277,55 @@ def subset_sums(values, k: int) -> np.ndarray:
     return np.sort(sums)
 
 
+def subset_minors(x) -> np.ndarray:
+    """det x[..., S, :] for every j-subset S of the n rows, in colex rank order.
+
+    ``x`` is a stack of n x j matrices, shape (..., n, j); the result has
+    shape (..., C(n, j)).  Laplace expansion along column c-1 gives the
+    minors of the first c columns from those of the first c-1, so level c
+    holds C(n, c) minors of c terms each, and the whole stack shares each
+    level's index tables.  No level is wider than C(n, min(j, n/2)), which
+    is guarded like a sector.  Callers with j > n/2 take the n-j complement
+    columns of a unitary instead (see :func:`lift_eigenvector`), so their
+    levels stay within C(n, min(j, n-j)).
+    """
+    x = np.asarray(x)
+    if x.ndim < 2:
+        raise ValueError(f"expected a stack of n x j matrices, got shape {x.shape}")
+    n, j = x.shape[-2:]
+    if j > n:
+        raise ValueError(f"need at most as many columns as rows, got {n} x {j}")
+    sector_dimension(n, min(j, n // 2))
+    columns = np.moveaxis(x, -1, 0)
+    minors = np.ones(x.shape[:-2] + (1,), dtype=x.dtype)  # the empty minor
+    for c in range(1, j + 1):
+        rows, drops = _laplace_level(n, c)
+        terms = columns[c - 1][..., rows] * minors[..., drops]
+        # The p-th term of the expansion along column c-1 has sign (-1)^(p+c-1).
+        minors = terms[..., (c - 1) % 2 :: 2, :].sum(axis=-2) - terms[..., c % 2 :: 2, :].sum(axis=-2)
+    return minors
+
+
+@functools.lru_cache(maxsize=256)
+def _laplace_level(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of the c-subsets of range(n), one column per colex rank:
+    row p of ``rows`` holds each subset's p-th element, and row p of
+    ``drops`` the rank of the subset less that element."""
+    if c == 0:
+        return np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1), dtype=np.intp)
+    rows, drops = _laplace_level(n, c - 1)
+    # Colex order lists the subsets by their top element m; those with top
+    # m are the (c-1)-subsets of range(m), which come first in their level.
+    counts = np.array([math.comb(m, c - 1) for m in range(c - 1, n)], dtype=np.intp)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    below = np.arange(starts.size) - starts
+    rows = np.vstack((rows[:, below], np.repeat(np.arange(c - 1, n), counts)))
+    # Dropping an element under the top keeps the top, worth C(m, c-1).
+    drops = np.vstack((drops[:, below] + np.repeat(counts, counts), below))
+    rows.flags.writeable = drops.flags.writeable = False
+    return rows, drops
+
+
 def lift_spectrum(base: EigenDecomposition, k: int) -> Spectrum:
     """All sums of k distinct base eigenvalues over increasing index sets.
 
@@ -286,29 +335,52 @@ def lift_spectrum(base: EigenDecomposition, k: int) -> Spectrum:
     return Spectrum(tuple(subset_sums(base.values, k)))
 
 
-def lift_eigenvector(base: EigenDecomposition, indices) -> LiftedEigenpair:
-    """Determinant-form lifted eigenvector for one increasing index set.
+def lift_eigenvector(base: EigenDecomposition, index_sets) -> list[LiftedEigenpair]:
+    """Determinant-form lifted eigenvectors, one per increasing index set.
 
-    The amplitude on the ordered subset (l_0 < ... < l_{k-1}) is the k x k
-    determinant of base eigenvector components picked by rows l and columns
-    ``indices``; all C(d, k) minors are taken in one stacked determinant.
-    Repeated indices would antisymmetrize to zero and are rejected.
+    All sets have one size k.  The amplitude on the ordered subset
+    (l_0 < ... < l_{k-1}) is the k x k determinant of base eigenvector
+    components picked by rows l and the set's columns; one
+    :func:`subset_minors` call takes them for every set.  Above k = d/2 they
+    come from the d-k complement columns by Jacobi's identity for the
+    orthogonal V: det V[S, I] = (-1)^(sum S + sum I) det V det V[S', I'],
+    with S', I' the complements.  Repeated indices would antisymmetrize to
+    zero and are rejected.
     """
-    idx = tuple(int(i) for i in indices)
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"indices {idx} must be strictly increasing (repeats lift to the zero vector)")
+    sets = np.asarray(index_sets, dtype=np.intp)
+    if sets.ndim != 2:
+        raise ValueError(f"expected a sequence of index sets of one size, got shape {sets.shape}")
     d = base.dim
-    if idx and not (0 <= idx[0] and idx[-1] < d):
-        raise ValueError(f"indices {idx} out of range for dimension {d}")
-    rows = subset_table(d, len(idx))
-    amplitudes = np.linalg.det(base.vectors[rows[:, :, None], np.array(idx, dtype=np.intp)])
-    norm = float(np.linalg.norm(amplitudes))
-    if norm == 0.0:
+    count, k = sets.shape
+    bad = np.flatnonzero(np.any(np.diff(sets, axis=1) <= 0, axis=1))
+    if bad.size:
+        raise ValueError(
+            f"index set {tuple(sets[bad[0]].tolist())} must be strictly increasing (repeats lift to the zero vector)"
+        )
+    bad = np.flatnonzero(np.any((sets < 0) | (sets >= d), axis=1))
+    if bad.size:
+        raise ValueError(f"index set {tuple(sets[bad[0]].tolist())} is out of range for dimension {d}")
+    v = base.vectors
+    if 2 * k <= d:
+        amplitudes = subset_minors(v.T[sets].transpose(0, 2, 1))
+    else:
+        outside = np.ones((count, d), dtype=bool)
+        outside[np.arange(count)[:, None], sets] = False
+        rest = np.nonzero(outside)[1].reshape(count, d - k)
+        minors = subset_minors(v.T[rest].transpose(0, 2, 1))
+        parity = 1 - 2 * (subset_table(d, d - k).sum(axis=1) & 1)
+        sign = np.linalg.slogdet(v)[0] * (1 - 2 * (rest.sum(axis=1) & 1))
+        # The complement of the k-subset of rank r has rank C(d,k) - 1 - r.
+        amplitudes = (sign[:, None] * parity * minors)[:, ::-1]
+    norms = np.linalg.norm(amplitudes, axis=1)
+    if np.any(norms == 0.0):
         raise RuntimeError("lifted vector vanished; base eigenvectors are degenerate-dependent")
-    if abs(norm - 1.0) > LIFT_NORM_TOL:
-        # Base columns are orthonormal, so the minor vector is unit length up
+    if np.any(np.abs(norms - 1.0) > LIFT_NORM_TOL):
+        # Base columns are orthonormal, so each minor vector is unit length up
         # to roundoff; a visible defect means the inputs were not orthonormal.
         raise ValueError("base decomposition is not orthonormal enough to lift")
-    amplitudes /= norm
-    value = math.fsum(float(base.values[i]) for i in idx)
-    return LiftedEigenpair(idx, value, amplitudes)
+    amplitudes = amplitudes / norms[:, None]
+    return [
+        LiftedEigenpair(tuple(idx), math.fsum(float(base.values[i]) for i in idx), vector)
+        for idx, vector in zip(sets.tolist(), amplitudes)
+    ]

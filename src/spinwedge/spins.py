@@ -66,9 +66,9 @@ class ModelSpec:
 class SpinBasisMap:
     """Bijection between combinadic ranks of k-subsets and weight-k bitstrings.
 
-    Bit b of ``to_state(r)`` is set iff vertex b belongs to the rank-r subset.
+    Bit b of ``states[r]`` is set iff vertex b belongs to the rank-r subset.
     Colex rank order coincides with ascending numeric order of the masks, so
-    ``states`` is sorted and ``to_rank`` is a binary search.
+    ``states`` is sorted.
     """
 
     def __init__(self, n: int, k: int):
@@ -83,16 +83,6 @@ class SpinBasisMap:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def to_state(self, rank: int) -> int:
-        return int(self.states[rank])
-
-    def to_rank(self, state: int) -> int:
-        if 0 <= state < 1 << self.n:
-            r = int(np.searchsorted(self.states, state))
-            if r < len(self.states) and self.states[r] == state:
-                return r
-        raise ValueError(f"state {state:#b} does not have weight {self.k}")
 
 
 def _check_full_capacity(n: int) -> None:

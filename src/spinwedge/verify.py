@@ -10,7 +10,6 @@ sector dynamics against full-space dynamics.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -56,8 +55,8 @@ from .wedge import (
     build_wedge_graph,
     lift_route,
     signed_matrix,
+    subset_table,
     wedge_adjacency,
-    wedge_laplacian,
 )
 
 __all__ = [
@@ -170,22 +169,22 @@ def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
     worst = 0.0
     bad_k = None
     for k, w in wedges.items():
-        if w.num_vertices != math.comb(g.n, k) or 2 * len(w.signed_edges) != cut_sums[k]:
+        if w.num_vertices != math.comb(g.n, k) or 2 * len(w.hops[0]) != cut_sums[k]:
             worst = max(worst, 1.0)
             bad_k = k
     results.append(_result("wedge_dimensions", name, worst, 0.0, k=bad_k))
 
     w1 = wedges.get(1)
     if w1 is not None:
-        same = w1.skeleton() == g and all(s == 1 for _, _, s in w1.signed_edges)
+        same = w1.skeleton() == g and bool(np.all(w1.hops[2] == 1))
         results.append(_result("wedge_k1_identity", name, 0.0 if same else 1.0, 0.0, k=1))
 
     wn = wedges[g.n]
-    top_ok = wn.num_vertices == 1 and not wn.signed_edges
+    top_ok = wn.num_vertices == 1 and len(wn.hops[0]) == 0
     results.append(_result("wedge_full_tuple", name, 0.0 if top_ok else 1.0, 0.0, k=g.n))
 
     if name.startswith("path:"):
-        neg_counts = {k: len(w.negative_edges()) for k, w in wedges.items()}
+        neg_counts = {k: int(np.count_nonzero(w.hops[2] < 0)) for k, w in wedges.items()}
         neg = sum(neg_counts.values())
         first_bad = next((k for k, c in neg_counts.items() if c), None)
         results.append(_result("path_all_positive_signs", name, float(neg), 0.0, k=first_bad))
@@ -200,10 +199,15 @@ def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
     return results
 
 
-def check_sector_spectra(name: str, g: Graph, model: ModelSpec, wedges: dict, tol: float) -> list[CheckResult]:
+def check_sector_spectra(
+    name: str, g: Graph, model: ModelSpec, wedges: dict, tol: float, decs: dict | None = None
+) -> list[CheckResult]:
     """Sector matrices against the full-space oracle: spectra within tol, and
     entries exactly equal to the full hamiltonian restricted to the sector's
-    basis states, which also catches a relabelled but isospectral sector."""
+    basis states, which also catches a relabelled but isospectral sector.
+
+    The sector eigenvalues of a field-free model come from ``decs`` (see
+    :func:`sector_decompositions`) when given."""
     try:
         full_blocks = project_full_to_blocks(g, model)
     except RuntimeError as exc:
@@ -219,7 +223,8 @@ def check_sector_spectra(name: str, g: Graph, model: ModelSpec, wedges: dict, to
         same = np.array_equal(h, full_h[np.ix_(states, states)])
         if not same:
             mismatched.append(k)
-        vals = np.linalg.eigvalsh(h)
+        dec = decs.get((model.model, k)) if decs is not None and model.field_b == 0.0 else None
+        vals = np.linalg.eigvalsh(h) if dec is None else dec.values
         all_block_vals.extend(vals)
         cmp = compare_spectra(Spectrum(tuple(vals), tol), full_blocks[k])
         err = cmp.max_gap if cmp.equal and same else math.inf
@@ -280,16 +285,34 @@ def check_lift(name: str, g: Graph, wedges: dict, tol: float) -> list[CheckResul
         gap = cmp.max_gap if cmp.equal else math.inf
         if gap > worst_gap:
             worst_gap, gap_k = gap, k
-        for combo in itertools.combinations(range(g.n), k):
-            pair = lift_eigenvector(base, combo)
-            res = float(np.linalg.norm(c @ pair.vector - pair.value * pair.vector))
-            if res > worst_res:
-                worst_res, res_k = res, k
+        pairs = lift_eigenvector(base, subset_table(g.n, k))
+        vectors = np.array([pair.vector for pair in pairs]).T
+        values = np.array([pair.value for pair in pairs])
+        res = float(np.max(np.linalg.norm(c @ vectors - vectors * values, axis=0)))
+        if res > worst_res:
+            worst_res, res_k = res, k
     return [
         _result("lift_spectrum_vs_signed", name, worst_gap, tol, k=gap_k),
         _result("lift_eigenvector_residual", name, worst_res, tol, k=res_k,
                 note=f"signed equals unsigned: {'yes' if c_equals_a else 'no'}"),
     ]
+
+
+def _determinant_formula(g: Graph, spec: ModelSpec, route, start_rank: int, times, base) -> np.ndarray:
+    """exp(-i t H)[S, S0] on XY sector route.k as the lift states it:
+    D[S] D[S0] det U1(t)[S, S0] on side j, by LAPACK determinants of the full
+    U1(t), times the field phase.  The reference for the minors kernel and
+    for the complement identity that :func:`lift_propagate` uses when j is
+    the larger side."""
+    n, k, j = g.n, route.k, route.j
+    t = np.asarray(times, dtype=float)
+    u1 = base.vectors @ (np.exp(-1j * np.multiply.outer(t, base.values))[:, :, None] * base.vectors.T)
+    rows = subset_table(n, j)
+    s0 = start_rank if j == k else len(rows) - 1 - start_rank
+    amplitudes = np.linalg.det(u1[:, rows[:, :, None], rows[s0]]) * (route.signs * route.signs[s0])
+    if j != k:
+        amplitudes = amplitudes[:, ::-1]
+    return amplitudes * np.exp(-1j * spec.field_b * (n - 2 * k) * t)[:, None]
 
 
 def check_free_fermion_route(
@@ -299,10 +322,11 @@ def check_free_fermion_route(
 
     For each: the switching is exact (D . C_j . D == A_j as integer
     matrices), the j-sums of the base spectrum equal the dense sector
-    spectrum, and the lift amplitudes from one basis state equal dense
-    propagation at ``times``, all with a field so that the sector phase
-    counts: the dense reference is the field-free decomposition (``decs``,
-    see :func:`sector_decompositions`) shifted by B*(n-2k).  Sectors k in
+    spectrum, and the lift amplitudes from one basis state equal both dense
+    propagation and the determinant formula at ``times``, all with a field
+    so that the sector phase counts: the dense reference is the field-free
+    decomposition (``decs``, see :func:`sector_decompositions`) shifted by
+    B*(n-2k).  Sectors k in
     {0, 1, n-1, n}, and every sector of a path, must take the lift route.
     """
     spec = ModelSpec("xy", FIELD_VALUES[0])
@@ -326,7 +350,9 @@ def check_free_fermion_route(
         cmp = compare_spectra(Spectrum(tuple(sums), tol), Spectrum(tuple(dec.values), tol))
         r0 = dec.dim // 2
         dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
-        amp_err = float(np.max(np.abs(lift_propagate(g, spec, route, r0, times, base) - dense)))
+        lifted_amps = lift_propagate(g, spec, route, r0, times, base)
+        formula = _determinant_formula(g, spec, route, r0, times, base)
+        amp_err = float(max(np.max(np.abs(lifted_amps - dense)), np.max(np.abs(lifted_amps - formula))))
         err = max(cmp.max_gap, amp_err) if exact and cmp.equal else math.inf
         if err > worst:
             worst, bad_k = err, k
@@ -334,13 +360,17 @@ def check_free_fermion_route(
     return _result("free_fermion_route", name, worst, tol, k=bad_k, note=note)
 
 
-def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, tol: float) -> CheckResult:
+def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, tol: float, decs: dict | None = None) -> CheckResult:
     """Heisenberg sectors are positive semidefinite with one zero mode per
-    connected component of the wedge power."""
+    connected component of the wedge power.
+
+    Without a field the Heisenberg sector is the wedge laplacian, so its
+    eigenvalues come from ``decs`` (see :func:`sector_decompositions`); they
+    are computed when omitted."""
     worst = 0.0
     bad_k = None
     for k, w in wedges.items():
-        vals = np.linalg.eigvalsh(wedge_laplacian(w))
+        vals = _sector_dec(g, k, ModelSpec("heisenberg"), w, decs).values
         neg = max(0.0, float(-vals.min())) if vals.size else 0.0
         zeros = int(np.sum(np.abs(vals) <= tol))
         comps = connected_components(w.skeleton())
@@ -546,11 +576,11 @@ def _graph_checks(index, name, g, tol, seed, n_states, times, builder) -> list[C
     oracle = check_signed_oracle(name, g, wedges)
     if oracle is not None:
         results.append(oracle)
-    results.append(check_heis_psd_kernel(name, g, wedges, tol))
+    results.append(check_heis_psd_kernel(name, g, wedges, tol, decs))
     results.append(check_field_shift(name, g, wedges, tol, decs))
     results.append(check_complement_isomorphism(name, g, wedges))
     for model in _MODELS:
-        results += check_sector_spectra(name, g, model, wedges, tol)
+        results += check_sector_spectra(name, g, model, wedges, tol, decs)
         results.append(check_block_matvec(name, g, model, wedges, rng))
         results += check_dynamics(name, g, model, rng, n_states, times, tol, wedges, decs)
     family = name.split(":", 1)[0]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import CapacityError, Graph, export_dot
 
@@ -135,37 +134,46 @@ def hop_sign(subset, src: int, dst: int) -> int:
     return -1 if crossed & 1 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WedgeGraph:
     """The k-th wedge power of a base graph, with signed hop edges.
 
-    ``signed_edges`` holds (a, b, sign) with a < b combinadic ranks, sorted;
-    each entry corresponds to exactly one base-graph edge traversal.
+    ``hops`` holds three read-only int64 arrays of equal length: the lower
+    ranks a, the upper ranks b > a and the signs, one entry per base-graph
+    edge traversal, sorted by (a, b).  Every sector operator is assembled
+    from these arrays.
     """
 
     base: Graph
     k: int
     num_vertices: int
-    signed_edges: tuple[tuple[int, int, int], ...]
+    hops: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def __post_init__(self) -> None:
+        arrays = tuple(np.array(x, dtype=np.int64) for x in self.hops)
+        if len(arrays) != 3 or any(x.ndim != 1 or x.shape != arrays[0].shape for x in arrays):
+            raise ValueError("hops must be three 1-D arrays of equal length: lower ranks, upper ranks, signs")
+        for x in arrays:
+            x.flags.writeable = False
+        object.__setattr__(self, "hops", arrays)
 
     @cached_property
-    def hops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``signed_edges`` as int arrays: lower ranks, upper ranks, signs.
-
-        Every sector operator is assembled from these arrays.
-        """
-        table = np.array(self.signed_edges, dtype=np.int64).reshape(-1, 3)
-        return table[:, 0], table[:, 1], table[:, 2]
+    def signed_edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The hops as (a, b, sign) tuples, for export."""
+        return tuple(zip(*(x.tolist() for x in self.hops)))
 
     def skeleton(self) -> Graph:
         """Unsigned graph on the subset ranks."""
-        return Graph(self.num_vertices, tuple((a, b) for a, b, _ in self.signed_edges))
+        a, b, _ = self.hops
+        return Graph(self.num_vertices, tuple(zip(a.tolist(), b.tolist())))
 
     def vertex_names(self) -> list[str]:
         return [subset_name(row) for row in subset_table(self.base.n, self.k).tolist()]
 
     def negative_edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, b, s in self.signed_edges if s < 0]
+        a, b, s = self.hops
+        negative = s < 0
+        return list(zip(a[negative].tolist(), b[negative].tolist()))
 
 
 def _colex_weights(n: int, k: int, cap: int) -> np.ndarray:
@@ -227,19 +235,21 @@ def build_wedge_graph(g: Graph, k: int) -> WedgeGraph:
         a, b, crossed = m - 1 - hole_b, m - 1 - hole_a, between - holes
     signs = np.where(crossed & 1, -1, 1)
     order = np.lexsort((b, a))
-    edges = tuple(zip(a[order].tolist(), b[order].tolist(), signs[order].tolist()))
-    return WedgeGraph(g, k, m, edges)
+    return WedgeGraph(g, k, m, (a[order], b[order], signs[order]))
 
 
-def switching_signs(w: WedgeGraph) -> np.ndarray | None:
-    """The +-1 vector D with D[a] * sign * D[b] = +1 on every hop, or None.
+def switching_signs(w: WedgeGraph, target: int = 1) -> np.ndarray | None:
+    """The +-1 vector D with D[a] * sign * D[b] = target on every hop, or None.
 
-    D exists exactly when D . C . D equals the unsigned adjacency, C the
-    signed matrix: every cycle of hops has a positive sign product.  A parity
-    union-find with path compression takes the hops in order and checks each
-    one against the parities fixed so far, stopping at the first
-    contradiction.  O(vertices + hops), no dense matrix.
+    D exists exactly when D . C . D equals target times the unsigned
+    adjacency, C the signed matrix: with target +1, when every cycle of hops
+    has a positive sign product.  A parity union-find with path compression
+    takes the hops in order and checks each one against the parities fixed
+    so far, stopping at the first contradiction.  O(vertices + hops), no
+    dense matrix.
     """
+    if target not in (1, -1):
+        raise ValueError(f"target must be +1 or -1, got {target}")
     a, b, s = w.hops
     parent = list(range(w.num_vertices))
     odd = [0] * w.num_vertices  # parity of each vertex relative to its parent
@@ -256,10 +266,10 @@ def switching_signs(w: WedgeGraph) -> np.ndarray | None:
             parent[y] = x
         return x
 
-    for u, v, sign in zip(a.tolist(), b.tolist(), s.tolist()):
+    for u, v, differ in zip(a.tolist(), b.tolist(), (s != target).tolist()):
         ru, rv = find(u), find(v)
         # After find, odd[] holds parity relative to the root.
-        flip = odd[u] ^ odd[v] ^ (sign < 0)
+        flip = odd[u] ^ odd[v] ^ differ
         if ru != rv:
             parent[ru] = rv
             odd[ru] = flip
@@ -289,14 +299,25 @@ class LiftRoute:
 def lift_route(g: Graph, k: int, wedge_of=None) -> LiftRoute | None:
     """The lift route of sector k, or None when neither side switches.
 
-    Tries the smaller side of k and n-k first.  ``wedge_of(j)`` returns the
-    j-th wedge power of g; it defaults to building it.
+    Only the smaller side h = min(k, n-k) is built, by ``wedge_of(h)``
+    (default: :func:`build_wedge_graph`).  It is tried first.  C_{n-h}
+    relabelled by the complement r -> C(n,h) - 1 - r equals -E . C_h . E
+    with E[S] = (-1)^(sum of S), so side n-h switches to its adjacency
+    exactly when C_h switches to -A_h, by D' say, and its signs are D' . E
+    relabelled.
     """
-    for j in sorted({k, g.n - k}):
-        d = switching_signs(wedge_of(j) if wedge_of is not None else build_wedge_graph(g, j))
-        if d is not None:
-            return LiftRoute(k, j, d)
-    return None
+    h = min(k, g.n - k)
+    w = wedge_of(h) if wedge_of is not None else build_wedge_graph(g, h)
+    d = switching_signs(w)
+    if d is not None:
+        return LiftRoute(k, h, d)
+    if 2 * h == g.n:
+        return None
+    d = switching_signs(w, -1)
+    if d is None:
+        return None
+    parity = 1 - 2 * (subset_table(g.n, h).sum(axis=1) & 1)
+    return LiftRoute(k, g.n - h, (d * parity)[::-1])
 
 
 def _hop_matrix(w: WedgeGraph, values) -> np.ndarray:
@@ -351,6 +372,9 @@ def alt_delta_oracle(g: Graph, k: int) -> np.ndarray:
     Intended as an independent oracle for :func:`signed_matrix`; guarded to
     n^k <= TENSOR_DIM_LIMIT.
     """
+    # Imported here: nothing else needs scipy.sparse, and it is slow to load.
+    import scipy.sparse as sp
+
     n = g.n
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")

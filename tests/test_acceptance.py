@@ -150,8 +150,7 @@ def test_criterion_04_path_closed_forms():
             cmp = compare_spectra(xy_path_spectrum(n, k), Spectrum(tuple(np.linalg.eigvalsh(wedge_adjacency(w))), TOL))
             worst = max(worst, cmp.max_gap if cmp.equal else math.inf)
             c = signed_matrix(w)
-            for combo in itertools.combinations(range(n), k):
-                pair = lift_eigenvector(base, combo)
+            for pair in lift_eigenvector(base, list(itertools.combinations(range(n), k))):
                 worst = max(worst, float(np.linalg.norm(c @ pair.vector - pair.value * pair.vector)))
     _report(4, worst <= TOL, f"path spectra, eigenvectors, sector sums, lifted vectors for n<=10; max err {worst:.2e}")
 
@@ -267,11 +266,9 @@ def test_criterion_10_verify_cli(capsys, monkeypatch):
 
     def corrupted(g, k):
         w = real_builder(g, k)
-        if g == target and k == 2 and w.signed_edges:
-            edges = list(w.signed_edges)
-            a, b, s = edges[0]
-            edges[0] = (a, b, -s)
-            return WedgeGraph(w.base, w.k, w.num_vertices, tuple(edges))
+        a, b, s = w.hops
+        if g == target and k == 2 and len(a):
+            return WedgeGraph(w.base, w.k, w.num_vertices, (a, b, np.concatenate(([-s[0]], s[1:]))))
         return w
 
     monkeypatch.setattr(verify_mod, "build_wedge_graph", corrupted)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,40 @@ def test_evolve_rows_name_their_route(capsys):
     assert code == 0 and [row["route"] for row in json.loads(out)] == ["lift", "lift"]
     code, out, _ = run(capsys, *argv[:4], "3", "--subset", "0,2,4", "--times", "0.5,2", "--format", "csv")
     assert code == 0 and out.splitlines()[0].startswith("t,p_012,") and "lift" not in out
+
+
+# Parsed outputs of these commands before the JSON became compact.
+CLI_JSON_OUTPUTS = json.loads((Path(__file__).parent / "data" / "cli_json_outputs.json").read_text())
+
+
+def _same_values(got, want, path=""):
+    """Equal structure, keys, strings and integers; floats within 1e-12 (the
+    lift amplitudes now come from another determinant algorithm)."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            _same_values(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            _same_values(a, b, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12, (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("command", sorted(CLI_JSON_OUTPUTS))
+def test_json_output_is_compact_with_the_same_values(command, capsys):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    _same_values(json.loads(out), CLI_JSON_OUTPUTS[command])
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, spinwedge.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

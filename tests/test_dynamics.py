@@ -15,7 +15,6 @@ from spinwedge import (
     complete_graph,
     cycle_graph,
     eigh,
-    evolve_block,
     evolve_block_series,
     evolve_full_oracle,
     path_graph,
@@ -31,10 +30,15 @@ def _basis_state(dim, i):
     return x
 
 
+def _evolve(g, spec, state, t):
+    (out,) = evolve_block_series(g, spec, state, [t])
+    return out
+
+
 def test_t0_is_identity():
     g = path_graph(4)
     state = WaveState(2, _basis_state(6, 3))
-    out = evolve_block(g, ModelSpec("xy"), state, 0.0)
+    out = _evolve(g, ModelSpec("xy"), state, 0.0)
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
     full = _basis_state(16, 5)
     assert np.allclose(evolve_full_oracle(g, ModelSpec("xy"), full, 0.0), full, atol=1e-12)
@@ -66,8 +70,8 @@ def test_group_property():
     g = complete_graph(4)
     spec = ModelSpec("xy")
     state = WaveState(2, _basis_state(6, 0))
-    once = evolve_block(g, spec, evolve_block(g, spec, state, 0.7), 1.6)
-    combined = evolve_block(g, spec, state, 2.3)
+    once = _evolve(g, spec, _evolve(g, spec, state, 0.7), 1.6)
+    combined = _evolve(g, spec, state, 2.3)
     assert np.linalg.norm(once.amplitudes - combined.amplitudes) <= 1e-9
 
 
@@ -79,7 +83,7 @@ def test_block_matches_full_oracle_gamma1_p4(model):
     state = WaveState(1, _basis_state(4, 2))
     full = np.zeros(16, dtype=complex)
     full[np.array(basis.states)] = state.amplitudes
-    evolved_block = evolve_block(g, spec, state, 1.0)
+    evolved_block = _evolve(g, spec, state, 1.0)
     evolved_full = evolve_full_oracle(g, spec, full, 1.0)
     assert np.linalg.norm(evolved_full[np.array(basis.states)] - evolved_block.amplitudes) <= 1e-9
 
@@ -95,8 +99,8 @@ def test_state_spanning_two_sectors_evolves_per_sector():
     full[np.array(b1.states)] = x1 / math.sqrt(2)
     full[np.array(b2.states)] = x2 / math.sqrt(2)
     out = evolve_full_oracle(g, spec, full, 2.5)
-    block1 = evolve_block(g, spec, WaveState(1, x1), 2.5)
-    block2 = evolve_block(g, spec, WaveState(2, x2), 2.5)
+    block1 = _evolve(g, spec, WaveState(1, x1), 2.5)
+    block2 = _evolve(g, spec, WaveState(2, x2), 2.5)
     assert np.linalg.norm(out[np.array(b1.states)] - block1.amplitudes / math.sqrt(2)) <= 1e-9
     assert np.linalg.norm(out[np.array(b2.states)] - block2.amplitudes / math.sqrt(2)) <= 1e-9
 
@@ -111,7 +115,7 @@ def test_unitarity_and_energy_conservation():
     state = WaveState(2, z)
     e0 = np.real(np.conj(z) @ (h @ z))
     for t in (0.5, 1.0, 5.0):
-        out = evolve_block(g, spec, state, t)
+        out = _evolve(g, spec, state, t)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
         et = np.real(np.conj(out.amplitudes) @ (h @ out.amplitudes))
         assert abs(et - e0) <= 1e-9
@@ -121,8 +125,8 @@ def test_field_changes_only_global_phase():
     g = path_graph(5)
     state = WaveState(2, _basis_state(10, 4))
     t = 1.3
-    plain = evolve_block(g, ModelSpec("xy"), state, t)
-    shifted = evolve_block(g, ModelSpec("xy", 0.8), state, t)
+    plain = _evolve(g, ModelSpec("xy"), state, t)
+    shifted = _evolve(g, ModelSpec("xy", 0.8), state, t)
     phase = np.exp(-1j * 0.8 * (5 - 2 * 2) * t)
     assert np.linalg.norm(shifted.amplitudes - phase * plain.amplitudes) <= 1e-9
     assert np.allclose(np.abs(shifted.amplitudes) ** 2, np.abs(plain.amplitudes) ** 2, atol=1e-12)
@@ -137,12 +141,12 @@ def test_wavestate_rejects_unnormalized():
 
 def test_evolve_block_dimension_check():
     with pytest.raises(ValueError):
-        evolve_block(path_graph(4), ModelSpec("xy"), WaveState(1, _basis_state(6, 0)), 1.0)
+        _evolve(path_graph(4), ModelSpec("xy"), WaveState(1, _basis_state(6, 0)), 1.0)
 
 
 def test_evolve_rejects_nonfinite_time():
     with pytest.raises(ValueError):
-        evolve_block(path_graph(3), ModelSpec("xy"), WaveState(1, _basis_state(3, 0)), math.nan)
+        _evolve(path_graph(3), ModelSpec("xy"), WaveState(1, _basis_state(3, 0)), math.nan)
 
 
 def test_full_oracle_capacity_guard():
@@ -197,7 +201,7 @@ def test_series_matches_single_time_evolution():
     state = WaveState(2, _basis_state(10, 7))
     series = evolve_block_series(g, spec, state, [0.3, 1.1, 4.0])
     for t, out in zip([0.3, 1.1, 4.0], series):
-        assert np.linalg.norm(out.amplitudes - evolve_block(g, spec, state, t).amplitudes) <= 1e-12
+        assert np.linalg.norm(out.amplitudes - _evolve(g, spec, state, t).amplitudes) <= 1e-12
 
 
 def test_series_enforces_norm_at_every_time(monkeypatch):

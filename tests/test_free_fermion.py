@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+import spinwedge.dynamics as dynamics_mod
 import spinwedge.verify as verify_mod
 import spinwedge.wedge as wedge_mod
 from spinwedge import (
@@ -28,12 +29,13 @@ from spinwedge import (
     lift_route,
     path_graph,
     propagate,
+    rank_subset,
     signed_matrix,
     subset_sums,
     switching_signs,
     wedge_adjacency,
 )
-from spinwedge.verify import check_free_fermion_route, default_corpus, run_verification
+from spinwedge.verify import check_free_fermion_route, check_lift, default_corpus, run_verification
 
 STAR5 = Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
 
@@ -96,9 +98,40 @@ def test_switching_signs_on_every_corpus_wedge():
 def test_switching_signs_stops_at_a_contradiction():
     w = build_wedge_graph(cycle_graph(6), 2)
     a, b, s = w.hops
-    flipped = WedgeGraph(w.base, w.k, w.num_vertices, tuple(zip(a.tolist(), b.tolist(), [1] * len(s))))
+    flipped = WedgeGraph(w.base, w.k, w.num_vertices, (a, b, np.ones_like(s)))
     assert switching_signs(w) is None
     assert np.array_equal(switching_signs(flipped), np.ones(w.num_vertices, dtype=np.int64))
+
+
+def _two_build_rule(g, k):
+    """The side the route took before the one-wedge decision: min(k, n-k)
+    first, then the other, each built and tested for switching to A."""
+    for j in sorted({k, g.n - k}):
+        if switching_signs(build_wedge_graph(g, j)) is not None:
+            return j
+    return None
+
+
+def _check_one_wedge_route(g, k):
+    built = []
+
+    def wedge_of(j):
+        built.append(j)
+        return build_wedge_graph(g, j)
+
+    route = lift_route(g, k, wedge_of)
+    assert built == [min(k, g.n - k)]
+    assert (None if route is None else route.j) == _two_build_rule(g, k)
+    if route is not None:
+        w = build_wedge_graph(g, route.j)
+        assert np.array_equal(route.signs[:, None] * signed_matrix(w) * route.signs, wedge_adjacency(w))
+    return route
+
+
+@pytest.mark.parametrize("name, g", default_corpus() + [("star:5", STAR5)])
+def test_lift_route_decides_both_sides_from_one_wedge(name, g):
+    for k in range(g.n + 1):
+        _check_one_wedge_route(g, k)
 
 
 def test_route_rule_facts():
@@ -121,7 +154,8 @@ def test_route_rule_facts():
 @pytest.mark.parametrize("seed", [11, 12])
 def test_spectrum_cap_graphs_stay_dense(seed):
     for g in _spectrum_cap_graphs(seed):
-        assert lift_route(g, 5) is None
+        for k in (5, 9):
+            assert _check_one_wedge_route(g, k) is None
 
 
 def test_lift_and_dense_routes_agree_on_the_corpus():
@@ -191,14 +225,52 @@ def test_evolve_on_a_3001_vertex_path_takes_the_lift(capsys):
     assert np.max(np.abs(probs[::-1] - np.abs(column) ** 2)) <= 1e-10
 
 
+def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
+    # Even k on an odd cycle lifts through side n-k = 15; the minors are
+    # taken on the 2-subsets, never through C(17, 8) = 24310 of them.
+    g, times = cycle_graph(17), [0.3, 1.7, 6.0]
+    assert lift_route(g, 2).j == 15
+    widths, real = [], dynamics_mod.subset_minors
+
+    def recording(x):
+        widths.append(x.shape[-1])
+        return real(x)
+
+    monkeypatch.setattr(dynamics_mod, "subset_minors", recording)
+    assert cli.main(["evolve", "--graph", "cycle:17", "-k", "2", "--subset", "3,11", "--times", "0.3,1.7,6"]) == 0
+    assert {row["route"] for row in json.loads(capsys.readouterr().out)} == {"lift"}
+    assert widths == [2]
+    spec = ModelSpec("xy", 0.4)
+    start = np.zeros(math.comb(17, 2), dtype=complex)
+    start[rank_subset((3, 11), 17)] = 1.0
+    series = evolve_block_series(g, spec, WaveState(2, start), times)
+    dense = propagate(eigh(block_hamiltonian(g, 2, spec)), start, times)
+    assert {s.route for s in series} == {"lift"}
+    assert max(np.max(np.abs(s.amplitudes - d)) for s, d in zip(series, dense)) <= 1e-10
+
+
+def test_no_lapack_determinant_in_evolve_or_check_lift(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    for graph, k, subset in (("path:12", 4, "0,3,5,9"), ("cycle:7", 2, "1,4"), ("cycle:7", 5, "0,1,2,4,6")):
+        argv = ["evolve", "--graph", graph, "-k", str(k), "--subset", subset, "--times", "0.5,2"]
+        assert cli.main(argv) == 0
+        assert {row["route"] for row in json.loads(capsys.readouterr().out)} == {"lift"}
+    for name, g in (("cycle:7", cycle_graph(7)), ("er:6:0.5:2", erdos_renyi_graph(6, 0.5, 2))):
+        wedges = {k: build_wedge_graph(g, k) for k in range(g.n + 1)}
+        assert all(r.passed for r in check_lift(name, g, wedges, 1e-9))
+
+
 def test_verify_check_fails_on_a_false_switching(monkeypatch):
     real = wedge_mod.switching_signs
     g = cycle_graph(6)
 
-    def all_ones(w):
+    def all_ones(w, target=1):
         if w.base == g and w.k == 2:
             return np.ones(w.num_vertices, dtype=np.int64)
-        return real(w)
+        return real(w, target)
 
     wedges = {k: build_wedge_graph(g, k) for k in range(7)}
     assert check_free_fermion_route("cycle:6", g, wedges, verify_mod.DYNAMICS_TIMES, 1e-9).passed
@@ -213,21 +285,25 @@ def _flipping_builder(flips):
 
     def build(g, k):
         w = build_wedge_graph(g, k)
-        edges = tuple((a, b, -s if g == path_graph(5) and (k, a, b) in flips else s) for a, b, s in w.signed_edges)
-        return WedgeGraph(w.base, w.k, w.num_vertices, edges)
+        a, b, s = w.hops
+        if g != path_graph(5):
+            return w
+        flipped = np.array([(k, x, y) in flips for x, y in zip(a.tolist(), b.tolist())], dtype=bool)
+        return WedgeGraph(w.base, w.k, w.num_vertices, (a, b, np.where(flipped, -s, s)))
 
     return build
 
 
 def test_verify_check_fails_when_a_path_sector_is_not_lifted():
     # {0,2}-{1,2} at k=2 and {1,3,4}-{0,3,4} at k=3 each lie on a 4-cycle of
-    # hops; flipping one side alone leaves the other side to route the sector.
+    # hops.  Sectors 2 and 3 of path:5 are both decided on side 2 alone, so a
+    # flip on side 3 is never consulted, and one on side 2 unroutes both.
     corpus = [("path:5", path_graph(5))]
-    one_side = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(2, 1, 2)}))
-    by_check = {r.check: r for r in one_side.results}
+    side3 = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(3, 7, 8)}))
+    by_check = {r.check: r for r in side3.results}
     assert by_check["free_fermion_route"].passed
-    both = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(2, 1, 2), (3, 7, 8)}))
-    by_check = {r.check: r for r in both.results}
+    side2 = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(2, 1, 2)}))
+    by_check = {r.check: r for r in side2.results}
     result = by_check["free_fermion_route"]
     assert not result.passed and result.k in (2, 3) and "must lift but dense: k=[2, 3]" in result.note
 
@@ -238,7 +314,7 @@ def test_handshake_counts_cut_sizes_independently():
     def dropping(graph, k):
         w = build_wedge_graph(graph, k)
         if k == 2:
-            return WedgeGraph(w.base, w.k, w.num_vertices, w.signed_edges[1:])
+            return WedgeGraph(w.base, w.k, w.num_vertices, tuple(x[1:] for x in w.hops))
         return w
 
     report = run_verification(corpus=[("cycle:5", g)], random_states=2, wedge_builder=dropping)

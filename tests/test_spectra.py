@@ -15,6 +15,7 @@ from spinwedge import (
     complete_graph,
     complete_graph_spectra,
     eigh,
+    erdos_renyi_graph,
     full_hamiltonian,
     johnson_spectrum,
     lift_eigenvector,
@@ -23,6 +24,8 @@ from spinwedge import (
     path_graph,
     path_spectrum,
     signed_matrix,
+    subset_minors,
+    subset_table,
     wedge_adjacency,
     xy_path_spectrum,
 )
@@ -182,7 +185,7 @@ def test_lift_full_k_is_trace():
 
 def test_lift_eigenvector_k1_is_base_column():
     base = eigh(adjacency(path_graph(4)))
-    pair = lift_eigenvector(base, (2,))
+    (pair,) = lift_eigenvector(base, [(2,)])
     assert pair.value == pytest.approx(base.values[2])
     assert np.allclose(pair.vector, base.vectors[:, 2], atol=1e-12)
 
@@ -190,7 +193,7 @@ def test_lift_eigenvector_k1_is_base_column():
 def test_lift_eigenvector_p3_indices_02():
     base = eigh(adjacency(path_graph(3)))
     c = signed_matrix(build_wedge_graph(path_graph(3), 2))
-    pair = lift_eigenvector(base, (0, 2))
+    (pair,) = lift_eigenvector(base, [(0, 2)])
     assert pair.value == pytest.approx(0.0, abs=1e-12)
     assert np.linalg.norm(c @ pair.vector - pair.value * pair.vector) <= 1e-9
 
@@ -200,10 +203,9 @@ def test_lift_eigenvector_k4_pairs():
     # eigenvalue -2, indices (0,3) to 2; both satisfy the residual bound.
     base = eigh(adjacency(complete_graph(4)))
     c = signed_matrix(build_wedge_graph(complete_graph(4), 2))
-    low = lift_eigenvector(base, (0, 1))
+    low, high = lift_eigenvector(base, [(0, 1), (0, 3)])
     assert low.value == pytest.approx(-2.0, abs=1e-9)
     assert np.linalg.norm(c @ low.vector - low.value * low.vector) <= 1e-9
-    high = lift_eigenvector(base, (0, 3))
     assert high.value == pytest.approx(2.0, abs=1e-9)
     assert np.linalg.norm(c @ high.vector - high.value * high.vector) <= 1e-9
 
@@ -211,12 +213,41 @@ def test_lift_eigenvector_k4_pairs():
 def test_lift_eigenvector_norm_and_orthonormal_set():
     base = eigh(adjacency(path_graph(4)))
     vectors = []
-    for combo in itertools.combinations(range(4), 2):
-        pair = lift_eigenvector(base, combo)
+    for pair in lift_eigenvector(base, list(itertools.combinations(range(4), 2))):
         assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-12
         vectors.append(pair.vector)
     gram = np.array(vectors) @ np.array(vectors).T
     assert np.abs(gram - np.eye(6)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 11, 14])
+def test_subset_minors_match_lapack(n):
+    rng = np.random.default_rng(n)
+    unitary = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    js = range(n + 1) if n <= 8 else sorted({0, 1, 2, n // 2, n - 1, n})
+    for j in js:
+        rows = subset_table(n, j)
+        for x in (rng.normal(size=(3, n, j)), unitary[:, :j]):
+            got = subset_minors(x)
+            want = np.linalg.det(x[..., rows, :])
+            assert got.shape == want.shape == x.shape[:-2] + (len(rows),)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want))), (n, j)
+
+
+def test_subset_minors_rejects_wide_input():
+    with pytest.raises(ValueError):
+        subset_minors(np.zeros((3, 4)))
+
+
+def test_lift_eigenvector_is_the_determinant_on_both_sides():
+    # Above k = d/2 the minors come from the complement columns.
+    base = eigh(adjacency(erdos_renyi_graph(7, 0.5, 2)))
+    for k in range(8):
+        sets = subset_table(7, k)
+        for idx, pair in zip(sets, lift_eigenvector(base, sets)):
+            want = np.linalg.det(base.vectors[sets[:, :, None], idx])
+            assert np.max(np.abs(pair.vector - want)) <= 1e-12, (k, idx)
+            assert pair.indices == tuple(idx.tolist())
 
 
 def test_lift_rejects_norm_defect_above_table_tolerance():
@@ -225,16 +256,16 @@ def test_lift_rejects_norm_defect_above_table_tolerance():
     base = eigh(adjacency(path_graph(5)))
     skewed = EigenDecomposition(base.values, base.vectors * (1.0 + 1e-9))
     with pytest.raises(ValueError, match="orthonormal"):
-        lift_eigenvector(skewed, (0, 2))
-    assert abs(np.linalg.norm(lift_eigenvector(base, (0, 2)).vector) - 1.0) <= LIFT_NORM_TOL
+        lift_eigenvector(skewed, [(0, 2)])
+    assert abs(np.linalg.norm(lift_eigenvector(base, [(0, 2)])[0].vector) - 1.0) <= LIFT_NORM_TOL
 
 
 def test_lift_rejects_repeated_indices():
     base = eigh(adjacency(path_graph(4)))
     with pytest.raises(ValueError):
-        lift_eigenvector(base, (1, 1))
+        lift_eigenvector(base, [(0, 2), (1, 1)])
     with pytest.raises(ValueError):
-        lift_eigenvector(base, (2, 1))
+        lift_eigenvector(base, [(2, 1)])
     with pytest.raises(ValueError):
         lift_spectrum(base, 5)
 
@@ -260,7 +291,7 @@ def test_compare_spectra_gap_reporting():
 def test_spectrum_collapse_and_json():
     s = Spectrum((1.0, 1.0 + 1e-12, 2.0), tol=1e-9)
     assert s.collapsed() == [(1.0, 2), (2.0, 1)]
-    data = json.loads(s.to_json())
+    data = json.loads(json.dumps(s.to_dict()))
     assert data["tol"] == 1e-9
     assert data["multiplicity_collapsed"] == [[1.0, 2], [2.0, 1]]
     assert len(data["values"]) == 3

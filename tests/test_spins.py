@@ -18,6 +18,7 @@ from spinwedge import (
     full_hamiltonian,
     path_graph,
     project_full_to_blocks,
+    rank_subset,
 )
 
 _I = np.eye(2, dtype=complex)
@@ -195,17 +196,11 @@ def test_full_capacity_guard():
 def test_spin_basis_map_bits():
     basis = SpinBasisMap(5, 2)
     assert len(basis) == 10
-    for r in range(10):
-        state = basis.to_state(r)
+    for r, state in enumerate(basis.states.tolist()):
         assert state.bit_count() == 2
-        assert basis.to_rank(state) == r
+        assert rank_subset([b for b in range(5) if state >> b & 1], 5) == r
     assert list(basis.states) == sorted(basis.states)
-
-
-def test_spin_basis_map_rejects_wrong_weight():
-    basis = SpinBasisMap(5, 2)
-    with pytest.raises(ValueError):
-        basis.to_rank(0b111)
+    assert not basis.states.flags.writeable
 
 
 def test_model_spec_validation():

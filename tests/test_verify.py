@@ -29,11 +29,11 @@ def corrupting_builder(target_graph, target_k, edge_index=0):
 
     def build(g, k):
         w = build_wedge_graph(g, k)
-        if g == target_graph and k == target_k and w.signed_edges:
-            edges = list(w.signed_edges)
-            a, b, s = edges[edge_index]
-            edges[edge_index] = (a, b, -s)
-            return WedgeGraph(w.base, w.k, w.num_vertices, tuple(edges))
+        a, b, s = w.hops
+        if g == target_graph and k == target_k and len(a):
+            s = s.copy()
+            s[edge_index] = -s[edge_index]
+            return WedgeGraph(w.base, w.k, w.num_vertices, (a, b, s))
         return w
 
     return build
@@ -47,8 +47,10 @@ def relabelling_builder(target_graph, target_k):
         w = build_wedge_graph(g, k)
         if g == target_graph and k == target_k:
             m = w.num_vertices
-            moved = ((min((a + 1) % m, (b + 1) % m), max((a + 1) % m, (b + 1) % m), s) for a, b, s in w.signed_edges)
-            return WedgeGraph(w.base, w.k, m, tuple(sorted(moved)))
+            a, b, s = w.hops
+            lo, hi = np.minimum((a + 1) % m, (b + 1) % m), np.maximum((a + 1) % m, (b + 1) % m)
+            order = np.lexsort((hi, lo))
+            return WedgeGraph(w.base, w.k, m, (lo[order], hi[order], s[order]))
         return w
 
     return build
@@ -60,7 +62,7 @@ def dropping_builder(target_graph, target_k):
     def build(g, k):
         w = build_wedge_graph(g, k)
         if g == target_graph and k == target_k:
-            return WedgeGraph(w.base, w.k, w.num_vertices, w.signed_edges[1:])
+            return WedgeGraph(w.base, w.k, w.num_vertices, tuple(x[1:] for x in w.hops))
         return w
 
     return build
@@ -226,3 +228,40 @@ def test_each_wedge_power_built_once_per_graph(monkeypatch):
     assert report.passed
     assert {k: builds[(g, k)] for k in range(g.n + 1)} == {k: 1 for k in range(g.n + 1)}
     assert max(builds.values()) == 1
+
+
+def test_heisenberg_checks_read_the_shared_decompositions(monkeypatch):
+    g = cycle_graph(5)
+    wedges = {k: build_wedge_graph(g, k) for k in range(g.n + 1)}
+    decs = verify_mod.sector_decompositions(g, wedges)
+    calls = Counter()
+    real = np.linalg.eigvalsh
+
+    def counting(m):
+        calls[len(m)] += 1
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert verify_mod.check_heis_psd_kernel("cycle:5", g, wedges, 1e-9, decs).passed
+    assert not calls
+    heisenberg = verify_mod.ModelSpec("heisenberg")
+    assert all(r.passed for r in verify_mod.check_sector_spectra("cycle:5", g, heisenberg, wedges, 1e-9, decs))
+    # Only the full-space oracle side: the 2^n matrix and its n+1 projected blocks.
+    assert sum(calls.values()) == g.n + 2 and calls[1 << g.n] == 1
+
+
+def test_a_faulty_laplacian_fails_the_heisenberg_checks(monkeypatch):
+    # The shared decompositions come from the same sector operator, so a
+    # fault there must still show: a signless laplacian (+1 on the hops) has
+    # no zero mode on the odd cycle's first power.
+    import spinwedge.spins as spins_mod
+
+    def signless(w):
+        return spins_mod.wedge_adjacency(w) + np.diag(spins_mod.wedge_degrees(w))
+
+    monkeypatch.setattr(spins_mod, "wedge_laplacian", signless)
+    report = run_verification(corpus=[("cycle:5", cycle_graph(5))], random_states=2)
+    by_check = {r.check: r for r in report.results}
+    for check in ("heis_psd_kernel", "sector_vs_full_heisenberg"):
+        assert not by_check[check].passed and by_check[check].k == 1, check
+    assert by_check["sector_vs_full_xy"].passed

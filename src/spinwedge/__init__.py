@@ -64,16 +64,14 @@ from .spectra import (
 )
 from .spins import (
     ModelSpec,
-    SpinBasisMap,
+    basis_states,
     block_hamiltonian,
-    block_matvec,
     full_hamiltonian,
     project_full_to_blocks,
 )
 from .dynamics import (
     WaveState,
     evolve_block_series,
-    evolve_full_oracle,
     lift_propagate,
     propagate,
     transfer_fidelity,

@@ -178,6 +178,8 @@ def cmd_closed_form(args) -> int:
     if args.family == "path" and args.model != "xy":
         raise ValueError("closed forms on the path cover the xy model only")
     ks = _parse_k(args.k, n, allow_all=True)
+    for k in ks:
+        sector_dimension(n, k)
     blocks = []
     union_vals: list[float] = []
     for k in ks:
@@ -297,6 +299,28 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
+def _count(text: str) -> int:
+    """argparse type of --random-states: an integer >= 0."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return count
+
+
 def _add_common(p, graph_required=True):
     p.add_argument("--graph", required=graph_required, help="family spec like path:6 or a JSON file path")
     p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
@@ -320,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", default="all", help="sector (integer) or 'all'")
     p.add_argument("--model", choices=("xy", "heis", "heisenberg"), default="xy")
     p.add_argument("--field", type=float, default=0.0, help="uniform z-field coefficient")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_spectrum)
 
@@ -335,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification corpus")
     p.add_argument("--graph", default=None, help="verify one graph instead of the built-in corpus")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0, help="seed for the random-state checks")
-    p.add_argument("--random-states", type=int, default=20, help="random states per graph and sector")
+    p.add_argument("--random-states", type=_count, default=20, help="random states per graph and sector")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import Graph, adjacency
 from .spectra import EigenDecomposition, UNITARITY_TOL, eigh, subset_minors
-from .spins import ModelSpec, block_hamiltonian, full_hamiltonian
+from .spins import ModelSpec, block_hamiltonian
 from .wedge import LiftRoute, build_wedge_graph, lift_route, sector_dimension, subset_table
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "propagate",
     "evolve_block_series",
     "lift_propagate",
-    "evolve_full_oracle",
     "transfer_fidelity",
 ]
 
@@ -141,18 +140,6 @@ def evolve_block_series(g: Graph, spec: ModelSpec, state: WaveState, times) -> l
         evolved = propagate(eigh(block_hamiltonian(g, state.k, spec, wedge_of(state.k))), state.amplitudes, times)
         name = "dense"
     return [WaveState(state.k, amplitudes, name) for amplitudes in evolved]
-
-
-def evolve_full_oracle(g: Graph, spec: ModelSpec, states: np.ndarray, times) -> np.ndarray:
-    """Exact evolution on the whole 2^n space; the cross-check for sector evolution.
-
-    ``states`` and ``times`` are as in :func:`propagate`.  Graphs beyond
-    FULL_SPIN_LIMIT spins raise CapacityError before anything is allocated.
-    """
-    x = np.asarray(states, dtype=complex)
-    if x.ndim not in (1, 2) or x.shape[0] != 1 << g.n:
-        raise ValueError(f"full states must have {1 << g.n} rows, got shape {x.shape}")
-    return propagate(eigh(full_hamiltonian(g, spec)), x, times)
 
 
 def transfer_fidelity(g: Graph, spec: ModelSpec, from_vertex: int, to_vertex: int, times) -> list[float]:

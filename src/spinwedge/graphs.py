@@ -193,6 +193,11 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
 
 
+def _is_json_int(x) -> bool:
+    # JSON true/false parse to bool, which Python counts as int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(text: str) -> Graph:
     """Parse the canonical JSON graph format.
 
@@ -203,14 +208,14 @@ def graph_from_json(text: str) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('graph JSON must be an object with "n" and "edges"')
     n = data["n"]
-    if not isinstance(n, int):
+    if not _is_json_int(n):
         raise ValueError(f'"n" must be an integer, got {n!r}')
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError('"edges" must be a list of [u, v] pairs')
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_json_int(x) for x in e)):
             raise ValueError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return graph_from_edge_list(n, pairs)

@@ -9,8 +9,6 @@ Numerical tolerances (the single place they are defined):
 * ``ORTHONORMALITY_TOL`` (1e-10): deviation of eigenvector Gram matrix
   from the identity.
 * ``LIFT_NORM_TOL`` (1e-12): norm defect allowed for lifted eigenvectors.
-* ``MATVEC_RTOL`` (1e-12): relative agreement of matrix-free block
-  application with the dense matrix product.
 * ``UNITARITY_TOL`` (1e-10): norm drift allowed per evolution step.
 """
 
@@ -30,7 +28,6 @@ __all__ = [
     "EIG_RESIDUAL_FACTOR",
     "ORTHONORMALITY_TOL",
     "LIFT_NORM_TOL",
-    "MATVEC_RTOL",
     "UNITARITY_TOL",
     "EigenDecomposition",
     "Spectrum",
@@ -53,7 +50,6 @@ DEFAULT_TOL = 1e-9
 EIG_RESIDUAL_FACTOR = 1e-9
 ORTHONORMALITY_TOL = 1e-10
 LIFT_NORM_TOL = 1e-12
-MATVEC_RTOL = 1e-12
 UNITARITY_TOL = 1e-10
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import evolve_full_oracle, lift_propagate, propagate
+from .dynamics import lift_propagate, propagate
 from .graphs import (
     Graph,
     adjacency,
@@ -28,7 +29,6 @@ from .graphs import (
 )
 from .spectra import (
     DEFAULT_TOL,
-    MATVEC_RTOL,
     EigenDecomposition,
     UNITARITY_TOL,
     Spectrum,
@@ -44,9 +44,8 @@ from .spectra import (
 )
 from .spins import (
     ModelSpec,
-    SpinBasisMap,
+    basis_states,
     block_hamiltonian,
-    block_matvec,
     full_hamiltonian,
     project_full_to_blocks,
 )
@@ -141,18 +140,24 @@ def _result(check, subject, err, tol, k=None, note="") -> CheckResult:
     return CheckResult(check, subject, float(err), tol, bool(err <= tol), k, note)
 
 
+class Operator(NamedTuple):
+    """A dense hamiltonian and its eigendecomposition, built once and shared."""
+
+    matrix: np.ndarray
+    dec: EigenDecomposition
+
+
+def _operator(h: np.ndarray) -> Operator:
+    return Operator(h, eigh(h))
+
+
 def sector_decompositions(g: Graph, wedges: dict) -> dict:
-    """eigh of every field-free sector hamiltonian, keyed by (model name, k).
+    """Every field-free sector hamiltonian with its eigh, keyed by (model name, k).
 
-    Computed once per graph and shared by the checks that take ``decs``.
+    Built once per graph from the shared ``wedges`` and passed as ``sectors``
+    to every check that reads a sector operator.
     """
-    return {(m.model, k): eigh(block_hamiltonian(g, k, m, w)) for m in _MODELS for k, w in wedges.items()}
-
-
-def _sector_dec(g: Graph, k: int, model: ModelSpec, wedge, decs: dict | None):
-    if decs is not None and model.field_b == 0.0:
-        return decs[(model.model, k)]
-    return eigh(block_hamiltonian(g, k, model, wedge))
+    return {(m.model, k): _operator(block_hamiltonian(g, k, m, w)) for m in _MODELS for k, w in wedges.items()}
 
 
 def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
@@ -199,62 +204,41 @@ def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
     return results
 
 
-def check_sector_spectra(
-    name: str, g: Graph, model: ModelSpec, wedges: dict, tol: float, decs: dict | None = None
-) -> list[CheckResult]:
+def check_sector_spectra(name: str, g: Graph, model: ModelSpec, sectors: dict, full: Operator, tol: float) -> list[CheckResult]:
     """Sector matrices against the full-space oracle: spectra within tol, and
     entries exactly equal to the full hamiltonian restricted to the sector's
     basis states, which also catches a relabelled but isospectral sector.
 
-    The sector eigenvalues of a field-free model come from ``decs`` (see
-    :func:`sector_decompositions`) when given."""
+    ``sectors`` is :func:`sector_decompositions` of g and ``full`` the 2^n
+    hamiltonian of ``model`` with its eigh; the union of the sector spectra
+    is compared with the latter's eigenvalues."""
     try:
-        full_blocks = project_full_to_blocks(g, model)
+        full_blocks = project_full_to_blocks(full.matrix)
     except RuntimeError as exc:
         return [_result(f"sector_vs_full_{model.model}", name, math.inf, tol, note=str(exc))]
-    full_h = full_hamiltonian(g, model)
     worst = 0.0
     bad_k = None
     mismatched = []
     all_block_vals: list[float] = []
-    for k, w in wedges.items():
-        h = block_hamiltonian(g, k, model, w)
-        states = SpinBasisMap(g.n, k).states
-        same = np.array_equal(h, full_h[np.ix_(states, states)])
+    for k in range(g.n + 1):
+        sector = sectors[(model.model, k)]
+        states = basis_states(g.n, k)
+        same = np.array_equal(sector.matrix, full.matrix[np.ix_(states, states)])
         if not same:
             mismatched.append(k)
-        dec = decs.get((model.model, k)) if decs is not None and model.field_b == 0.0 else None
-        vals = np.linalg.eigvalsh(h) if dec is None else dec.values
+        vals = sector.dec.values
         all_block_vals.extend(vals)
         cmp = compare_spectra(Spectrum(tuple(vals), tol), full_blocks[k])
         err = cmp.max_gap if cmp.equal and same else math.inf
         if err > worst:
             worst, bad_k = err, k
-    union = Spectrum(tuple(all_block_vals), tol)
-    full = Spectrum(tuple(np.linalg.eigvalsh(full_h)), tol)
-    cmp = compare_spectra(union, full)
+    cmp = compare_spectra(Spectrum(tuple(all_block_vals), tol), Spectrum(tuple(full.dec.values), tol))
     union_err = cmp.max_gap if cmp.equal else math.inf
     note = f"entries differ from the full hamiltonian at k={mismatched}" if mismatched else ""
     return [
         _result(f"sector_vs_full_{model.model}", name, worst, tol, k=bad_k, note=note),
         _result(f"sector_union_{model.model}", name, union_err, tol),
     ]
-
-
-def check_block_matvec(name: str, g: Graph, model: ModelSpec, wedges: dict, rng: np.random.Generator) -> CheckResult:
-    """Matrix-free sector application against the dense product."""
-    worst = 0.0
-    bad_k = None
-    for k, w in wedges.items():
-        h = block_hamiltonian(g, k, model, w)
-        x = rng.normal(size=h.shape[0])
-        dense = h @ x
-        free = block_matvec(g, k, model, x, w)
-        scale = max(1.0, float(np.linalg.norm(dense)))
-        err = float(np.linalg.norm(free - dense)) / scale
-        if err > worst:
-            worst, bad_k = err, k
-    return _result(f"block_matvec_{model.model}", name, worst, MATVEC_RTOL, k=bad_k)
 
 
 def check_signed_oracle(name: str, g: Graph, wedges: dict) -> CheckResult | None:
@@ -315,9 +299,7 @@ def _determinant_formula(g: Graph, spec: ModelSpec, route, start_rank: int, time
     return amplitudes * np.exp(-1j * spec.field_b * (n - 2 * k) * t)[:, None]
 
 
-def check_free_fermion_route(
-    name: str, g: Graph, wedges: dict, times, tol: float, decs: dict | None = None
-) -> CheckResult:
+def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, times, tol: float) -> CheckResult:
     """Every XY sector on the lift route against the dense route.
 
     For each: the switching is exact (D . C_j . D == A_j as integer
@@ -325,15 +307,15 @@ def check_free_fermion_route(
     spectrum, and the lift amplitudes from one basis state equal both dense
     propagation and the determinant formula at ``times``, all with a field
     so that the sector phase counts: the dense reference is the field-free
-    decomposition (``decs``, see :func:`sector_decompositions`) shifted by
-    B*(n-2k).  Sectors k in
-    {0, 1, n-1, n}, and every sector of a path, must take the lift route.
+    decomposition (from ``sectors``, see :func:`sector_decompositions`)
+    shifted by B*(n-2k).  Sectors k in {0, 1, n-1, n}, and every sector of
+    a path, must take the lift route.
     """
     spec = ModelSpec("xy", FIELD_VALUES[0])
     base = eigh(adjacency(g))
     worst, bad_k = 0.0, None
     lifted, unrouted = [], []
-    for k, w in wedges.items():
+    for k in wedges:
         route = lift_route(g, k, wedges.__getitem__)
         if route is None:
             if name.startswith("path:") or k in (0, 1, g.n - 1, g.n):
@@ -344,7 +326,7 @@ def check_free_fermion_route(
         d, wj = route.signs, wedges[route.j]
         exact = np.array_equal(d[:, None] * signed_matrix(wj) * d, wedge_adjacency(wj))
         shift = spec.field_b * (g.n - 2 * k)
-        dec0 = _sector_dec(g, k, ModelSpec("xy"), w, decs)
+        dec0 = sectors[("xy", k)].dec
         dec = EigenDecomposition(dec0.values + shift, dec0.vectors)
         sums = subset_sums(base.values, route.j) + shift
         cmp = compare_spectra(Spectrum(tuple(sums), tol), Spectrum(tuple(dec.values), tol))
@@ -360,17 +342,16 @@ def check_free_fermion_route(
     return _result("free_fermion_route", name, worst, tol, k=bad_k, note=note)
 
 
-def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, tol: float, decs: dict | None = None) -> CheckResult:
+def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, sectors: dict, tol: float) -> CheckResult:
     """Heisenberg sectors are positive semidefinite with one zero mode per
     connected component of the wedge power.
 
     Without a field the Heisenberg sector is the wedge laplacian, so its
-    eigenvalues come from ``decs`` (see :func:`sector_decompositions`); they
-    are computed when omitted."""
+    eigenvalues come from ``sectors`` (see :func:`sector_decompositions`)."""
     worst = 0.0
     bad_k = None
     for k, w in wedges.items():
-        vals = _sector_dec(g, k, ModelSpec("heisenberg"), w, decs).values
+        vals = sectors[("heisenberg", k)].dec.values
         neg = max(0.0, float(-vals.min())) if vals.size else 0.0
         zeros = int(np.sum(np.abs(vals) <= tol))
         comps = connected_components(w.skeleton())
@@ -380,17 +361,17 @@ def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, tol: float, decs: d
     return _result("heis_psd_kernel", name, worst, tol, k=bad_k)
 
 
-def check_field_shift(name: str, g: Graph, wedges: dict, tol: float, decs: dict | None = None) -> CheckResult:
+def check_field_shift(name: str, g: Graph, wedges: dict, sectors: dict, tol: float) -> CheckResult:
     """Adding a field shifts sector eigenvalues by B*(n-2k) and keeps eigenvectors.
 
-    ``decs`` holds the field-free decompositions (see
-    :func:`sector_decompositions`); they are computed when omitted.
+    The field-free decompositions come from ``sectors`` (see
+    :func:`sector_decompositions`); each field builds its sector anew.
     """
     worst = 0.0
     bad_k = None
     for model_name in ("xy", "heisenberg"):
         for k, w in wedges.items():
-            dec0 = _sector_dec(g, k, ModelSpec(model_name), w, decs)
+            dec0 = sectors[(model_name, k)].dec
             for b in FIELD_VALUES:
                 hb = block_hamiltonian(g, k, ModelSpec(model_name, b), w)
                 shift = b * (g.n - 2 * k)
@@ -423,8 +404,7 @@ def check_complement_isomorphism(name: str, g: Graph, wedges: dict) -> CheckResu
     """
     bad_k = None
     for k in range(g.n // 2 + 1):
-        states = SpinBasisMap(g.n, k).states
-        image = np.searchsorted(SpinBasisMap(g.n, g.n - k).states, ((1 << g.n) - 1) ^ states)
+        image = np.searchsorted(basis_states(g.n, g.n - k), ((1 << g.n) - 1) ^ basis_states(g.n, k))
         a, b, _ = wedges[g.n - k].hops
         if not _carries_hops(wedges[k], image, a, b, len(image)):
             bad_k = k
@@ -436,22 +416,21 @@ def check_dynamics(
     name: str,
     g: Graph,
     model: ModelSpec,
+    sectors: dict,
+    full: Operator,
     rng: np.random.Generator,
     n_states: int,
     times,
     tol: float,
-    wedges: dict | None = None,
-    decs: dict | None = None,
 ) -> list[CheckResult]:
     """Sector evolution against full-space evolution for random sector states.
 
-    Per sector, all states are propagated to all times in one call.  The
-    full space evolves the i-th state of every sector at once, as one sum in
-    column i, by one :func:`evolve_full_oracle` call: the full hamiltonian
+    ``sectors`` and ``full`` are as in :func:`check_sector_spectra`.  Per
+    sector, all states are propagated to all times in one call.  The full
+    space evolves the i-th state of every sector at once, as one sum in
+    column i, by one :func:`propagate` of ``full``: the full hamiltonian
     conserves the excitation number, so the rows of sector k of the result
-    are the evolution of sector k's state.  ``wedges`` maps k to the
-    prebuilt wedge powers of g, and ``decs`` holds the sector decompositions
-    (see :func:`sector_decompositions`); both are computed when omitted.
+    are the evolution of sector k's state.
     """
     worst = 0.0
     bad_k = None
@@ -460,9 +439,8 @@ def check_dynamics(
     starts = np.zeros((1 << g.n, n_states), dtype=complex)
     blocks = []
     for k in range(g.n + 1):
-        h = block_hamiltonian(g, k, model, None if wedges is None else wedges[k])
-        block_dec = _sector_dec(g, k, model, None if wedges is None else wedges[k], decs)
-        idx = SpinBasisMap(g.n, k).states
+        h, block_dec = sectors[(model.model, k)]
+        idx = basis_states(g.n, k)
         draws = rng.normal(size=(n_states, 2, len(idx)))
         z = (draws[:, 0] + 1j * draws[:, 1]).T
         z /= np.linalg.norm(z, axis=0)
@@ -474,7 +452,7 @@ def check_dynamics(
         worst_norm = max(worst_norm, float(np.max(norm_drift, initial=0.0)))
         et = np.real(np.sum(np.conj(zb) * (h @ zb), axis=1))
         worst_energy = max(worst_energy, float(np.max(np.abs(et - e0), initial=0.0)))
-    evolved = evolve_full_oracle(g, model, starts, times)
+    evolved = propagate(full.dec, starts, times)
     for k, idx, zb in blocks:
         dev = float(np.max(np.linalg.norm(zb - evolved[:, idx], axis=1), initial=0.0))
         if dev > worst:
@@ -557,7 +535,7 @@ def check_named_isomorphisms(builder=None) -> list[CheckResult]:
     builder = builder or build_wedge_graph
     out = []
     for label, g, k in (("path:6", path_graph(6), 5), ("complete:4", complete_graph(4), 3)):
-        left_out = ((1 << g.n) - 1) ^ SpinBasisMap(g.n, k).states
+        left_out = ((1 << g.n) - 1) ^ basis_states(g.n, k)
         image = np.searchsorted(1 << np.arange(g.n), left_out)
         lo, hi = np.array(g.edges).T
         ok = _carries_hops(builder(g, k), image, lo, hi, g.n)
@@ -566,23 +544,27 @@ def check_named_isomorphisms(builder=None) -> list[CheckResult]:
 
 
 def _graph_checks(index, name, g, tol, seed, n_states, times, builder) -> list[CheckResult]:
+    """Every check of one corpus graph.  Its wedge powers, field-free sector
+    operators and, one model at a time, its full hamiltonian are built here
+    once each and shared by the checks."""
     wedges = {k: builder(g, k) for k in range(g.n + 1)}
+    sectors = sector_decompositions(g, wedges)
     rng = np.random.default_rng([seed, index])
     results: list[CheckResult] = []
     results += check_structure(name, g, wedges)
     results += check_lift(name, g, wedges, tol)
-    decs = sector_decompositions(g, wedges)
-    results.append(check_free_fermion_route(name, g, wedges, times, tol, decs))
+    results.append(check_free_fermion_route(name, g, wedges, sectors, times, tol))
     oracle = check_signed_oracle(name, g, wedges)
     if oracle is not None:
         results.append(oracle)
-    results.append(check_heis_psd_kernel(name, g, wedges, tol, decs))
-    results.append(check_field_shift(name, g, wedges, tol, decs))
+    results.append(check_heis_psd_kernel(name, g, wedges, sectors, tol))
+    results.append(check_field_shift(name, g, wedges, sectors, tol))
     results.append(check_complement_isomorphism(name, g, wedges))
     for model in _MODELS:
-        results += check_sector_spectra(name, g, model, wedges, tol, decs)
-        results.append(check_block_matvec(name, g, model, wedges, rng))
-        results += check_dynamics(name, g, model, rng, n_states, times, tol, wedges, decs)
+        full = _operator(full_hamiltonian(g, model))
+        results += check_sector_spectra(name, g, model, sectors, full, tol)
+        results += check_dynamics(name, g, model, sectors, full, rng, n_states, times, tol)
+        del full  # one model's 2^n operator at a time
     family = name.split(":", 1)[0]
     if family == "path":
         results += check_path_closed_form(g.n, tol, builder)
@@ -601,9 +583,9 @@ def run_verification(
 ) -> VerificationReport:
     """Run every check over the corpus; deterministic for fixed arguments.
 
-    Each graph's wedge powers are built once and shared by all its checks;
-    the path and Johnson family oracles build those of their canonical graph
-    themselves.  ``wedge_builder`` substitutes every construction
+    Each graph's wedge powers, sector operators and full hamiltonians are
+    built once and shared by all its checks; the path and Johnson family
+    oracles build the wedge powers of their canonical graph themselves.  ``wedge_builder`` substitutes every construction
     (fault-injection hook for testing the suite itself).
     """
     start = time.monotonic()

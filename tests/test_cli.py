@@ -112,6 +112,54 @@ def test_closed_form_path_heis_exits_2(capsys):
     assert code == 2
 
 
+def test_closed_form_guards_every_sector_before_any_work(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed form evaluated before the capacity guard")
+
+    for name in ("xy_path_spectrum", "johnson_spectrum"):
+        monkeypatch.setattr(cli, name, forbidden)
+    code, _, err = run(capsys, "closed-form", "path", "--n", "24", "-k", "12")
+    assert code == 2 and "k=12" in err and "C(24,12)=2704156" in err
+    code, _, err = run(capsys, "closed-form", "complete", "--n", "60", "-k", "30")
+    assert code == 2 and "k=30" in err and "C(60,30)=" in err
+    # With -k all, the first sector above the limit refuses the whole request.
+    code, _, err = run(capsys, "closed-form", "path", "--n", "20")
+    assert code == 2 and "k=5" in err and "C(20,5)=15504" in err
+
+
+@pytest.mark.parametrize(
+    "argv,option,value",
+    [
+        (("verify", "--graph", "path:3", "--tol", "nan"), "--tol", "'nan'"),
+        (("verify", "--graph", "path:3", "--tol", "-1"), "--tol", "'-1'"),
+        (("spectrum", "--graph", "path:3", "--tol", "nan"), "--tol", "'nan'"),
+        (("spectrum", "--graph", "path:3", "--tol", "inf"), "--tol", "'inf'"),
+        (("spectrum", "--graph", "path:3", "--tol", "tiny"), "--tol", "'tiny'"),
+        (("verify", "--graph", "path:3", "--random-states", "-1"), "--random-states", "'-1'"),
+        (("verify", "--graph", "path:3", "--random-states", "2.5"), "--random-states", "'2.5'"),
+    ],
+)
+def test_bad_option_values_exit_2_naming_them(capsys, argv, option, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {option}:" in err and value in err
+
+
+def test_zero_tolerance_and_zero_random_states_are_accepted(capsys):
+    code, out, _ = run(capsys, "spectrum", "--graph", "path:3", "-k", "1", "--tol", "0")
+    assert code == 0 and json.loads(out)["tol"] == 0.0
+    code, out, _ = run(capsys, "verify", "--graph", "path:3", "--random-states", "0")
+    assert code == 0 and "0 failed" in out
+
+
+def test_boolean_graph_labels_exit_2(tmp_path, capsys):
+    for text, named in (('{"n": 2, "edges": [[false, true]]}', "[False, True]"), ('{"n": true, "edges": []}', "True")):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "spectrum", "--graph", str(path))
+        assert code == 2 and out == "" and named in err
+
+
 def test_evolve_p2_transfer(capsys):
     code, out, _ = run(
         capsys, "evolve", "--graph", "path:2", "--model", "xy", "-k", "1",

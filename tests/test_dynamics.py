@@ -8,15 +8,15 @@ from spinwedge import (
     CapacityError,
     Graph,
     ModelSpec,
-    SpinBasisMap,
     WaveState,
+    basis_states,
     block_hamiltonian,
     cli,
     complete_graph,
     cycle_graph,
     eigh,
     evolve_block_series,
-    evolve_full_oracle,
+    full_hamiltonian,
     path_graph,
     propagate,
     transfer_fidelity,
@@ -35,13 +35,18 @@ def _evolve(g, spec, state, t):
     return out
 
 
+def _evolve_full(g, spec, states, times):
+    """The full-space oracle: the 2^n hamiltonian's propagator."""
+    return propagate(eigh(full_hamiltonian(g, spec)), states, times)
+
+
 def test_t0_is_identity():
     g = path_graph(4)
     state = WaveState(2, _basis_state(6, 3))
     out = _evolve(g, ModelSpec("xy"), state, 0.0)
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
     full = _basis_state(16, 5)
-    assert np.allclose(evolve_full_oracle(g, ModelSpec("xy"), full, 0.0), full, atol=1e-12)
+    assert np.allclose(_evolve_full(g, ModelSpec("xy"), full, 0.0), full, atol=1e-12)
 
 
 def test_p2_perfect_transfer_at_half_pi():
@@ -79,30 +84,30 @@ def test_group_property():
 def test_block_matches_full_oracle_gamma1_p4(model):
     g = path_graph(4)
     spec = ModelSpec(model)
-    basis = SpinBasisMap(4, 1)
+    states = basis_states(4, 1)
     state = WaveState(1, _basis_state(4, 2))
     full = np.zeros(16, dtype=complex)
-    full[np.array(basis.states)] = state.amplitudes
+    full[states] = state.amplitudes
     evolved_block = _evolve(g, spec, state, 1.0)
-    evolved_full = evolve_full_oracle(g, spec, full, 1.0)
-    assert np.linalg.norm(evolved_full[np.array(basis.states)] - evolved_block.amplitudes) <= 1e-9
+    evolved_full = _evolve_full(g, spec, full, 1.0)
+    assert np.linalg.norm(evolved_full[states] - evolved_block.amplitudes) <= 1e-9
 
 
 def test_state_spanning_two_sectors_evolves_per_sector():
     g = path_graph(4)
     spec = ModelSpec("heisenberg")
-    b1, b2 = SpinBasisMap(4, 1), SpinBasisMap(4, 2)
+    b1, b2 = basis_states(4, 1), basis_states(4, 2)
     x1 = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
     x2 = np.zeros(6, dtype=complex)
     x2[1] = 1.0
     full = np.zeros(16, dtype=complex)
-    full[np.array(b1.states)] = x1 / math.sqrt(2)
-    full[np.array(b2.states)] = x2 / math.sqrt(2)
-    out = evolve_full_oracle(g, spec, full, 2.5)
+    full[b1] = x1 / math.sqrt(2)
+    full[b2] = x2 / math.sqrt(2)
+    out = _evolve_full(g, spec, full, 2.5)
     block1 = _evolve(g, spec, WaveState(1, x1), 2.5)
     block2 = _evolve(g, spec, WaveState(2, x2), 2.5)
-    assert np.linalg.norm(out[np.array(b1.states)] - block1.amplitudes / math.sqrt(2)) <= 1e-9
-    assert np.linalg.norm(out[np.array(b2.states)] - block2.amplitudes / math.sqrt(2)) <= 1e-9
+    assert np.linalg.norm(out[b1] - block1.amplitudes / math.sqrt(2)) <= 1e-9
+    assert np.linalg.norm(out[b2] - block2.amplitudes / math.sqrt(2)) <= 1e-9
 
 
 def test_unitarity_and_energy_conservation():
@@ -151,7 +156,7 @@ def test_evolve_rejects_nonfinite_time():
 
 def test_full_oracle_capacity_guard():
     with pytest.raises(CapacityError):
-        evolve_full_oracle(Graph(FULL_SPIN_LIMIT + 1, ()), ModelSpec("xy"), np.zeros(2 ** (FULL_SPIN_LIMIT + 1)), 1.0)
+        _evolve_full(Graph(FULL_SPIN_LIMIT + 1, ()), ModelSpec("xy"), np.zeros(2 ** (FULL_SPIN_LIMIT + 1)), 1.0)
 
 
 def test_full_oracle_evolves_a_block_at_every_time():
@@ -159,13 +164,11 @@ def test_full_oracle_evolves_a_block_at_every_time():
     rng = np.random.default_rng(3)
     states = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
     times = np.array([0.0, 0.9, 2.2])
-    out = evolve_full_oracle(g, spec, states, times)
+    out = _evolve_full(g, spec, states, times)
     assert out.shape == (3, 16, 3)
     for i, t in enumerate(times):
         for c in range(3):
-            assert np.allclose(out[i, :, c], evolve_full_oracle(g, spec, states[:, c], t), atol=1e-12)
-    with pytest.raises(ValueError):
-        evolve_full_oracle(g, spec, np.zeros(15), 1.0)
+            assert np.allclose(out[i, :, c], _evolve_full(g, spec, states[:, c], t), atol=1e-12)
 
 
 def test_transfer_vertex_range_check():

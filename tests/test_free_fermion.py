@@ -273,9 +273,10 @@ def test_verify_check_fails_on_a_false_switching(monkeypatch):
         return real(w, target)
 
     wedges = {k: build_wedge_graph(g, k) for k in range(7)}
-    assert check_free_fermion_route("cycle:6", g, wedges, verify_mod.DYNAMICS_TIMES, 1e-9).passed
+    sectors = verify_mod.sector_decompositions(g, wedges)
+    assert check_free_fermion_route("cycle:6", g, wedges, sectors, verify_mod.DYNAMICS_TIMES, 1e-9).passed
     monkeypatch.setattr(wedge_mod, "switching_signs", all_ones)
-    result = check_free_fermion_route("cycle:6", g, wedges, verify_mod.DYNAMICS_TIMES, 1e-9)
+    result = check_free_fermion_route("cycle:6", g, wedges, sectors, verify_mod.DYNAMICS_TIMES, 1e-9)
     assert not result.passed and result.k == 2
 
 
@@ -327,6 +328,6 @@ def test_handshake_counts_cut_sizes_independently():
 def test_full_corpus_has_one_route_check_per_graph():
     report = run_verification()
     assert report.passed
-    assert len(report.results) == 531
+    assert len(report.results) == 487
     route_checks = [r.subject for r in report.results if r.check == "free_fermion_route"]
     assert route_checks == [name for name, _ in default_corpus()]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,3 +138,18 @@ def test_json_schema_errors():
         graph_from_json('{"n": "3", "edges": []}')
     with pytest.raises(ValueError):
         graph_from_json('{"n": 3, "edges": [[0, 1, 2]]}')
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ('{"n": 2, "edges": [[false, true]]}', "[False, True]"),
+        ('{"n": 2, "edges": [[0, true]]}', "[0, True]"),
+        ('{"n": true, "edges": []}', "True"),
+        ('{"n": false, "edges": []}', "False"),
+    ],
+)
+def test_json_rejects_boolean_labels(text, named):
+    # JSON booleans are not vertex labels, though Python counts bool as int.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        graph_from_json(text)

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import spinwedge.verify as verify_mod
-from spinwedge import WedgeGraph, build_wedge_graph, complete_graph, cycle_graph, erdos_renyi_graph, path_graph
+from spinwedge import (
+    WedgeGraph,
+    build_wedge_graph,
+    complete_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    path_graph,
+    wedge_degrees,
+)
 from spinwedge.verify import (
     CheckResult,
     check_complement_isomorphism,
@@ -69,7 +77,7 @@ def dropping_builder(target_graph, target_k):
 
 
 # sha256 of the "check subject" lines of the default run, one per check.
-CHECK_LIST_DIGEST = "c744d3ad72160d5ce9edcee9d7dae697240a6d371fbecf23860d6e31af58cdc1"
+CHECK_LIST_DIGEST = "2cf5d83f15eeb4d69ec893f707d1a704070ed7a325f711e01d0fe7a047c8a6ff"
 
 
 def test_default_corpus_composition():
@@ -175,7 +183,7 @@ def test_check_list_is_pinned():
     report = run_verification()
     assert report.passed, report.first_failure
     lines = "\n".join(f"{r.check} {r.subject}" for r in report.results)
-    assert len(report.results) == 531
+    assert len(report.results) == 487
     assert hashlib.sha256(lines.encode()).hexdigest() == CHECK_LIST_DIGEST
 
 
@@ -230,24 +238,54 @@ def test_each_wedge_power_built_once_per_graph(monkeypatch):
     assert max(builds.values()) == 1
 
 
+def test_each_operator_built_once_per_graph(monkeypatch):
+    sectors, fulls = Counter(), Counter()
+    real_block, real_full = verify_mod.block_hamiltonian, verify_mod.full_hamiltonian
+
+    def counting_block(g, k, spec, wedge=None):
+        sectors[(spec, k)] += 1
+        return real_block(g, k, spec, wedge)
+
+    def counting_full(g, spec):
+        fulls[spec] += 1
+        return real_full(g, spec)
+
+    monkeypatch.setattr(verify_mod, "block_hamiltonian", counting_block)
+    monkeypatch.setattr(verify_mod, "full_hamiltonian", counting_full)
+    g = cycle_graph(5)
+    assert run_verification(corpus=[("cycle:5", g)], random_states=2).passed
+    models = [verify_mod.ModelSpec("xy"), verify_mod.ModelSpec("heisenberg")]
+    assert {key: c for key, c in sectors.items() if key[0].field_b == 0.0} == {
+        (m, k): 1 for m in models for k in range(g.n + 1)
+    }
+    # field_shift builds each field's sector itself, once per field value.
+    assert sum(sectors.values()) == 2 * (g.n + 1) * (1 + len(verify_mod.FIELD_VALUES))
+    assert fulls == {m: 1 for m in models}
+
+
 def test_heisenberg_checks_read_the_shared_decompositions(monkeypatch):
     g = cycle_graph(5)
     wedges = {k: build_wedge_graph(g, k) for k in range(g.n + 1)}
-    decs = verify_mod.sector_decompositions(g, wedges)
-    calls = Counter()
-    real = np.linalg.eigvalsh
-
-    def counting(m):
-        calls[len(m)] += 1
-        return real(m)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    assert verify_mod.check_heis_psd_kernel("cycle:5", g, wedges, 1e-9, decs).passed
-    assert not calls
+    sectors = verify_mod.sector_decompositions(g, wedges)
     heisenberg = verify_mod.ModelSpec("heisenberg")
-    assert all(r.passed for r in verify_mod.check_sector_spectra("cycle:5", g, heisenberg, wedges, 1e-9, decs))
-    # Only the full-space oracle side: the 2^n matrix and its n+1 projected blocks.
-    assert sum(calls.values()) == g.n + 2 and calls[1 << g.n] == 1
+    h = verify_mod.full_hamiltonian(g, heisenberg)
+    full = verify_mod.Operator(h, verify_mod.eigh(h))
+    calls = Counter()
+
+    def counting(real):
+        def solve(m, *args, **kwargs):
+            calls[len(m)] += 1
+            return real(m, *args, **kwargs)
+
+        return solve
+
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, counting(getattr(np.linalg, solver)))
+    assert verify_mod.check_heis_psd_kernel("cycle:5", g, wedges, sectors, 1e-9).passed
+    assert not calls
+    assert all(r.passed for r in verify_mod.check_sector_spectra("cycle:5", g, heisenberg, sectors, full, 1e-9))
+    # Only the n+1 projected blocks of the oracle side; never the 2^n matrix.
+    assert sum(calls.values()) == g.n + 1 and calls[1 << g.n] == 0
 
 
 def test_a_faulty_laplacian_fails_the_heisenberg_checks(monkeypatch):
@@ -257,7 +295,7 @@ def test_a_faulty_laplacian_fails_the_heisenberg_checks(monkeypatch):
     import spinwedge.spins as spins_mod
 
     def signless(w):
-        return spins_mod.wedge_adjacency(w) + np.diag(spins_mod.wedge_degrees(w))
+        return spins_mod.wedge_adjacency(w) + np.diag(wedge_degrees(w))
 
     monkeypatch.setattr(spins_mod, "wedge_laplacian", signless)
     report = run_verification(corpus=[("cycle:5", cycle_graph(5))], random_states=2)

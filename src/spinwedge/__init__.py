@@ -47,17 +47,14 @@ from .wedge import (
 )
 from .spectra import (
     EigenDecomposition,
-    LiftedEigenpair,
-    Spectrum,
-    SpectrumComparison,
-    compare_spectra,
     complete_graph_spectra,
     eigh,
     johnson_spectrum,
     lift_eigenvector,
-    lift_spectrum,
     path_eigenvector,
     path_spectrum,
+    spectrum_dict,
+    spectrum_gap,
     subset_minors,
     subset_sums,
     xy_path_spectrum,

@@ -66,10 +66,19 @@ def propagate(dec: EigenDecomposition, states: np.ndarray, times) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError(f"times must be finite, got {times}")
     x = np.asarray(states, dtype=complex)
-    coeffs = dec.vectors.T @ x.reshape(x.shape[0], -1)
-    phases = np.exp(-1j * np.multiply.outer(t.reshape(-1), dec.values))
-    out = dec.vectors @ (phases[:, :, None] * coeffs)
-    return out.reshape(t.shape + x.shape)
+    dim = x.shape[0]
+    coeffs = _real_matmul(dec.vectors.T, x.reshape(dim, -1))
+    # One product serves every time: column (t, s) of the right operand is
+    # exp(-i t values) * coeffs[:, s].
+    phases = np.exp(-1j * np.multiply.outer(dec.values, t.reshape(-1)))
+    out = _real_matmul(dec.vectors, (phases[:, :, None] * coeffs[:, None, :]).reshape(dim, -1))
+    return np.moveaxis(out.reshape(dim, t.size, -1), 1, 0).reshape(t.shape + x.shape)
+
+
+def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for a real matrix m and a complex z, without a complex copy of m:
+    m acts on the interleaved real and imaginary parts of z's rows."""
+    return (m @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
 def lift_propagate(

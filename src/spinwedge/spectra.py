@@ -1,9 +1,12 @@
 """Symmetric eigensolving, closed-form spectra, the wedge spectral lift.
 
+A spectrum is a float64 array sorted in ascending order.
+
 Numerical tolerances (the single place they are defined):
 
-* ``DEFAULT_TOL`` (1e-9): absolute tolerance for spectrum multiset
-  comparison; matrix entries throughout the package are O(1) integers.
+* ``DEFAULT_TOL`` (1e-9): absolute bound on the :func:`spectrum_gap` of two
+  spectra that should agree, and the grouping width of :func:`spectrum_dict`;
+  matrix entries throughout the package are O(1) integers.
 * ``EIG_RESIDUAL_FACTOR`` (1e-9): eigenpair residual bound, relative to
   max(1, spectral norm).
 * ``ORTHONORMALITY_TOL`` (1e-10): deviation of eigenvector Gram matrix
@@ -30,9 +33,6 @@ __all__ = [
     "LIFT_NORM_TOL",
     "UNITARITY_TOL",
     "EigenDecomposition",
-    "Spectrum",
-    "LiftedEigenpair",
-    "SpectrumComparison",
     "eigh",
     "path_spectrum",
     "path_eigenvector",
@@ -41,9 +41,9 @@ __all__ = [
     "complete_graph_spectra",
     "subset_sums",
     "subset_minors",
-    "lift_spectrum",
     "lift_eigenvector",
-    "compare_spectra",
+    "spectrum_gap",
+    "spectrum_dict",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -55,7 +55,11 @@ UNITARITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
+    """Eigenvalues and orthonormal eigenvector columns, in matching order.
+
+    :func:`eigh` gives the values in ascending order; :func:`lift_eigenvector`
+    gives them in the order of its index sets.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -88,86 +92,38 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Sorted real multiset with a comparison tolerance."""
-
-    values: tuple[float, ...]
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-            vals = tuple(sorted(vals))
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def min(self) -> float:
-        return self.values[0]
-
-    def collapsed(self) -> list[tuple[float, int]]:
-        """Group values within tol into (representative, multiplicity) pairs."""
-        groups: list[tuple[float, int]] = []
-        for v in self.values:
-            if groups and abs(v - groups[-1][0]) <= self.tol:
-                groups[-1] = (groups[-1][0], groups[-1][1] + 1)
-            else:
-                groups.append((v, 1))
-        return groups
-
-    def to_dict(self) -> dict:
-        """The JSON form: values, (value, multiplicity) pairs and tol."""
-        return {
-            "values": list(self.values),
-            "multiplicity_collapsed": [[v, c] for v, c in self.collapsed()],
-            "tol": self.tol,
-        }
+def spectrum_gap(a, b) -> float:
+    """Largest |a_i - b_i| with both spectra sorted ascending; inf when their
+    sizes differ."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.shape != b.shape:
+        return math.inf
+    return float(np.max(np.abs(a - b), initial=0.0))
 
 
-@dataclass(frozen=True)
-class SpectrumComparison:
-    """Greedy sorted pairing report between two spectra."""
-
-    equal: bool
-    max_gap: float
-    unmatched_a: tuple[float, ...]
-    unmatched_b: tuple[float, ...]
-    tol: float
-
-
-def compare_spectra(a: Spectrum, b: Spectrum) -> SpectrumComparison:
-    """Pair values of the two sorted multisets greedily within tolerance."""
-    tol = max(a.tol, b.tol)
-    i = j = 0
-    max_gap = 0.0
-    unmatched_a: list[float] = []
-    unmatched_b: list[float] = []
-    va, vb = a.values, b.values
-    while i < len(va) and j < len(vb):
-        gap = va[i] - vb[j]
-        if abs(gap) <= tol:
-            max_gap = max(max_gap, abs(gap))
-            i += 1
-            j += 1
-        elif gap < 0:
-            unmatched_a.append(va[i])
-            i += 1
+def spectrum_dict(values, tol: float) -> dict:
+    """The JSON form of a spectrum: its sorted values, (value, multiplicity)
+    groups and tol.  A value joins the current group when it lies within tol
+    of the group's first value."""
+    # A stable sort does not depend on which sort kernel numpy dispatches, so
+    # -0.0 and 0.0 keep their order and the text is the same on every machine.
+    values = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
+    groups: list[list] = []
+    for v in values:
+        if groups and abs(v - groups[-1][0]) <= tol:
+            groups[-1][1] += 1
         else:
-            unmatched_b.append(vb[j])
-            j += 1
-    unmatched_a.extend(va[i:])
-    unmatched_b.extend(vb[j:])
-    equal = not unmatched_a and not unmatched_b and len(va) == len(vb)
-    return SpectrumComparison(equal, max_gap, tuple(unmatched_a), tuple(unmatched_b), tol)
+            groups.append([v, 1])
+    return {"values": values, "multiplicity_collapsed": groups, "tol": tol}
 
 
-def path_spectrum(n: int) -> Spectrum:
-    """Adjacency eigenvalues of the n-vertex path: -2 cos(pi (j+1) / (n+1))."""
+def path_spectrum(n: int) -> np.ndarray:
+    """Adjacency eigenvalues of the n-vertex path: -2 cos(pi (j+1) / (n+1)),
+    ascending in j."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Spectrum(tuple(-2.0 * math.cos(math.pi * (j + 1) / (n + 1)) for j in range(n)))
+    return np.array([-2.0 * math.cos(math.pi * (j + 1) / (n + 1)) for j in range(n)])
 
 
 def path_eigenvector(n: int, j: int) -> np.ndarray:
@@ -185,17 +141,18 @@ def path_eigenvector(n: int, j: int) -> np.ndarray:
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (n - j) * (l + 1) / (n + 1))
 
 
-def xy_path_spectrum(n: int, k: int) -> Spectrum:
+def xy_path_spectrum(n: int, k: int) -> np.ndarray:
     """k-excitation XY spectrum on the path: sums of k distinct path eigenvalues.
 
-    One value per strictly increasing index set; C(n,k) values total.  k=0 is
-    the empty sum {0}.
+    One value per strictly increasing index set, each an exact ``fsum``;
+    C(n,k) values total, sorted.  k=0 is the empty sum {0}.  It is the oracle
+    for :func:`subset_sums`, so it does not call it.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")
     single = [-2.0 * math.cos(math.pi * (j + 1) / (n + 1)) for j in range(n)]
     sums = [math.fsum(single[j] for j in combo) for combo in itertools.combinations(range(n), k)]
-    return Spectrum(tuple(sums))
+    return np.sort(np.array(sums))
 
 
 def _johnson_distinct(n: int, k: int) -> list[tuple[float, int]]:
@@ -212,7 +169,7 @@ def _johnson_distinct(n: int, k: int) -> list[tuple[float, int]]:
     return out
 
 
-def johnson_spectrum(n: int, k: int) -> Spectrum:
+def johnson_spectrum(n: int, k: int) -> np.ndarray:
     """Adjacency spectrum of the Johnson graph J(n,k), the wedge power of K_n."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")
@@ -220,10 +177,10 @@ def johnson_spectrum(n: int, k: int) -> Spectrum:
     for v, mult in _johnson_distinct(n, k):
         values.extend([v] * mult)
     assert len(values) == math.comb(n, k)
-    return Spectrum(tuple(values))
+    return np.sort(np.array(values))
 
 
-def complete_graph_spectra(n: int, model: str) -> Spectrum:
+def complete_graph_spectra(n: int, model: str) -> np.ndarray:
     """Full 2^n spin spectrum on the complete graph, assembled per sector.
 
     XY sectors contribute Johnson adjacency values; Heisenberg sectors the
@@ -240,20 +197,7 @@ def complete_graph_spectra(n: int, model: str) -> Spectrum:
         for v, mult in _johnson_distinct(n, k):
             values.extend([v if is_xy else k * (n - k) - v] * mult)
     assert len(values) == 2**n
-    return Spectrum(tuple(values))
-
-
-@dataclass(frozen=True)
-class LiftedEigenpair:
-    """Eigenpair of the signed wedge matrix built from single-particle data.
-
-    ``value`` is the exact sum of the selected base eigenvalues; ``vector``
-    lives on the ordered-subset basis and is normalized.
-    """
-
-    indices: tuple[int, ...]
-    value: float
-    vector: np.ndarray
+    return np.sort(np.array(values))
 
 
 def subset_sums(values, k: int) -> np.ndarray:
@@ -322,19 +266,12 @@ def _laplace_level(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, drops
 
 
-def lift_spectrum(base: EigenDecomposition, k: int) -> Spectrum:
-    """All sums of k distinct base eigenvalues over increasing index sets.
+def lift_eigenvector(base: EigenDecomposition, index_sets) -> EigenDecomposition:
+    """Determinant-form lifted eigenpairs of the signed wedge matrix, one
+    column per increasing index set, in the order of the sets.
 
-    This is the spectrum of the signed wedge matrix (not, in general, of the
-    unsigned wedge adjacency).
-    """
-    return Spectrum(tuple(subset_sums(base.values, k)))
-
-
-def lift_eigenvector(base: EigenDecomposition, index_sets) -> list[LiftedEigenpair]:
-    """Determinant-form lifted eigenvectors, one per increasing index set.
-
-    All sets have one size k.  The amplitude on the ordered subset
+    All sets have one size k.  Each value is the exact ``fsum`` of the set's
+    base eigenvalues.  The amplitude on the ordered subset
     (l_0 < ... < l_{k-1}) is the k x k determinant of base eigenvector
     components picked by rows l and the set's columns; one
     :func:`subset_minors` call takes them for every set.  Above k = d/2 they
@@ -375,8 +312,5 @@ def lift_eigenvector(base: EigenDecomposition, index_sets) -> list[LiftedEigenpa
         # Base columns are orthonormal, so each minor vector is unit length up
         # to roundoff; a visible defect means the inputs were not orthonormal.
         raise ValueError("base decomposition is not orthonormal enough to lift")
-    amplitudes = amplitudes / norms[:, None]
-    return [
-        LiftedEigenpair(tuple(idx), math.fsum(float(base.values[i]) for i in idx), vector)
-        for idx, vector in zip(sets.tolist(), amplitudes)
-    ]
+    values = np.array([math.fsum(base.values[idx]) for idx in sets])
+    return EigenDecomposition(values, (amplitudes / norms[:, None]).T)

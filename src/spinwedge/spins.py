@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CapacityError, Graph
-from .spectra import Spectrum
 from .wedge import WedgeGraph, build_wedge_graph, subset_table, wedge_adjacency, wedge_laplacian
 
 __all__ = [
@@ -117,9 +116,9 @@ def block_hamiltonian(g: Graph, k: int, spec: ModelSpec, wedge: WedgeGraph | Non
     return h
 
 
-def project_full_to_blocks(h: np.ndarray) -> list[Spectrum]:
+def project_full_to_blocks(h: np.ndarray) -> list[np.ndarray]:
     """Cut a full 2^n hamiltonian (see :func:`full_hamiltonian`) into its
-    excitation blocks and diagonalize each.
+    excitation blocks and return each block's sorted eigenvalues, by k.
 
     Raises RuntimeError if any entry couples different excitation numbers;
     a nonzero there would mean the interaction fails to conserve total z-spin.
@@ -127,7 +126,7 @@ def project_full_to_blocks(h: np.ndarray) -> list[Spectrum]:
     n = len(h).bit_length() - 1
     if h.shape != (1 << n, 1 << n):
         raise ValueError(f"expected a 2^n x 2^n hamiltonian, got shape {h.shape}")
-    spectra: list[Spectrum] = []
+    spectra = []
     for k in range(n + 1):
         states = basis_states(n, k)
         rows = h[states]
@@ -138,5 +137,5 @@ def project_full_to_blocks(h: np.ndarray) -> list[Spectrum]:
                 f"nonzero coupling between excitation sector {k} and the rest; "
                 "total z-spin conservation is broken"
             )
-        spectra.append(Spectrum(tuple(np.linalg.eigvalsh(rows[:, states]))))
+        spectra.append(np.linalg.eigvalsh(rows[:, states]))
     return spectra

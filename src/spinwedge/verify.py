@@ -31,14 +31,12 @@ from .spectra import (
     DEFAULT_TOL,
     EigenDecomposition,
     UNITARITY_TOL,
-    Spectrum,
-    compare_spectra,
     eigh,
     johnson_spectrum,
     lift_eigenvector,
-    lift_spectrum,
     path_eigenvector,
     path_spectrum,
+    spectrum_gap,
     subset_sums,
     xy_path_spectrum,
 )
@@ -219,21 +217,17 @@ def check_sector_spectra(name: str, g: Graph, model: ModelSpec, sectors: dict, f
     worst = 0.0
     bad_k = None
     mismatched = []
-    all_block_vals: list[float] = []
     for k in range(g.n + 1):
         sector = sectors[(model.model, k)]
         states = basis_states(g.n, k)
         same = np.array_equal(sector.matrix, full.matrix[np.ix_(states, states)])
         if not same:
             mismatched.append(k)
-        vals = sector.dec.values
-        all_block_vals.extend(vals)
-        cmp = compare_spectra(Spectrum(tuple(vals), tol), full_blocks[k])
-        err = cmp.max_gap if cmp.equal and same else math.inf
+        err = spectrum_gap(sector.dec.values, full_blocks[k]) if same else math.inf
         if err > worst:
             worst, bad_k = err, k
-    cmp = compare_spectra(Spectrum(tuple(all_block_vals), tol), Spectrum(tuple(full.dec.values), tol))
-    union_err = cmp.max_gap if cmp.equal else math.inf
+    union = np.concatenate([sectors[(model.model, k)].dec.values for k in range(g.n + 1)])
+    union_err = spectrum_gap(union, full.dec.values)
     note = f"entries differ from the full hamiltonian at k={mismatched}" if mismatched else ""
     return [
         _result(f"sector_vs_full_{model.model}", name, worst, tol, k=bad_k, note=note),
@@ -265,14 +259,11 @@ def check_lift(name: str, g: Graph, wedges: dict, tol: float) -> list[CheckResul
         c = signed_matrix(w)
         if np.any(c < 0):
             c_equals_a = False
-        cmp = compare_spectra(lift_spectrum(base, k), Spectrum(tuple(np.linalg.eigvalsh(c)), tol))
-        gap = cmp.max_gap if cmp.equal else math.inf
+        gap = spectrum_gap(subset_sums(base.values, k), np.linalg.eigvalsh(c))
         if gap > worst_gap:
             worst_gap, gap_k = gap, k
-        pairs = lift_eigenvector(base, subset_table(g.n, k))
-        vectors = np.array([pair.vector for pair in pairs]).T
-        values = np.array([pair.value for pair in pairs])
-        res = float(np.max(np.linalg.norm(c @ vectors - vectors * values, axis=0)))
+        lifted = lift_eigenvector(base, subset_table(g.n, k))
+        res = float(np.max(np.linalg.norm(c @ lifted.vectors - lifted.vectors * lifted.values, axis=0)))
         if res > worst_res:
             worst_res, res_k = res, k
     return [
@@ -328,14 +319,13 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, t
         shift = spec.field_b * (g.n - 2 * k)
         dec0 = sectors[("xy", k)].dec
         dec = EigenDecomposition(dec0.values + shift, dec0.vectors)
-        sums = subset_sums(base.values, route.j) + shift
-        cmp = compare_spectra(Spectrum(tuple(sums), tol), Spectrum(tuple(dec.values), tol))
+        gap = spectrum_gap(subset_sums(base.values, route.j) + shift, dec.values)
         r0 = dec.dim // 2
         dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
         lifted_amps = lift_propagate(g, spec, route, r0, times, base)
         formula = _determinant_formula(g, spec, route, r0, times, base)
         amp_err = float(max(np.max(np.abs(lifted_amps - dense)), np.max(np.abs(lifted_amps - formula))))
-        err = max(cmp.max_gap, amp_err) if exact and cmp.equal else math.inf
+        err = max(gap, amp_err) if exact else math.inf
         if err > worst:
             worst, bad_k = err, k
     note = f"lift k={lifted}" + (f"; must lift but dense: k={unrouted}" if unrouted else "")
@@ -476,8 +466,7 @@ def check_path_closed_form(n: int, tol: float, builder=None) -> list[CheckResult
     name = f"path:{n}"
     g = path_graph(n)
     a = adjacency(g)
-    cmp = compare_spectra(path_spectrum(n), Spectrum(tuple(np.linalg.eigvalsh(a)), tol))
-    spec_err = cmp.max_gap if cmp.equal else math.inf
+    spec_err = spectrum_gap(path_spectrum(n), np.linalg.eigvalsh(a))
     vec_err = 0.0
     for j in range(n):
         v = path_eigenvector(n, j)
@@ -486,8 +475,7 @@ def check_path_closed_form(n: int, tol: float, builder=None) -> list[CheckResult
     sum_err, bad_k = 0.0, None
     for k in range(n + 1):
         vals = np.linalg.eigvalsh(wedge_adjacency(builder(g, k)))
-        cmp = compare_spectra(xy_path_spectrum(n, k), Spectrum(tuple(vals), tol))
-        err = cmp.max_gap if cmp.equal else math.inf
+        err = spectrum_gap(xy_path_spectrum(n, k), vals)
         if err > sum_err:
             sum_err, bad_k = err, k
     return [
@@ -508,8 +496,7 @@ def check_johnson_family(n: int, tol: float, builder=None) -> list[CheckResult]:
     worst, bad_k = 0.0, None
     for k in range(n + 1):
         vals = np.linalg.eigvalsh(wedge_adjacency(builder(g, k)))
-        cmp = compare_spectra(johnson_spectrum(n, k), Spectrum(tuple(vals), tol))
-        err = cmp.max_gap if cmp.equal else math.inf
+        err = spectrum_gap(johnson_spectrum(n, k), vals)
         if err > worst:
             worst, bad_k = err, k
     results = [_result("johnson_formula", name, worst, tol, k=bad_k)]

@@ -94,6 +94,15 @@ def test_closed_form_path_6_3(capsys):
     assert data["cross_check"]["max_gap"] <= 1e-9
 
 
+def test_closed_form_check_reports_the_size_of_a_mismatch(capsys, monkeypatch):
+    johnson_spectrum = cli.johnson_spectrum
+    monkeypatch.setattr(cli, "johnson_spectrum", lambda n, k: johnson_spectrum(n, k) + 0.5)
+    code, out, _ = run(capsys, "closed-form", "complete", "--n", "4", "-k", "2", "--check")
+    assert code == 0
+    check = json.loads(out)["cross_check"]
+    assert check["equal"] is False and check["max_gap"] == pytest.approx(0.5, abs=1e-9)
+
+
 def test_closed_form_complete_heis_distinct(capsys):
     code, out, _ = run(capsys, "closed-form", "complete", "--n", "4", "--model", "heis")
     assert code == 0
@@ -110,6 +119,14 @@ def test_closed_form_cycle_exits_2(capsys):
 def test_closed_form_path_heis_exits_2(capsys):
     code, _, _ = run(capsys, "closed-form", "path", "--n", "5", "--model", "heis")
     assert code == 2
+
+
+def test_k_all_is_not_materialized():
+    # -k all is checked sector by sector against the capacity guard, so the
+    # k list must not grow with n before that guard runs.
+    assert sys.getsizeof(cli._parse_k("all", 10**6, True)) < 1000
+    assert list(cli._parse_k("all", 3, True)) == [0, 1, 2, 3]
+    assert list(cli._parse_k("2", 3, False)) == [2]
 
 
 def test_closed_form_guards_every_sector_before_any_work(capsys, monkeypatch):

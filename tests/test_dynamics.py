@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spinwedge import (
     complete_graph,
     cycle_graph,
     eigh,
+    erdos_renyi_graph,
     evolve_block_series,
     full_hamiltonian,
     path_graph,
@@ -188,6 +190,23 @@ def test_propagate_batch_matches_single_calls():
             single = propagate(dec, states[:, j], t)
             assert single.shape == (20,)
             assert np.linalg.norm(batch[i, :, j] - single) <= 1e-12
+
+
+def test_propagate_makes_no_complex_copy_of_the_eigenvectors():
+    dec = eigh(block_hamiltonian(erdos_renyi_graph(12, 0.3, 0), 6, ModelSpec("heisenberg")))
+    rng = np.random.default_rng(2)
+    times = np.linspace(0.0, 3.0, 8)
+    for states in (rng.normal(size=924) + 1j * rng.normal(size=924), rng.normal(size=(924, 5)) + 0j):
+        tracemalloc.start()
+        try:
+            out = propagate(dec, states, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dec.vectors.nbytes, (peak, dec.vectors.nbytes)
+        v = dec.vectors.astype(complex)
+        want = np.array([v @ (np.exp(-1j * t * dec.values) * (v.T @ states).T).T for t in times])
+        assert out.shape == want.shape and np.max(np.abs(out - want)) <= 1e-12
 
 
 def test_propagate_rejects_bad_times():

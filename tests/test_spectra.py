@@ -8,10 +8,8 @@ import pytest
 from spinwedge import (
     EigenDecomposition,
     ModelSpec,
-    Spectrum,
     adjacency,
     build_wedge_graph,
-    compare_spectra,
     complete_graph,
     complete_graph_spectra,
     eigh,
@@ -19,12 +17,14 @@ from spinwedge import (
     full_hamiltonian,
     johnson_spectrum,
     lift_eigenvector,
-    lift_spectrum,
     path_eigenvector,
     path_graph,
     path_spectrum,
     signed_matrix,
+    spectrum_dict,
+    spectrum_gap,
     subset_minors,
+    subset_sums,
     subset_table,
     wedge_adjacency,
     xy_path_spectrum,
@@ -65,14 +65,14 @@ def test_eigh_input_validation():
 
 
 def test_path_spectrum_n3():
-    assert np.allclose(path_spectrum(3).values, [-SQRT2, 0.0, SQRT2], atol=1e-12)
+    assert np.allclose(path_spectrum(3), [-SQRT2, 0.0, SQRT2], atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_path_spectrum_matches_dense_and_traceless(n):
     dense = np.linalg.eigvalsh(adjacency(path_graph(n)))
-    assert np.allclose(path_spectrum(n).values, dense, atol=1e-9)
-    assert abs(math.fsum(path_spectrum(n).values)) <= 1e-12
+    assert np.allclose(path_spectrum(n), dense, atol=1e-9)
+    assert abs(math.fsum(path_spectrum(n))) <= 1e-12
 
 
 def test_path_eigenvector_n2_j0():
@@ -102,11 +102,11 @@ def test_path_eigenvector_index_error():
 
 def test_xy_path_3_2():
     # Pair sums of {-sqrt2, 0, sqrt2}.
-    assert np.allclose(xy_path_spectrum(3, 2).values, [-SQRT2, 0.0, SQRT2], atol=1e-12)
+    assert np.allclose(xy_path_spectrum(3, 2), [-SQRT2, 0.0, SQRT2], atol=1e-12)
 
 
 def test_xy_path_k0_empty_sum():
-    assert xy_path_spectrum(7, 0).values == (0.0,)
+    assert xy_path_spectrum(7, 0).tolist() == [0.0]
 
 
 def test_xy_path_6_3_matches_dense():
@@ -114,19 +114,20 @@ def test_xy_path_6_3_matches_dense():
     dense = np.linalg.eigvalsh(wedge_adjacency(w))
     spec = xy_path_spectrum(6, 3)
     assert len(spec) == 20
-    assert np.allclose(spec.values, dense, atol=1e-9)
+    assert np.allclose(spec, dense, atol=1e-9)
 
 
 def test_johnson_4_2_octahedron():
-    assert johnson_spectrum(4, 2).collapsed() == [(-2.0, 2), (0.0, 3), (4.0, 1)]
+    groups = spectrum_dict(johnson_spectrum(4, 2), 1e-9)["multiplicity_collapsed"]
+    assert groups == [[-2.0, 2], [0.0, 3], [4.0, 1]]
 
 
 def test_johnson_3_1_is_k3():
-    assert johnson_spectrum(3, 1).values == (-1.0, -1.0, 2.0)
+    assert johnson_spectrum(3, 1).tolist() == [-1.0, -1.0, 2.0]
 
 
 def test_johnson_k0():
-    assert johnson_spectrum(5, 0).values == (0.0,)
+    assert johnson_spectrum(5, 0).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -134,16 +135,16 @@ def test_johnson_matches_dense_all_k(n):
     g = complete_graph(n)
     for k in range(n + 1):
         dense = np.linalg.eigvalsh(wedge_adjacency(build_wedge_graph(g, k)))
-        assert compare_spectra(johnson_spectrum(n, k), Spectrum(tuple(dense))).equal, (n, k)
+        assert spectrum_gap(johnson_spectrum(n, k), dense) <= 1e-9, (n, k)
 
 
 def test_complete_2_xy():
-    assert np.allclose(complete_graph_spectra(2, "xy").values, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(complete_graph_spectra(2, "xy"), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_complete_3_heis_value_set():
     spec = complete_graph_spectra(3, "heisenberg")
-    assert {v for v, _ in spec.collapsed()} <= {0.0, 3.0, 4.0}
+    assert {v for v, _ in spectrum_dict(spec, 1e-9)["multiplicity_collapsed"]} <= {0.0, 3.0, 4.0}
     assert len(spec) == 8
 
 
@@ -157,45 +158,43 @@ def test_complete_spectra_match_full_oracle(n, model):
     closed = complete_graph_spectra(n, model)
     assert len(closed) == 2**n
     dense = np.linalg.eigvalsh(full_hamiltonian(complete_graph(n), ModelSpec(model)))
-    assert compare_spectra(closed, Spectrum(tuple(dense))).equal, (n, model)
+    assert spectrum_gap(closed, dense) <= 1e-9, (n, model)
 
 
 def test_lift_p3_k2():
     base = eigh(adjacency(path_graph(3)))
-    assert np.allclose(lift_spectrum(base, 2).values, [-SQRT2, 0.0, SQRT2], atol=1e-9)
+    assert np.allclose(subset_sums(base.values, 2), [-SQRT2, 0.0, SQRT2], atol=1e-9)
 
 
 def test_lift_k4_k2_differs_from_unsigned():
     w = build_wedge_graph(complete_graph(4), 2)
     base = eigh(adjacency(complete_graph(4)))
-    lifted = lift_spectrum(base, 2)
-    signed_vals = Spectrum(tuple(np.linalg.eigvalsh(signed_matrix(w))))
-    unsigned_vals = Spectrum(tuple(np.linalg.eigvalsh(wedge_adjacency(w))))
-    assert compare_spectra(lifted, signed_vals).equal
-    assert not compare_spectra(lifted, unsigned_vals).equal
-    assert np.allclose(lifted.values, [-2.0, -2.0, -2.0, 2.0, 2.0, 2.0], atol=1e-9)
+    lifted = subset_sums(base.values, 2)
+    assert spectrum_gap(lifted, np.linalg.eigvalsh(signed_matrix(w))) <= 1e-9
+    assert spectrum_gap(lifted, np.linalg.eigvalsh(wedge_adjacency(w))) > 1e-9
+    assert np.allclose(lifted, [-2.0, -2.0, -2.0, 2.0, 2.0, 2.0], atol=1e-9)
 
 
 def test_lift_full_k_is_trace():
     base = eigh(adjacency(complete_graph(4)))
-    spec = lift_spectrum(base, 4)
+    spec = subset_sums(base.values, 4)
     assert len(spec) == 1
-    assert spec.values[0] == pytest.approx(0.0, abs=1e-12)
+    assert spec[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lift_eigenvector_k1_is_base_column():
     base = eigh(adjacency(path_graph(4)))
-    (pair,) = lift_eigenvector(base, [(2,)])
-    assert pair.value == pytest.approx(base.values[2])
-    assert np.allclose(pair.vector, base.vectors[:, 2], atol=1e-12)
+    lifted = lift_eigenvector(base, [(2,)])
+    assert lifted.values.tolist() == [base.values[2]]
+    assert np.allclose(lifted.vectors[:, 0], base.vectors[:, 2], atol=1e-12)
 
 
 def test_lift_eigenvector_p3_indices_02():
     base = eigh(adjacency(path_graph(3)))
     c = signed_matrix(build_wedge_graph(path_graph(3), 2))
-    (pair,) = lift_eigenvector(base, [(0, 2)])
-    assert pair.value == pytest.approx(0.0, abs=1e-12)
-    assert np.linalg.norm(c @ pair.vector - pair.value * pair.vector) <= 1e-9
+    lifted = lift_eigenvector(base, [(0, 2)])
+    assert lifted.values[0] == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.norm(c @ lifted.vectors - lifted.vectors * lifted.values) <= 1e-9
 
 
 def test_lift_eigenvector_k4_pairs():
@@ -203,21 +202,16 @@ def test_lift_eigenvector_k4_pairs():
     # eigenvalue -2, indices (0,3) to 2; both satisfy the residual bound.
     base = eigh(adjacency(complete_graph(4)))
     c = signed_matrix(build_wedge_graph(complete_graph(4), 2))
-    low, high = lift_eigenvector(base, [(0, 1), (0, 3)])
-    assert low.value == pytest.approx(-2.0, abs=1e-9)
-    assert np.linalg.norm(c @ low.vector - low.value * low.vector) <= 1e-9
-    assert high.value == pytest.approx(2.0, abs=1e-9)
-    assert np.linalg.norm(c @ high.vector - high.value * high.vector) <= 1e-9
+    lifted = lift_eigenvector(base, [(0, 1), (0, 3)])
+    assert np.allclose(lifted.values, [-2.0, 2.0], atol=1e-9)
+    assert np.linalg.norm(c @ lifted.vectors - lifted.vectors * lifted.values, axis=0).max() <= 1e-9
 
 
 def test_lift_eigenvector_norm_and_orthonormal_set():
     base = eigh(adjacency(path_graph(4)))
-    vectors = []
-    for pair in lift_eigenvector(base, list(itertools.combinations(range(4), 2))):
-        assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-12
-        vectors.append(pair.vector)
-    gram = np.array(vectors) @ np.array(vectors).T
-    assert np.abs(gram - np.eye(6)).max() <= 1e-10
+    vectors = lift_eigenvector(base, list(itertools.combinations(range(4), 2))).vectors
+    assert np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max() <= 1e-12
+    assert np.abs(vectors.T @ vectors - np.eye(6)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 11, 14])
@@ -244,10 +238,11 @@ def test_lift_eigenvector_is_the_determinant_on_both_sides():
     base = eigh(adjacency(erdos_renyi_graph(7, 0.5, 2)))
     for k in range(8):
         sets = subset_table(7, k)
-        for idx, pair in zip(sets, lift_eigenvector(base, sets)):
+        lifted = lift_eigenvector(base, sets)
+        for idx, vector, value in zip(sets, lifted.vectors.T, lifted.values):
             want = np.linalg.det(base.vectors[sets[:, :, None], idx])
-            assert np.max(np.abs(pair.vector - want)) <= 1e-12, (k, idx)
-            assert pair.indices == tuple(idx.tolist())
+            assert np.max(np.abs(vector - want)) <= 1e-12, (k, idx)
+            assert value == math.fsum(base.values[idx])
 
 
 def test_lift_rejects_norm_defect_above_table_tolerance():
@@ -257,7 +252,7 @@ def test_lift_rejects_norm_defect_above_table_tolerance():
     skewed = EigenDecomposition(base.values, base.vectors * (1.0 + 1e-9))
     with pytest.raises(ValueError, match="orthonormal"):
         lift_eigenvector(skewed, [(0, 2)])
-    assert abs(np.linalg.norm(lift_eigenvector(base, [(0, 2)])[0].vector) - 1.0) <= LIFT_NORM_TOL
+    assert abs(np.linalg.norm(lift_eigenvector(base, [(0, 2)]).vectors) - 1.0) <= LIFT_NORM_TOL
 
 
 def test_lift_rejects_repeated_indices():
@@ -267,34 +262,34 @@ def test_lift_rejects_repeated_indices():
     with pytest.raises(ValueError):
         lift_eigenvector(base, [(2, 1)])
     with pytest.raises(ValueError):
-        lift_spectrum(base, 5)
+        subset_sums(base.values, 5)
 
 
-def test_compare_spectra_equal_within_tol():
-    a = Spectrum((0.0, 1.0))
-    b = Spectrum((1.0, 1e-12))
-    assert compare_spectra(a, b).equal
+def test_spectrum_gap_ignores_input_order():
+    assert spectrum_gap([0.0, 1.0], [1.0, 1e-12]) == 1e-12
+    assert spectrum_gap([1.0, 1e-12], [0.0, 1.0]) == 1e-12
+    assert spectrum_gap(np.array([3.0, -1.0, 2.0]), [2.0, 3.0, -1.0]) == 0.0
 
 
-def test_compare_spectra_count_mismatch():
-    report = compare_spectra(Spectrum((0.0,)), Spectrum((0.0, 0.0)))
-    assert not report.equal
-    assert report.unmatched_b == (0.0,)
+def test_spectrum_gap_size_mismatch_is_inf():
+    assert spectrum_gap([0.0], [0.0, 0.0]) == math.inf
+    assert spectrum_gap([], [0.0]) == math.inf
 
 
-def test_compare_spectra_gap_reporting():
-    report = compare_spectra(Spectrum((0.0, 2.0)), Spectrum((0.0, 3.0)))
-    assert not report.equal
-    assert report.unmatched_a == (2.0,) and report.unmatched_b == (3.0,)
+def test_spectrum_gap_reports_the_largest_pair_gap():
+    assert spectrum_gap([0.0, 2.0], [0.0, 3.0]) == 1.0
+    assert spectrum_gap([], []) == 0.0
 
 
 def test_spectrum_collapse_and_json():
-    s = Spectrum((1.0, 1.0 + 1e-12, 2.0), tol=1e-9)
-    assert s.collapsed() == [(1.0, 2), (2.0, 1)]
-    data = json.loads(json.dumps(s.to_dict()))
+    s = spectrum_dict(np.array([2.0, 1.0 + 1e-12, 1.0]), 1e-9)
+    data = json.loads(json.dumps(s))
     assert data["tol"] == 1e-9
+    assert data["values"] == [1.0, 1.0 + 1e-12, 2.0]
     assert data["multiplicity_collapsed"] == [[1.0, 2], [2.0, 1]]
-    assert len(data["values"]) == 3
+    # A value joins a group within tol of the group's first value, not of its
+    # last: 1.0, 1.6 and 2.2 at tol 1 make two groups.
+    assert spectrum_dict([1.0, 1.6, 2.2], 1.0)["multiplicity_collapsed"] == [[1.0, 2], [2.2, 1]]
 
 
 def test_lift_k4_k2_value_2_is_pair_sum():

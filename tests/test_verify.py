@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
@@ -302,4 +303,7 @@ def test_a_faulty_laplacian_fails_the_heisenberg_checks(monkeypatch):
     by_check = {r.check: r for r in report.results}
     for check in ("heis_psd_kernel", "sector_vs_full_heisenberg"):
         assert not by_check[check].passed and by_check[check].k == 1, check
+    # A failing spectral check reports the size of the mismatch.
+    union = by_check["sector_union_heisenberg"]
+    assert not union.passed and union.tol < union.max_error < math.inf
     assert by_check["sector_vs_full_xy"].passed

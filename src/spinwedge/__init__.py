@@ -67,11 +67,9 @@ from .spins import (
     project_full_to_blocks,
 )
 from .dynamics import (
-    WaveState,
-    evolve_block_series,
+    evolve_subset,
     lift_propagate,
     propagate,
-    transfer_fidelity,
 )
 from .verify import (
     CheckResult,

@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .dynamics import WaveState, evolve_block_series
+from .dynamics import evolve_subset
 from .graphs import (
     Graph,
     adjacency,
@@ -44,7 +44,6 @@ from .verify import run_verification
 from .wedge import (
     build_wedge_graph,
     lift_route,
-    rank_subset,
     sector_dimension,
     subset_name,
     subset_table,
@@ -255,22 +254,17 @@ def cmd_evolve(args) -> int:
         raise ValueError("an initial state is required: --from VERTEX or --subset V0,V1,...")
     if len(subset) != k:
         raise ValueError(f"initial subset {subset} must have exactly k={k} vertices")
-    if len(set(subset)) != len(subset) or any(not 0 <= v < g.n for v in subset):
-        raise ValueError(f"initial subset {subset} is not a valid vertex subset")
     if args.to is not None:
         if k != 1:
             raise ValueError("--to tracks a single vertex and needs -k 1")
         if not 0 <= args.to < g.n:
             raise ValueError(f"--to vertex {args.to} out of range for n={g.n}")
 
-    tracked = slice(None) if args.to is None else [args.to]
-    start = np.zeros(sector_dimension(g.n, k), dtype=complex)
-    start[rank_subset(subset, g.n)] = 1.0
-    evolved = evolve_block_series(g, spec, WaveState(k, start), times)
-    series = [
-        {"t": t, "probabilities": (np.abs(state.amplitudes[tracked]) ** 2).tolist(), "route": state.route}
-        for t, state in zip(times, evolved)
-    ]
+    amplitudes, route = evolve_subset(g, spec, subset, times)
+    if args.to is not None:
+        amplitudes = amplitudes[:, [args.to]]
+    probabilities = (np.abs(amplitudes) ** 2).tolist()
+    series = [{"t": t, "probabilities": p, "route": route} for t, p in zip(times, probabilities)]
 
     if args.format == "csv":
         if args.to is None:
@@ -288,13 +282,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_export(args) -> int:
     g = parse_graph_source(args.graph)
-    if args.k is not None:
-        (k,) = _parse_k(args.k, g.n, allow_all=False)
-        w = build_wedge_graph(g, k)
-        text = wedge_to_dot(w) if args.format == "dot" else wedge_to_json(w)
-    else:
-        text = export_dot(g) if args.format == "dot" else graph_to_json(g)
-    _emit(text, args.output)
+    _emit(export_dot(g) if args.format == "dot" else graph_to_json(g), args.output)
     return EXIT_OK
 
 
@@ -376,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("export", help="write a graph or wedge power as JSON or DOT")
+    p = sub.add_parser("export", help="write a graph as JSON or DOT")
     _add_common(p)
-    p.add_argument("-k", default=None, help="export this wedge power instead of the base graph")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_export)
 

@@ -14,43 +14,19 @@ the smaller side min(k, n-k) by :func:`spinwedge.spectra.subset_minors`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph, adjacency
 from .spectra import EigenDecomposition, UNITARITY_TOL, eigh, subset_minors
 from .spins import ModelSpec, block_hamiltonian
-from .wedge import LiftRoute, build_wedge_graph, lift_route, sector_dimension, subset_table
+from .wedge import LiftRoute, build_wedge_graph, lift_route, rank_subset, sector_dimension, subset_table
 
 __all__ = [
-    "WaveState",
     "propagate",
-    "evolve_block_series",
+    "evolve_subset",
     "lift_propagate",
-    "transfer_fidelity",
 ]
-
-@dataclass(frozen=True)
-class WaveState:
-    """Normalized complex amplitudes over one excitation sector's subsets.
-
-    ``route`` names what computed an evolved state, "lift" or "dense"; it is
-    None for a state given as input.
-    """
-
-    k: int
-    amplitudes: np.ndarray
-    route: str | None = None
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            raise ValueError(f"amplitudes must be a vector, got shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > UNITARITY_TOL:
-            raise ValueError(f"state norm {norm} is not 1 within {UNITARITY_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
 
 
 def propagate(dec: EigenDecomposition, states: np.ndarray, times) -> np.ndarray:
@@ -109,7 +85,7 @@ def lift_propagate(
     if base is None:
         base = eigh(adjacency(g))
     phases = np.exp(-1j * np.multiply.outer(t, base.values))
-    columns = base.vectors @ (phases[:, :, None] * base.vectors[rows[r0]].T)  # U1(t)[:, S0]
+    columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[r0]].T)  # U1(t)[:, S0]
     minors = subset_minors(columns)
     signs = route.signs
     if route.j != h:
@@ -124,40 +100,32 @@ def lift_propagate(
     return amplitudes * np.exp(-1j * spec.field_b * (n - 2 * k) * t)[:, None]
 
 
-def evolve_block_series(g: Graph, spec: ModelSpec, state: WaveState, times) -> list[WaveState]:
-    """Evolve a sector state to every time in ``times`` from one diagonalization.
+def evolve_subset(g: Graph, spec: ModelSpec, subset, times) -> tuple[np.ndarray, str]:
+    """Evolve the basis state of one k-subset to every time in ``times``.
 
-    An XY basis state (a single nonzero amplitude) takes the lift route when
-    its sector has one; every other state diagonalizes the sector.  Each
-    result is a WaveState, so every time point passes its norm check.
+    k = len(subset).  Returns the (len(times), C(n, k)) complex amplitudes
+    and the route that computed them: "lift" for an XY sector with a lift
+    route, else "dense", one diagonalization of the sector.  Every row
+    passes a norm check.  A general (non-basis) sector state is evolved by
+    ``propagate(eigh(block_hamiltonian(g, k, spec)), state, times)``.
     """
-    m = sector_dimension(g.n, state.k)
-    if state.amplitudes.shape[0] != m:
-        raise ValueError(
-            f"state has {state.amplitudes.shape[0]} amplitudes but sector k={state.k} "
-            f"of this graph has dimension {m}"
-        )
-    times = np.atleast_1d(times)
+    k = len(subset)
+    m = sector_dimension(g.n, k)
+    r0 = rank_subset(subset, g.n)
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise ValueError(f"times must be a 1-D array of finite values, got {times}")
     wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
-    occupied = np.flatnonzero(state.amplitudes)
-    route = lift_route(g, state.k, wedge_of) if spec.is_xy and occupied.size == 1 else None
+    route = lift_route(g, k, wedge_of) if spec.is_xy else None
     if route is not None:
-        (r0,) = occupied
-        evolved = state.amplitudes[r0] * lift_propagate(g, spec, route, int(r0), times)
-        name = "lift"
+        amplitudes = lift_propagate(g, spec, route, r0, t)
     else:
-        evolved = propagate(eigh(block_hamiltonian(g, state.k, spec, wedge_of(state.k))), state.amplitudes, times)
-        name = "dense"
-    return [WaveState(state.k, amplitudes, name) for amplitudes in evolved]
-
-
-def transfer_fidelity(g: Graph, spec: ModelSpec, from_vertex: int, to_vertex: int, times) -> list[float]:
-    """Single-excitation transfer probabilities |<to| U(t) |from>|^2."""
-    for v in (from_vertex, to_vertex):
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    dec = eigh(block_hamiltonian(g, 1, spec))
-    start = np.zeros(g.n, dtype=complex)
-    start[from_vertex] = 1.0
-    amplitudes = propagate(dec, start, np.atleast_1d(times))
-    return (np.abs(amplitudes[:, to_vertex]) ** 2).tolist()
+        start = np.zeros(m)
+        start[r0] = 1.0
+        amplitudes = propagate(eigh(block_hamiltonian(g, k, spec, wedge_of(k))), start, t)
+    norms = np.linalg.norm(amplitudes, axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > UNITARITY_TOL)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"state norm {norms[i]} at t={t[i]} is not 1 within {UNITARITY_TOL}")
+    return amplitudes, "dense" if route is None else "lift"

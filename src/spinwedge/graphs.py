@@ -79,11 +79,6 @@ class Graph:
             d[v] += 1
         return d
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
-
 
 def graph_from_edge_list(n: int, pairs) -> Graph:
     """Canonical graph from a possibly unsorted, repeated edge list."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spins import ModelSpec
 from .wedge import sector_dimension, subset_table
 
 __all__ = [
@@ -186,9 +187,6 @@ def complete_graph_spectra(n: int, model: str) -> np.ndarray:
     XY sectors contribute Johnson adjacency values; Heisenberg sectors the
     Johnson laplacian values k(n-k) minus those, that is j(n+1-j).
     """
-    # spins imports this module, so ModelSpec can only be imported here.
-    from .spins import ModelSpec
-
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     is_xy = ModelSpec(model).is_xy

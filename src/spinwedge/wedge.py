@@ -61,10 +61,10 @@ def rank_subset(elements, n: int) -> int:
     for e in elems:
         if not isinstance(e, (int, np.integer)):
             raise ValueError(f"subset elements must be integers, got {e!r}")
-        if e <= prev:
-            raise ValueError(f"subset {elems} is not strictly increasing")
         if not 0 <= e < n:
             raise ValueError(f"element {e} out of range for n={n}")
+        if e <= prev:
+            raise ValueError(f"subset {elems} is not strictly increasing")
         prev = e
     return sum(math.comb(int(e), i + 1) for i, e in enumerate(elems))
 

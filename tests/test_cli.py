@@ -243,9 +243,14 @@ def test_export_graph_json_roundtrip(tmp_path, capsys):
 
 def test_export_wedge_dot(tmp_path, capsys):
     out_file = tmp_path / "wedge.dot"
-    code, _, _ = run(capsys, "export", "--graph", "path:6", "-k", "2", "--format", "dot", "-o", str(out_file))
+    code, _, _ = run(capsys, "wedge", "--graph", "path:6", "-k", "2", "--format", "dot", "-o", str(out_file))
     assert code == 0
     assert out_file.read_text().startswith("graph {")
+
+
+def test_export_writes_base_graphs_only(capsys):
+    code, _, _ = run(capsys, "export", "--graph", "path:6", "-k", "2")
+    assert code == 2
 
 
 def test_graph_file_input(tmp_path, capsys):

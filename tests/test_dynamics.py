@@ -9,7 +9,7 @@ from spinwedge import (
     CapacityError,
     Graph,
     ModelSpec,
-    WaveState,
+    adjacency,
     basis_states,
     block_hamiltonian,
     cli,
@@ -17,11 +17,13 @@ from spinwedge import (
     cycle_graph,
     eigh,
     erdos_renyi_graph,
-    evolve_block_series,
+    evolve_subset,
     full_hamiltonian,
+    lift_propagate,
+    lift_route,
     path_graph,
     propagate,
-    transfer_fidelity,
+    unrank_subset,
 )
 from spinwedge.spins import FULL_SPIN_LIMIT
 
@@ -32,9 +34,19 @@ def _basis_state(dim, i):
     return x
 
 
-def _evolve(g, spec, state, t):
-    (out,) = evolve_block_series(g, spec, state, [t])
-    return out
+def _evolve(g, spec, subset, t):
+    amplitudes, _ = evolve_subset(g, spec, subset, [t])
+    return amplitudes[0]
+
+
+def _propagate_sector(g, spec, k, state, times):
+    """A general sector state's route: one diagonalization of the sector."""
+    return propagate(eigh(block_hamiltonian(g, k, spec)), state, times)
+
+
+def _transfer(g, spec, from_vertex, to_vertex, times):
+    amplitudes, _ = evolve_subset(g, spec, (from_vertex,), times)
+    return np.abs(amplitudes[:, to_vertex]) ** 2
 
 
 def _evolve_full(g, spec, states, times):
@@ -44,42 +56,41 @@ def _evolve_full(g, spec, states, times):
 
 def test_t0_is_identity():
     g = path_graph(4)
-    state = WaveState(2, _basis_state(6, 3))
-    out = _evolve(g, ModelSpec("xy"), state, 0.0)
-    assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+    out = _evolve(g, ModelSpec("xy"), unrank_subset(3, 4, 2), 0.0)
+    assert np.allclose(out, _basis_state(6, 3), atol=1e-12)
     full = _basis_state(16, 5)
     assert np.allclose(_evolve_full(g, ModelSpec("xy"), full, 0.0), full, atol=1e-12)
 
 
 def test_p2_perfect_transfer_at_half_pi():
     # 2x2 case: U(t) = cos(t) I - i sin(t) X, so |<1|U|0>|^2 = sin^2 t.
-    probs = transfer_fidelity(path_graph(2), ModelSpec("xy"), 0, 1, [math.pi / 2])
+    probs = _transfer(path_graph(2), ModelSpec("xy"), 0, 1, [math.pi / 2])
     assert probs[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_p3_end_to_end_transfer():
     # Eigenphases of A(P_3) realign at t = pi/sqrt(2) with amplitude -1.
-    probs = transfer_fidelity(path_graph(3), ModelSpec("xy"), 0, 2, [math.pi / math.sqrt(2)])
+    probs = _transfer(path_graph(3), ModelSpec("xy"), 0, 2, [math.pi / math.sqrt(2)])
     assert probs[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_transfer_t0_off_target_is_zero():
-    probs = transfer_fidelity(path_graph(3), ModelSpec("xy"), 0, 2, [0.0])
+    probs = _transfer(path_graph(3), ModelSpec("xy"), 0, 2, [0.0])
     assert probs[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transfer_probabilities_bounded():
-    probs = transfer_fidelity(complete_graph(4), ModelSpec("heisenberg", 0.2), 0, 3, [0.3, 1.7, 4.1])
+    probs = _transfer(complete_graph(4), ModelSpec("heisenberg", 0.2), 0, 3, [0.3, 1.7, 4.1])
     assert all(0.0 <= p <= 1.0 + 1e-12 for p in probs)
 
 
 def test_group_property():
     g = complete_graph(4)
     spec = ModelSpec("xy")
-    state = WaveState(2, _basis_state(6, 0))
-    once = _evolve(g, spec, _evolve(g, spec, state, 0.7), 1.6)
-    combined = _evolve(g, spec, state, 2.3)
-    assert np.linalg.norm(once.amplitudes - combined.amplitudes) <= 1e-9
+    state = _basis_state(6, 0)
+    once = _propagate_sector(g, spec, 2, _propagate_sector(g, spec, 2, state, 0.7), 1.6)
+    combined = _propagate_sector(g, spec, 2, state, 2.3)
+    assert np.linalg.norm(once - combined) <= 1e-9
 
 
 @pytest.mark.parametrize("model", ["xy", "heisenberg"])
@@ -87,12 +98,11 @@ def test_block_matches_full_oracle_gamma1_p4(model):
     g = path_graph(4)
     spec = ModelSpec(model)
     states = basis_states(4, 1)
-    state = WaveState(1, _basis_state(4, 2))
     full = np.zeros(16, dtype=complex)
-    full[states] = state.amplitudes
-    evolved_block = _evolve(g, spec, state, 1.0)
+    full[states[2]] = 1.0
+    evolved_block = _evolve(g, spec, (2,), 1.0)
     evolved_full = _evolve_full(g, spec, full, 1.0)
-    assert np.linalg.norm(evolved_full[states] - evolved_block.amplitudes) <= 1e-9
+    assert np.linalg.norm(evolved_full[states] - evolved_block) <= 1e-9
 
 
 def test_state_spanning_two_sectors_evolves_per_sector():
@@ -106,10 +116,10 @@ def test_state_spanning_two_sectors_evolves_per_sector():
     full[b1] = x1 / math.sqrt(2)
     full[b2] = x2 / math.sqrt(2)
     out = _evolve_full(g, spec, full, 2.5)
-    block1 = _evolve(g, spec, WaveState(1, x1), 2.5)
-    block2 = _evolve(g, spec, WaveState(2, x2), 2.5)
-    assert np.linalg.norm(out[b1] - block1.amplitudes / math.sqrt(2)) <= 1e-9
-    assert np.linalg.norm(out[b2] - block2.amplitudes / math.sqrt(2)) <= 1e-9
+    block1 = _propagate_sector(g, spec, 1, x1, 2.5)
+    block2 = _propagate_sector(g, spec, 2, x2, 2.5)
+    assert np.linalg.norm(out[b1] - block1 / math.sqrt(2)) <= 1e-9
+    assert np.linalg.norm(out[b2] - block2 / math.sqrt(2)) <= 1e-9
 
 
 def test_unitarity_and_energy_conservation():
@@ -119,41 +129,46 @@ def test_unitarity_and_energy_conservation():
     rng = np.random.default_rng(11)
     z = rng.normal(size=6) + 1j * rng.normal(size=6)
     z /= np.linalg.norm(z)
-    state = WaveState(2, z)
     e0 = np.real(np.conj(z) @ (h @ z))
     for t in (0.5, 1.0, 5.0):
-        out = _evolve(g, spec, state, t)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
-        et = np.real(np.conj(out.amplitudes) @ (h @ out.amplitudes))
+        out = _propagate_sector(g, spec, 2, z, t)
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
+        et = np.real(np.conj(out) @ (h @ out))
         assert abs(et - e0) <= 1e-9
 
 
 def test_field_changes_only_global_phase():
     g = path_graph(5)
-    state = WaveState(2, _basis_state(10, 4))
+    subset = unrank_subset(4, 5, 2)
     t = 1.3
-    plain = _evolve(g, ModelSpec("xy"), state, t)
-    shifted = _evolve(g, ModelSpec("xy", 0.8), state, t)
+    plain = _evolve(g, ModelSpec("xy"), subset, t)
+    shifted = _evolve(g, ModelSpec("xy", 0.8), subset, t)
     phase = np.exp(-1j * 0.8 * (5 - 2 * 2) * t)
-    assert np.linalg.norm(shifted.amplitudes - phase * plain.amplitudes) <= 1e-9
-    assert np.allclose(np.abs(shifted.amplitudes) ** 2, np.abs(plain.amplitudes) ** 2, atol=1e-12)
-
-
-def test_wavestate_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        WaveState(1, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        WaveState(1, np.ones((2, 2)))
+    assert np.linalg.norm(shifted - phase * plain) <= 1e-9
+    assert np.allclose(np.abs(shifted) ** 2, np.abs(plain) ** 2, atol=1e-12)
 
 
 def test_evolve_block_dimension_check():
-    with pytest.raises(ValueError):
-        _evolve(path_graph(4), ModelSpec("xy"), WaveState(1, _basis_state(6, 0)), 1.0)
+    with pytest.raises(ValueError, match="k=5"):
+        _evolve(path_graph(4), ModelSpec("xy"), (0, 1, 2, 3, 4), 1.0)
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [((2, 1), "not strictly increasing"), ((1, 1), "not strictly increasing"),
+     ((1, 4), "element 4 out of range"), ((-1, 2), "element -1 out of range"), ((0.5, 2), "must be integers")],
+)
+def test_evolve_subset_rejects_bad_subsets(subset, message):
+    for model in ("xy", "heisenberg"):
+        with pytest.raises(ValueError, match=message):
+            evolve_subset(path_graph(4), ModelSpec(model), subset, [1.0])
 
 
 def test_evolve_rejects_nonfinite_time():
     with pytest.raises(ValueError):
-        _evolve(path_graph(3), ModelSpec("xy"), WaveState(1, _basis_state(3, 0)), math.nan)
+        _evolve(path_graph(3), ModelSpec("xy"), (0,), math.nan)
+    with pytest.raises(ValueError):
+        evolve_subset(path_graph(3), ModelSpec("heisenberg"), (0,), [[0.5]])
 
 
 def test_full_oracle_capacity_guard():
@@ -175,7 +190,7 @@ def test_full_oracle_evolves_a_block_at_every_time():
 
 def test_transfer_vertex_range_check():
     with pytest.raises(ValueError):
-        transfer_fidelity(path_graph(3), ModelSpec("xy"), 0, 3, [1.0])
+        _transfer(path_graph(3), ModelSpec("xy"), 3, 0, [1.0])
 
 
 def test_propagate_batch_matches_single_calls():
@@ -209,6 +224,23 @@ def test_propagate_makes_no_complex_copy_of_the_eigenvectors():
         assert out.shape == want.shape and np.max(np.abs(out - want)) <= 1e-12
 
 
+def test_lift_propagate_makes_no_complex_copy_of_the_base_eigenvectors():
+    g, spec = path_graph(600), ModelSpec("xy")
+    base = eigh(adjacency(g))
+    route = lift_route(g, 1)
+    times = np.linspace(0.0, 3.0, 16)
+    tracemalloc.start()
+    try:
+        out = lift_propagate(g, spec, route, 250, times, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < base.vectors.nbytes, (peak, base.vectors.nbytes)
+    v = base.vectors.astype(complex)
+    want = np.array([v @ (np.exp(-1j * t * base.values) * v[250]) for t in times])
+    assert np.max(np.abs(out - want)) <= 1e-12
+
+
 def test_propagate_rejects_bad_times():
     dec = eigh(block_hamiltonian(path_graph(3), 1, ModelSpec("xy")))
     with pytest.raises(ValueError):
@@ -220,10 +252,10 @@ def test_propagate_rejects_bad_times():
 def test_series_matches_single_time_evolution():
     g = complete_graph(5)
     spec = ModelSpec("xy", -0.2)
-    state = WaveState(2, _basis_state(10, 7))
-    series = evolve_block_series(g, spec, state, [0.3, 1.1, 4.0])
+    subset = unrank_subset(7, 5, 2)
+    series, _ = evolve_subset(g, spec, subset, [0.3, 1.1, 4.0])
     for t, out in zip([0.3, 1.1, 4.0], series):
-        assert np.linalg.norm(out.amplitudes - _evolve(g, spec, state, t).amplitudes) <= 1e-12
+        assert np.linalg.norm(out - _evolve(g, spec, subset, t)) <= 1e-12
 
 
 def test_series_enforces_norm_at_every_time(monkeypatch):
@@ -240,8 +272,8 @@ def test_series_enforces_norm_at_every_time(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(dyn, route, leaky)
-            with pytest.raises(ValueError, match="norm"):
-                evolve_block_series(path_graph(4), ModelSpec(model), WaveState(1, _basis_state(4, 0)), [0.5, 1.0])
+            with pytest.raises(ValueError, match=r"norm .* at t=1\.0 "):
+                evolve_subset(path_graph(4), ModelSpec(model), (0,), [0.5, 1.0])
 
 
 def test_evolve_command_diagonalizes_once(monkeypatch, capsys):

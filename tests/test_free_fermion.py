@@ -15,7 +15,6 @@ import spinwedge.wedge as wedge_mod
 from spinwedge import (
     Graph,
     ModelSpec,
-    WaveState,
     WedgeGraph,
     block_hamiltonian,
     build_wedge_graph,
@@ -23,7 +22,7 @@ from spinwedge import (
     cycle_graph,
     eigh,
     erdos_renyi_graph,
-    evolve_block_series,
+    evolve_subset,
     lift_route,
     path_graph,
     propagate,
@@ -32,6 +31,7 @@ from spinwedge import (
     spectrum_gap,
     subset_sums,
     switching_signs,
+    unrank_subset,
     wedge_adjacency,
 )
 from spinwedge.verify import check_free_fermion_route, check_lift, default_corpus, run_verification
@@ -166,13 +166,12 @@ def test_lift_and_dense_routes_agree_on_the_corpus():
             spec = ModelSpec("xy", b)
             dec = eigh(block_hamiltonian(g, k, spec))
             for r0 in sorted({0, m // 2, m - 1}):
-                start = np.zeros(m, dtype=complex)
-                start[r0] = 1j
-                series = evolve_block_series(g, spec, WaveState(k, start), [0.5, 1.0, 5.0])
+                start = np.zeros(m)
+                start[r0] = 1.0
+                series, route = evolve_subset(g, spec, unrank_subset(r0, g.n, k), [0.5, 1.0, 5.0])
                 dense = propagate(dec, start, [0.5, 1.0, 5.0])
-                assert {s.route for s in series} == {"lift"}
-                err = max(np.max(np.abs(s.amplitudes - d)) for s, d in zip(series, dense))
-                assert err <= 1e-10, (name, k, b, r0)
+                assert route == "lift"
+                assert np.max(np.abs(series - dense)) <= 1e-10, (name, k, b, r0)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in default_corpus()])
@@ -189,16 +188,9 @@ def test_spectrum_routes_agree(name, capsys):
             assert spectrum_gap(block["spectrum"]["values"], dense) <= 1e-9
 
 
-def test_non_basis_and_heisenberg_states_take_the_dense_route():
-    g = path_graph(5)
-    start = np.zeros(10, dtype=complex)
-    start[[1, 4]] = 1 / math.sqrt(2)
-    (out,) = evolve_block_series(g, ModelSpec("xy"), WaveState(2, start), [0.7])
-    assert out.route == "dense"
-    start = np.zeros(10, dtype=complex)
-    start[3] = 1.0
-    (out,) = evolve_block_series(g, ModelSpec("heisenberg"), WaveState(2, start), [0.7])
-    assert out.route == "dense"
+def test_heisenberg_states_take_the_dense_route():
+    _, route = evolve_subset(path_graph(5), ModelSpec("heisenberg"), unrank_subset(3, 5, 2), [0.7])
+    assert route == "dense"
 
 
 def test_subset_sums_match_fsum_on_both_sides():
@@ -240,12 +232,12 @@ def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
     assert {row["route"] for row in json.loads(capsys.readouterr().out)} == {"lift"}
     assert widths == [2]
     spec = ModelSpec("xy", 0.4)
-    start = np.zeros(math.comb(17, 2), dtype=complex)
+    start = np.zeros(math.comb(17, 2))
     start[rank_subset((3, 11), 17)] = 1.0
-    series = evolve_block_series(g, spec, WaveState(2, start), times)
+    series, route = evolve_subset(g, spec, (3, 11), times)
     dense = propagate(eigh(block_hamiltonian(g, 2, spec)), start, times)
-    assert {s.route for s in series} == {"lift"}
-    assert max(np.max(np.abs(s.amplitudes - d)) for s, d in zip(series, dense)) <= 1e-10
+    assert route == "lift"
+    assert np.max(np.abs(series - dense)) <= 1e-10
 
 
 def test_no_lapack_determinant_in_evolve_or_check_lift(monkeypatch, capsys):

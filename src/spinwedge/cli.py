@@ -23,6 +23,7 @@ from .dynamics import evolve_subset
 from .graphs import (
     Graph,
     adjacency,
+    check_graph_size,
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
@@ -60,14 +61,19 @@ _ER_RE = re.compile(r"^er:(\d+):([0-9.eE+-]+):(\d+)$")
 
 
 def parse_graph_source(text: str) -> Graph:
-    """Inline family spec or a JSON file path."""
+    """Inline family spec or a JSON file path.  What a family constructor
+    examines, vertices or vertex pairs, passes the graph size guard first."""
     m = _FAMILY_RE.match(text)
     if m:
         family, n = m.group(1), int(m.group(2))
+        pairs = family == "complete"
+        check_graph_size(text, math.comb(n, 2) if pairs else n, "vertex pairs" if pairs else "vertices")
         return {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}[family](n)
     m = _ER_RE.match(text)
     if m:
-        return erdos_renyi_graph(int(m.group(1)), float(m.group(2)), int(m.group(3)))
+        n = int(m.group(1))
+        check_graph_size(text, math.comb(n, 2), "vertex pairs")
+        return erdos_renyi_graph(n, float(m.group(2)), int(m.group(3)))
     with open(text, "r", encoding="utf-8") as fh:
         return graph_from_json(fh.read())
 

@@ -63,11 +63,10 @@ def lift_propagate(
     """Column ``start_rank`` of exp(-i t H) on XY sector route.k, for every t.
 
     One eigh of the n x n adjacency (``base``, computed when omitted) gives
-    the columns S0 of U1(t) for all times; the amplitude on S is
-    D[S] D[S0] det U1(t)[S, S0] on side j, times the field phase
-    exp(-i B (n - 2k) t).  The minors are taken on the side h = min(k, n-k),
-    in one :func:`subset_minors` call over all times.  Returns a
-    (times, C(n,k)) array.
+    the columns S0 of U1(t) = exp(-i A t) for all times.  On side h = min(k,
+    n-k) the amplitude on S is D[S] D[S0] det exp(-i sigma A t)[S, S0], from
+    one :func:`subset_minors` call over all times, conjugated for sigma = -1,
+    times the field phase exp(-i B (n - 2k) t).  Returns (times, C(n,k)).
     """
     if not spec.is_xy:
         raise ValueError("the lift route covers the xy model only")
@@ -78,7 +77,7 @@ def lift_propagate(
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)):
         raise ValueError(f"times must be a 1-D array of finite values, got {times}")
-    h = min(k, n - k)
+    h = route.h
     # Complementing a k-subset of rank r gives the (n-k)-subset of rank m-1-r.
     r0 = start_rank if h == k else m - 1 - start_rank
     rows = subset_table(n, h)
@@ -87,14 +86,10 @@ def lift_propagate(
     phases = np.exp(-1j * np.multiply.outer(t, base.values))
     columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[r0]].T)  # U1(t)[:, S0]
     minors = subset_minors(columns)
-    signs = route.signs
-    if route.j != h:
-        # Side j = n-h switched.  U1(t) is unitary with determinant
-        # exp(-i t tr A) = 1, so det U1[S', S0'] on the complements is
-        # (-1)^(sum S + sum S0) times the conjugate of det U1[S, S0].
-        signs = signs[::-1] * (1 - 2 * (rows.sum(axis=1) & 1))
+    if route.sigma < 0:
+        # det exp(+i A t)[S, S0] is the conjugate of det U1(t)[S, S0], A real.
         minors = minors.conj()
-    amplitudes = minors * (signs * signs[r0])
+    amplitudes = minors * (route.signs * route.signs[r0])
     if h != k:
         amplitudes = amplitudes[:, ::-1]
     return amplitudes * np.exp(-1j * spec.field_b * (n - 2 * k) * t)[:, None]

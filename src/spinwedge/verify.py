@@ -274,18 +274,18 @@ def check_lift(name: str, g: Graph, wedges: dict, tol: float) -> list[CheckResul
 
 
 def _determinant_formula(g: Graph, spec: ModelSpec, route, start_rank: int, times, base) -> np.ndarray:
-    """exp(-i t H)[S, S0] on XY sector route.k as the lift states it:
-    D[S] D[S0] det U1(t)[S, S0] on side j, by LAPACK determinants of the full
-    U1(t), times the field phase.  The reference for the minors kernel and
-    for the complement identity that :func:`lift_propagate` uses when j is
-    the larger side."""
-    n, k, j = g.n, route.k, route.j
+    """exp(-i t H)[S, S0] on XY sector route.k as the lift states it: D[S] D[S0]
+    det exp(-i sigma A t)[S, S0] on side h by LAPACK determinants, relabelled
+    when h != k, times the field phase.  The reference for the minors kernel
+    and for the conjugation that :func:`lift_propagate` uses when sigma = -1."""
+    n, k, h = g.n, route.k, route.h
     t = np.asarray(times, dtype=float)
-    u1 = base.vectors @ (np.exp(-1j * np.multiply.outer(t, base.values))[:, :, None] * base.vectors.T)
-    rows = subset_table(n, j)
-    s0 = start_rank if j == k else len(rows) - 1 - start_rank
+    phases = np.exp(-1j * route.sigma * np.multiply.outer(t, base.values))
+    u1 = base.vectors @ (phases[:, :, None] * base.vectors.T)
+    rows = subset_table(n, h)
+    s0 = start_rank if h == k else len(rows) - 1 - start_rank
     amplitudes = np.linalg.det(u1[:, rows[:, :, None], rows[s0]]) * (route.signs * route.signs[s0])
-    if j != k:
+    if h != k:
         amplitudes = amplitudes[:, ::-1]
     return amplitudes * np.exp(-1j * spec.field_b * (n - 2 * k) * t)[:, None]
 
@@ -293,14 +293,13 @@ def _determinant_formula(g: Graph, spec: ModelSpec, route, start_rank: int, time
 def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, times, tol: float) -> CheckResult:
     """Every XY sector on the lift route against the dense route.
 
-    For each: the switching is exact (D . C_j . D == A_j as integer
-    matrices), the j-sums of the base spectrum equal the dense sector
-    spectrum, and the lift amplitudes from one basis state equal both dense
-    propagation and the determinant formula at ``times``, all with a field
-    so that the sector phase counts: the dense reference is the field-free
-    decomposition (from ``sectors``, see :func:`sector_decompositions`)
-    shifted by B*(n-2k).  Sectors k in {0, 1, n-1, n}, and every sector of
-    a path, must take the lift route.
+    For each: D . C_h . D == sigma A_h exactly on the built side h, the j-sums
+    of the base spectrum equal the dense sector spectrum, and the lift
+    amplitudes from one basis state equal both dense propagation and the
+    determinant formula at ``times``, all with a field so that the sector
+    phase counts: the dense reference is the field-free decomposition (from
+    ``sectors``, see :func:`sector_decompositions`) shifted by B*(n-2k).
+    Sectors k in {0, 1, n-1, n}, and every sector of a path, must lift.
     """
     spec = ModelSpec("xy", FIELD_VALUES[0])
     base = eigh(adjacency(g))
@@ -314,8 +313,8 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, t
                 worst, bad_k = math.inf, k
             continue
         lifted.append(k)
-        d, wj = route.signs, wedges[route.j]
-        exact = np.array_equal(d[:, None] * signed_matrix(wj) * d, wedge_adjacency(wj))
+        d, wh = route.signs, wedges[route.h]
+        exact = np.array_equal(d[:, None] * signed_matrix(wh) * d, route.sigma * wedge_adjacency(wh))
         shift = spec.field_b * (g.n - 2 * k)
         dec0 = sectors[("xy", k)].dec
         dec = EigenDecomposition(dec0.values + shift, dec0.vectors)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import CapacityError, Graph, export_dot
+from .graphs import CapacityError, Graph, export_dot, parity_forest
 
 __all__ = [
     "BLOCK_DIM_LIMIT",
@@ -238,86 +238,59 @@ def build_wedge_graph(g: Graph, k: int) -> WedgeGraph:
     return WedgeGraph(g, k, m, (a[order], b[order], signs[order]))
 
 
-def switching_signs(w: WedgeGraph, target: int = 1) -> np.ndarray | None:
-    """The +-1 vector D with D[a] * sign * D[b] = target on every hop, or None.
+def switching_signs(w: WedgeGraph) -> tuple[np.ndarray, int] | None:
+    """The +-1 vector D and the sign sigma with D . C . D = sigma * A, C the
+    signed matrix and A the adjacency, or None; sigma is +1 without hops.
 
-    D exists exactly when D . C . D equals target times the unsigned
-    adjacency, C the signed matrix: with target +1, when every cycle of hops
-    has a positive sign product.  A parity union-find with path compression
-    takes the hops in order and checks each one against the parities fixed
-    so far, stopping at the first contradiction.  O(vertices + hops), no
-    dense matrix.
+    One :func:`spinwedge.graphs.parity_forest` over the hops, labelled
+    2 | [sign < 0], gives each rank two bits to its root: the hop signs and
+    the length of its tree path.  D from bit 0 makes every tree hop +A, D
+    from bit 0 xor bit 1 makes it -A; a check of every hop decides which.
     """
-    if target not in (1, -1):
-        raise ValueError(f"target must be +1 or -1, got {target}")
     a, b, s = w.hops
-    parent = list(range(w.num_vertices))
-    odd = [0] * w.num_vertices  # parity of each vertex relative to its parent
-
-    def find(x: int) -> int:
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        acc = 0
-        for y in reversed(path):
-            acc ^= odd[y]
-            odd[y] = acc
-            parent[y] = x
-        return x
-
-    for u, v, differ in zip(a.tolist(), b.tolist(), (s != target).tolist()):
-        ru, rv = find(u), find(v)
-        # After find, odd[] holds parity relative to the root.
-        flip = odd[u] ^ odd[v] ^ differ
-        if ru != rv:
-            parent[ru] = rv
-            odd[ru] = flip
-        elif flip:
-            return None
-    for x in range(w.num_vertices):
-        find(x)
-    return 1 - 2 * np.array(odd, dtype=np.int64)
+    labels = np.where(s < 0, 3, 2).astype(np.uint8)
+    _, parity = parity_forest(w.num_vertices, a, b, labels)
+    off = parity[a] ^ parity[b] ^ labels
+    if not np.any(off & 1):
+        return 1 - 2 * (parity & 1).astype(np.int64), 1
+    if not np.any((off ^ (off >> 1)) & 1):
+        return 1 - 2 * ((parity ^ (parity >> 1)) & 1).astype(np.int64), -1
+    return None
 
 
 @dataclass(frozen=True)
 class LiftRoute:
-    """Sector k of the XY model as a free-fermion problem.
+    """Sector k of the XY model on n vertices as a free-fermion problem.
 
-    The signed wedge power C_j of side j (k or n-k) switches to its
-    adjacency: A_j = D . C_j . D with D = ``signs`` over the j-subset ranks.
-    The sector spectrum is then the j-sums of the base spectrum, and
-    exp(-i A_j t)[S, S0] = D[S] D[S0] det U1(t)[S, S0] with U1 = exp(-i A t).
-    A_k is A_{n-k} relabelled by the complement r -> C(n,k) - 1 - r.
+    On side h = min(k, n-k), D . C_h . D = sigma * A_h with D = ``signs``
+    over the h-subset ranks.  As C_h(-A) = -C_h(A), A_h = D . C_h(sigma A) . D,
+    so the sector spectrum is the h-sums of eig(sigma A), that is the j-sums
+    of eig(A) (tr A = 0), and exp(-i A_h t)[S, S0] = D[S] D[S0]
+    det exp(-i sigma A t)[S, S0].  A_k is A_h relabelled by r -> C(n,k)-1-r.
+    Here j is h for sigma = +1 and n-h for sigma = -1.
     """
 
+    n: int
     k: int
-    j: int
     signs: np.ndarray
+    sigma: int
+
+    @property
+    def h(self) -> int:
+        return min(self.k, self.n - self.k)
+
+    @property
+    def j(self) -> int:
+        return self.h if self.sigma > 0 else self.n - self.h
 
 
 def lift_route(g: Graph, k: int, wedge_of=None) -> LiftRoute | None:
-    """The lift route of sector k, or None when neither side switches.
-
-    Only the smaller side h = min(k, n-k) is built, by ``wedge_of(h)``
-    (default: :func:`build_wedge_graph`).  It is tried first.  C_{n-h}
-    relabelled by the complement r -> C(n,h) - 1 - r equals -E . C_h . E
-    with E[S] = (-1)^(sum of S), so side n-h switches to its adjacency
-    exactly when C_h switches to -A_h, by D' say, and its signs are D' . E
-    relabelled.
-    """
+    """The lift route of sector k by one :func:`switching_signs` of side
+    h = min(k, n-k), built by ``wedge_of(h)`` (default: :func:`build_wedge_graph`),
+    or None when C_h switches to neither A_h nor -A_h."""
     h = min(k, g.n - k)
-    w = wedge_of(h) if wedge_of is not None else build_wedge_graph(g, h)
-    d = switching_signs(w)
-    if d is not None:
-        return LiftRoute(k, h, d)
-    if 2 * h == g.n:
-        return None
-    d = switching_signs(w, -1)
-    if d is None:
-        return None
-    parity = 1 - 2 * (subset_table(g.n, h).sum(axis=1) & 1)
-    return LiftRoute(k, g.n - h, (d * parity)[::-1])
+    switching = switching_signs(wedge_of(h) if wedge_of is not None else build_wedge_graph(g, h))
+    return None if switching is None else LiftRoute(g.n, k, *switching)
 
 
 def _hop_matrix(w: WedgeGraph, values) -> np.ndarray:

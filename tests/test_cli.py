@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,33 @@ def test_evolve_capacity_guard_before_allocation(capsys):
     code, _, err = run(capsys, "evolve", "--graph", "path:40", "-k", "20", "--subset", subset, "--times", "1")
     assert code == 2
     assert "C(40,20)" in err
+
+
+def _traced_run(capsys, *argv):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, err, peak
+
+
+@pytest.mark.parametrize("spec", ["complete:100000", "er:100000:0.001:0"])
+def test_oversized_family_graph_exits_2_before_it_is_built(spec, capsys):
+    code, err, peak = _traced_run(capsys, "wedge", "--graph", spec, "-k", "2")
+    assert code == 2
+    assert spec in err and str(math.comb(100000, 2)) in err
+    assert peak < 1 << 20, peak
+
+
+def test_oversized_json_graph_exits_2_before_it_is_built(tmp_path, capsys):
+    graph_file = tmp_path / "huge.json"
+    graph_file.write_text(json.dumps({"n": 10**12, "edges": []}))
+    code, err, peak = _traced_run(capsys, "wedge", "--graph", str(graph_file), "-k", "0")
+    assert code == 2
+    assert str(10**12) in err
+    assert peak < 1 << 20, peak
 
 
 def test_evolve_requires_initial_state(capsys):

@@ -48,16 +48,71 @@ def _spectrum_cap_graphs(seed, n=14, p=0.3, graphs=24):
     ]
 
 
-def _switches_by_search(w):
-    """Whether some +-1 vector switches the signed matrix to the adjacency,
-    by trying them all (the first entry fixed, as -D works when D does)."""
+def _switches_by_search(w, sigma):
+    """Whether some +-1 vector switches the signed matrix to sigma times the
+    adjacency, by trying them all (the first entry fixed, as -D works when D
+    does)."""
     c, a = signed_matrix(w), wedge_adjacency(w)
     m = w.num_vertices
     for rest in itertools.product((1, -1), repeat=m - 1):
         d = np.array((1,) + rest)
-        if np.array_equal(d[:, None] * c * d, a):
+        if np.array_equal(d[:, None] * c * d, sigma * a):
             return True
     return False
+
+
+def _union_find_signs(w, target):
+    """Reference switching test: a sequential parity union-find with path
+    compression over the hops.  The +-1 vector D with D[a] * sign * D[b] =
+    target on every hop, or None at the first contradicting hop."""
+    a, b, s = w.hops
+    parent = list(range(w.num_vertices))
+    odd = [0] * w.num_vertices  # parity of each vertex relative to its parent
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        acc = 0
+        for y in reversed(path):
+            acc ^= odd[y]
+            odd[y] = acc
+            parent[y] = x
+        return x
+
+    for u, v, differ in zip(a.tolist(), b.tolist(), (s != target).tolist()):
+        ru, rv = find(u), find(v)
+        flip = odd[u] ^ odd[v] ^ differ
+        if ru != rv:
+            parent[ru] = rv
+            odd[ru] = flip
+        elif flip:
+            return None
+    for x in range(w.num_vertices):
+        find(x)
+    return 1 - 2 * np.array(odd, dtype=np.int64)
+
+
+def _reference_side(g, k):
+    """The switching side j by the earlier rule, or None: side h = min(k, n-k)
+    when C_h switches to A_h, else side n-h when C_h switches to -A_h and
+    2h != n, each by the reference union-find."""
+    h = min(k, g.n - k)
+    w = build_wedge_graph(g, h)
+    if _union_find_signs(w, 1) is not None:
+        return h
+    if 2 * h == g.n or _union_find_signs(w, -1) is None:
+        return None
+    return g.n - h
+
+
+def _assert_exact_on_hops(w, signs, sigma):
+    """D[a] * sign * D[b] == sigma on every hop, which is D . C . D == sigma * A
+    exactly, as C and A share their support."""
+    a, b, s = w.hops
+    assert set(signs.tolist()) <= {1, -1}
+    assert np.all(signs[a] * s * signs[b] == sigma)
 
 
 def _sectors(graphs):
@@ -77,36 +132,76 @@ SMALL = [
 @pytest.mark.parametrize("name, g, k", [s for s in _sectors(SMALL) if math.comb(s[1].n, s[2]) <= 15])
 def test_switching_signs_is_exact(name, g, k):
     w = build_wedge_graph(g, k)
-    d = switching_signs(w)
-    assert (d is not None) == _switches_by_search(w)
-    if d is not None:
-        assert np.array_equal(d[:, None] * signed_matrix(w) * d, wedge_adjacency(w))
+    result = switching_signs(w)
+    want = next((sigma for sigma in (1, -1) if _switches_by_search(w, sigma)), None)
+    assert (None if result is None else result[1]) == want
+    if result is not None:
+        d, sigma = result
+        assert np.array_equal(d[:, None] * signed_matrix(w) * d, sigma * wedge_adjacency(w))
 
 
 def test_switching_signs_on_every_corpus_wedge():
     for name, g, k in _sectors(default_corpus()):
         w = build_wedge_graph(g, k)
-        d = switching_signs(w)
-        if d is not None:
-            assert set(d.tolist()) <= {1, -1}
-            assert np.array_equal(d[:, None] * signed_matrix(w) * d, wedge_adjacency(w)), (name, k)
+        result = switching_signs(w)
+        if result is not None:
+            d, sigma = result
+            assert set(d.tolist()) <= {1, -1} and sigma in (1, -1)
+            assert np.array_equal(d[:, None] * signed_matrix(w) * d, sigma * wedge_adjacency(w)), (name, k)
         else:
             assert np.any(signed_matrix(w) < 0), (name, k)
 
 
-def test_switching_signs_stops_at_a_contradiction():
+def test_switching_signs_rejects_a_frustrated_wedge():
     w = build_wedge_graph(cycle_graph(6), 2)
     a, b, s = w.hops
     flipped = WedgeGraph(w.base, w.k, w.num_vertices, (a, b, np.ones_like(s)))
     assert switching_signs(w) is None
-    assert np.array_equal(switching_signs(flipped), np.ones(w.num_vertices, dtype=np.int64))
+    d, sigma = switching_signs(flipped)
+    assert sigma == 1 and np.array_equal(d, np.ones(w.num_vertices, dtype=np.int64))
+
+
+def test_a_hub_hooked_by_every_hop_keeps_one_hops_parity():
+    # Every hop of this star meets the hub, the largest rank, so the first
+    # forest round hooks the hub from all of them at once.  The signs
+    # alternate: a parent written from one hop and a parity from another
+    # would break a tree hop, and this tree, which always switches, would
+    # read as a contradiction.
+    leaves = 1000
+    signs = np.where(np.arange(leaves) % 2, -1, 1)
+    star = WedgeGraph(path_graph(2), 1, leaves + 1, (np.arange(leaves), np.full(leaves, leaves), signs))
+    d, sigma = switching_signs(star)
+    assert sigma == 1
+    _assert_exact_on_hops(star, d, sigma)
+
+
+def _route_sets():
+    """Every corpus graph and k, star:5, the spectrum_cap graphs of seeds 11
+    and 12 at k = 5 and 9, and paths up to 14 and cycles up to 17 within the
+    sector limit."""
+    yield from _sectors(default_corpus() + [("star:5", STAR5)])
+    for seed in (11, 12):
+        for i, g in enumerate(_spectrum_cap_graphs(seed)):
+            yield from ((f"spectrum_cap:{seed}:{i}", g, k) for k in (5, 9))
+    families = [(f"path:{n}", path_graph(n)) for n in range(1, 15)]
+    families += [(f"cycle:{n}", cycle_graph(n)) for n in range(3, 18)]
+    yield from (s for s in _sectors(families) if math.comb(s[1].n, s[2]) <= wedge_mod.BLOCK_DIM_LIMIT)
+
+
+def test_forest_route_matches_the_union_find_reference():
+    for name, g, k in _route_sets():
+        route = lift_route(g, k)
+        assert (None if route is None else route.j) == _reference_side(g, k), (name, k)
+        if route is not None:
+            assert route.h == min(k, g.n - k)
+            _assert_exact_on_hops(build_wedge_graph(g, route.h), route.signs, route.sigma)
 
 
 def _two_build_rule(g, k):
     """The side the route took before the one-wedge decision: min(k, n-k)
     first, then the other, each built and tested for switching to A."""
     for j in sorted({k, g.n - k}):
-        if switching_signs(build_wedge_graph(g, j)) is not None:
+        if _union_find_signs(build_wedge_graph(g, j), 1) is not None:
             return j
     return None
 
@@ -122,8 +217,9 @@ def _check_one_wedge_route(g, k):
     assert built == [min(k, g.n - k)]
     assert (None if route is None else route.j) == _two_build_rule(g, k)
     if route is not None:
-        w = build_wedge_graph(g, route.j)
-        assert np.array_equal(route.signs[:, None] * signed_matrix(w) * route.signs, wedge_adjacency(w))
+        w = build_wedge_graph(g, route.h)
+        d, sigma = route.signs, route.sigma
+        assert np.array_equal(d[:, None] * signed_matrix(w) * d, sigma * wedge_adjacency(w))
     return route
 
 
@@ -258,10 +354,10 @@ def test_verify_check_fails_on_a_false_switching(monkeypatch):
     real = wedge_mod.switching_signs
     g = cycle_graph(6)
 
-    def all_ones(w, target=1):
+    def all_ones(w):
         if w.base == g and w.k == 2:
-            return np.ones(w.num_vertices, dtype=np.int64)
-        return real(w, target)
+            return np.ones(w.num_vertices, dtype=np.int64), 1
+        return real(w)
 
     wedges = {k: build_wedge_graph(g, k) for k in range(7)}
     sectors = verify_mod.sector_decompositions(g, wedges)

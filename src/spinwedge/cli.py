@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
 Graphs are given inline ("path:6", "cycle:5", "complete:4", "er:6:0.5:0") or
-as a JSON file path.  JSON output is compact, one line.  File output is
-written atomically.
+as a JSON file path.  JSON output is compact, one line.  Output to a regular
+file is written atomically.
 """
 
 from __future__ import annotations
@@ -93,14 +93,19 @@ def _parse_k(text: str, n: int, allow_all: bool) -> range:
 
 
 def _emit(text: str, output: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if output is None or output == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        return
+    if os.path.exists(output) and not os.path.isfile(output):  # a FIFO or a device: written in place
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spinwedge-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
         os.replace(tmp, output)
     except BaseException:
         if os.path.exists(tmp):
@@ -122,8 +127,8 @@ def cmd_wedge(args) -> int:
 
 
 def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, tol: float, want_union: bool):
-    """Sector spectra; an XY sector on the lift route is the j-sums of the base
-    eigenvalues plus the field shift, with no C(n,k) x C(n,k) matrix built."""
+    """Sector spectra, each field-free plus its field shift; an XY sector on the
+    lift route is the j-sums of the base eigenvalues, with no sector matrix."""
     for k in ks:
         sector_dimension(g.n, k)
     wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
@@ -138,7 +143,8 @@ def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, tol: flo
             if base_values is None:
                 sector_dimension(g.n, 1)  # the n x n base is the k = 1 sector
                 base_values = np.linalg.eigvalsh(adjacency(g))
-            vals = subset_sums(base_values, route.j) + spec.field_b * (g.n - 2 * k)
+            vals = subset_sums(base_values, route.j)
+        vals = vals + spec.sector_shift(g.n, k)
         union_vals.extend(vals)
         blocks.append({
             "k": k,
@@ -150,7 +156,7 @@ def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, tol: flo
         "graph": label,
         "n": g.n,
         "model": spec.model,
-        "field": spec.field_b,
+        "field": spec.sector_shift(1, 0),  # B: one spin, none flipped
         "tol": tol,
         "blocks": blocks,
         "ground_energy": min(union_vals),

@@ -58,19 +58,17 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def lift_propagate(
-    g: Graph, spec: ModelSpec, route: LiftRoute, start_rank: int, times, base: EigenDecomposition | None = None
+    g: Graph, route: LiftRoute, start_rank: int, times, base: EigenDecomposition | None = None
 ) -> np.ndarray:
-    """Column ``start_rank`` of exp(-i t H) on XY sector route.k, for every t.
+    """Column ``start_rank`` of exp(-i t A_k) on the field-free XY sector
+    route.k, for every t.
 
     One eigh of the n x n adjacency (``base``, computed when omitted, under
-    the sector guard of k = 1) gives
-    the columns S0 of U1(t) = exp(-i A t) for all times.  On side h = min(k,
-    n-k) the amplitude on S is D[S] D[S0] det exp(-i sigma A t)[S, S0], from
-    one :func:`subset_minors` call over all times, conjugated for sigma = -1,
-    times the field phase exp(-i B (n - 2k) t).  Returns (times, C(n,k)).
+    the sector guard of k = 1) gives the columns S0 of U1(t) = exp(-i A t)
+    for all times.  On side h = min(k, n-k) the amplitude on S is D[S] D[S0]
+    det exp(-i sigma A t)[S, S0], from one :func:`subset_minors` call over
+    all times, conjugated for sigma = -1.  Returns (times, C(n,k)).
     """
-    if not spec.is_xy:
-        raise ValueError("the lift route covers the xy model only")
     n, k = g.n, route.k
     m = sector_dimension(n, k)
     if not 0 <= start_rank < m:
@@ -92,9 +90,7 @@ def lift_propagate(
         # det exp(+i A t)[S, S0] is the conjugate of det U1(t)[S, S0], A real.
         minors = minors.conj()
     amplitudes = minors * (route.signs * route.signs[r0])
-    if h != k:
-        amplitudes = amplitudes[:, ::-1]
-    return amplitudes * np.exp(-1j * spec.field_b * (n - 2 * k) * t)[:, None]
+    return amplitudes[:, ::-1] if h != k else amplitudes
 
 
 def evolve_subset(g: Graph, spec: ModelSpec, subset, times) -> tuple[np.ndarray, str]:
@@ -102,8 +98,10 @@ def evolve_subset(g: Graph, spec: ModelSpec, subset, times) -> tuple[np.ndarray,
 
     k = len(subset).  Returns the (len(times), C(n, k)) complex amplitudes
     and the route that computed them: "lift" for an XY sector with a lift
-    route, else "dense", one diagonalization of the sector.  Every row
-    passes a norm check.  A general (non-basis) sector state is evolved by
+    route, else "dense", one diagonalization of the sector.  Either route
+    evolves the field-free sector; the field multiplies the result by
+    exp(-i spec.sector_shift(n, k) t).  Every row passes a norm check.  A
+    general (non-basis) sector state is evolved the same way, by
     ``propagate(eigh(block_hamiltonian(g, k, spec)), state, times)``.
     """
     k = len(subset)
@@ -115,11 +113,12 @@ def evolve_subset(g: Graph, spec: ModelSpec, subset, times) -> tuple[np.ndarray,
     wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
     route = lift_route(g, k, wedge_of) if spec.is_xy else None
     if route is not None:
-        amplitudes = lift_propagate(g, spec, route, r0, t)
+        amplitudes = lift_propagate(g, route, r0, t)
     else:
         start = np.zeros(m)
         start[r0] = 1.0
         amplitudes = propagate(eigh(block_hamiltonian(g, k, spec, wedge_of(k))), start, t)
+    amplitudes = amplitudes * np.exp(-1j * spec.sector_shift(g.n, k) * t)[:, None]
     norms = np.linalg.norm(amplitudes, axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNITARITY_TOL)
     if bad.size:

@@ -2,8 +2,9 @@
 
 Computational-basis convention: bit v of a basis index is 1 when the spin at
 vertex v is flipped, carrying z-projection -1, so the total-z operator is
-diagonal with value n - 2 * popcount.  A uniform field B adds B*(n - 2k) to
-every eigenvalue of the k-excitation sector and leaves eigenvectors alone.
+diagonal with value n - 2 * popcount.  A uniform field B is B*(n - 2k) times
+the identity on sector k (:meth:`ModelSpec.sector_shift`): sector operators
+are field-free, and only the full-space oracle puts the field in its matrix.
 
 Per edge and per basis state, the XY interaction hops a single flipped spin
 along the edge with amplitude +1 when the far end is unflipped; Heisenberg
@@ -60,6 +61,10 @@ class ModelSpec:
     def is_xy(self) -> bool:
         return self.model == "xy"
 
+    def sector_shift(self, n: int, k):
+        """The field energy B*(n - 2k) of every state with k of n spins flipped."""
+        return self.field_b * (n - 2 * k)
+
 
 def basis_states(n: int, k: int) -> np.ndarray:
     """The weight-k bitmasks of n spins, indexed by combinadic rank.
@@ -101,19 +106,17 @@ def full_hamiltonian(g: Graph, spec: ModelSpec) -> np.ndarray:
 
 
 def block_hamiltonian(g: Graph, k: int, spec: ModelSpec, wedge: WedgeGraph | None = None) -> np.ndarray:
-    """The k-excitation sector: wedge adjacency (XY) or laplacian (Heisenberg),
-    shifted by the sector field energy B*(n - 2k).
+    """The k-excitation sector: wedge adjacency (XY) or laplacian (Heisenberg).
 
-    ``wedge`` is the prebuilt k-th wedge power of g; it is built when omitted.
+    The field is not in the matrix: with a field, the sector hamiltonian is
+    this plus ``spec.sector_shift(g.n, k)`` times the identity.  ``wedge`` is
+    the prebuilt k-th wedge power of g; it is built when omitted.
     """
     if wedge is None:
         wedge = build_wedge_graph(g, k)
     elif wedge.k != k or wedge.base != g:
         raise ValueError(f"wedge power k={wedge.k} does not belong to sector k={k} of this graph")
-    h = wedge_adjacency(wedge) if spec.is_xy else wedge_laplacian(wedge)
-    if spec.field_b != 0.0:
-        h[np.diag_indices(wedge.num_vertices)] += spec.field_b * (g.n - 2 * k)
-    return h
+    return wedge_adjacency(wedge) if spec.is_xy else wedge_laplacian(wedge)
 
 
 def project_full_to_blocks(h: np.ndarray) -> list[np.ndarray]:

@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import shlex
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -340,6 +343,39 @@ def test_output_written_atomically(tmp_path, capsys):
     assert data["graph"] == "path:3"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".spinwedge-")]
     assert leftovers == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "spectrum", "--graph", "path:3", "-k", "1", "-o", str(fifo))
+    reader.join(timeout=30)
+    assert code == 0 and not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert len(received) == 1 and json.loads(received[0])["graph"] == "path:3"
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def _readme_commands():
+    """The commands of README's "Command line" block, without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("spinwedge ")]
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 10 and any("--field" in argv for argv in commands)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert (tmp_path / "g.dot").read_text().startswith("graph")
 
 
 def test_spectrum_all_checks_every_sector_before_any_work(capsys, monkeypatch):

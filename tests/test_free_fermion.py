@@ -16,6 +16,7 @@ from spinwedge import (
     Graph,
     ModelSpec,
     WedgeGraph,
+    adjacency,
     block_hamiltonian,
     build_wedge_graph,
     cli,
@@ -23,8 +24,10 @@ from spinwedge import (
     eigh,
     erdos_renyi_graph,
     evolve_subset,
+    full_hamiltonian,
     lift_route,
     path_graph,
+    project_full_to_blocks,
     propagate,
     rank_subset,
     signed_matrix,
@@ -260,7 +263,7 @@ def test_lift_and_dense_routes_agree_on_the_corpus():
         m = math.comb(g.n, k)
         for b in (0.0, 0.5):
             spec = ModelSpec("xy", b)
-            dec = eigh(block_hamiltonian(g, k, spec))
+            dec = eigh(project_full_to_blocks(full_hamiltonian(g, spec))[k])
             for r0 in sorted({0, m // 2, m - 1}):
                 start = np.zeros(m)
                 start[r0] = 1.0
@@ -276,11 +279,12 @@ def test_spectrum_routes_agree(name, capsys):
     for b in (0.0, 0.5):
         assert cli.main(["spectrum", "--graph", name, "-k", "all", "--field", str(b)]) == 0
         blocks = json.loads(capsys.readouterr().out)["blocks"]
+        oracle = project_full_to_blocks(full_hamiltonian(g, ModelSpec("xy", b)))
         for block in blocks:
             k = block["k"]
             route = lift_route(g, k)
             assert block["route"] == ("dense" if route is None else "lift")
-            dense = np.linalg.eigvalsh(block_hamiltonian(g, k, ModelSpec("xy", b)))
+            dense = np.linalg.eigvalsh(oracle[k])
             assert spectrum_gap(block["spectrum"]["values"], dense) <= 1e-9
 
 
@@ -327,11 +331,12 @@ def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
     assert cli.main(["evolve", "--graph", "cycle:17", "-k", "2", "--subset", "3,11", "--times", "0.3,1.7,6"]) == 0
     assert {row["route"] for row in json.loads(capsys.readouterr().out)} == {"lift"}
     assert widths == [2]
-    spec = ModelSpec("xy", 0.4)
-    start = np.zeros(math.comb(17, 2))
+    # 2^17 is beyond the full oracle: the field B(n-2k) is added by hand.
+    spec, m = ModelSpec("xy", 0.4), math.comb(17, 2)
+    start = np.zeros(m)
     start[rank_subset((3, 11), 17)] = 1.0
     series, route = evolve_subset(g, spec, (3, 11), times)
-    dense = propagate(eigh(block_hamiltonian(g, 2, spec)), start, times)
+    dense = propagate(eigh(block_hamiltonian(g, 2, spec) + 0.4 * (17 - 4) * np.eye(m)), start, times)
     assert route == "lift"
     assert np.max(np.abs(series - dense)) <= 1e-10
 
@@ -347,7 +352,7 @@ def test_no_lapack_determinant_in_evolve_or_check_lift(monkeypatch, capsys):
         assert {row["route"] for row in json.loads(capsys.readouterr().out)} == {"lift"}
     for name, g in (("cycle:7", cycle_graph(7)), ("er:6:0.5:2", erdos_renyi_graph(6, 0.5, 2))):
         wedges = {k: build_wedge_graph(g, k) for k in range(g.n + 1)}
-        assert all(r.passed for r in check_lift(name, g, wedges, 1e-9))
+        assert all(r.passed for r in check_lift(name, g, wedges, eigh(adjacency(g)), 1e-9))
 
 
 def test_verify_check_fails_on_a_false_switching(monkeypatch):
@@ -360,10 +365,10 @@ def test_verify_check_fails_on_a_false_switching(monkeypatch):
         return real(w)
 
     wedges = {k: build_wedge_graph(g, k) for k in range(7)}
-    sectors = verify_mod.sector_decompositions(g, wedges)
-    assert check_free_fermion_route("cycle:6", g, wedges, sectors, verify_mod.DYNAMICS_TIMES, 1e-9).passed
+    sectors, base = verify_mod.sector_decompositions(g, wedges), eigh(adjacency(g))
+    assert check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES, 1e-9).passed
     monkeypatch.setattr(wedge_mod, "switching_signs", all_ones)
-    result = check_free_fermion_route("cycle:6", g, wedges, sectors, verify_mod.DYNAMICS_TIMES, 1e-9)
+    result = check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES, 1e-9)
     assert not result.passed and result.k == 2
 
 

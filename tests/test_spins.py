@@ -110,18 +110,23 @@ def test_block_k4_k2_heis_eigenvalues():
 
 @pytest.mark.parametrize("model", ["xy", "heisenberg"])
 def test_block_vacuum_is_field_energy(model):
-    g = cycle_graph(5)
-    b = block_hamiltonian(g, 0, ModelSpec(model, 0.3))
-    assert b.shape == (1, 1)
-    assert b[0, 0] == pytest.approx(0.3 * 5)
+    g, spec = cycle_graph(5), ModelSpec(model, 0.3)
+    vacuum = project_full_to_blocks(full_hamiltonian(g, spec))[0]
+    assert block_hamiltonian(g, 0, spec).shape == vacuum.shape == (1, 1)
+    assert vacuum[0, 0] == spec.sector_shift(5, 0) == pytest.approx(0.3 * 5)
 
 
 def test_block_field_shift_identity():
+    # Sector operators are field-free; the oracle's field blocks differ from
+    # them by sector_shift times the identity, exactly.
     g = path_graph(5)
-    for k in range(6):
-        h0 = block_hamiltonian(g, k, ModelSpec("xy"))
-        hb = block_hamiltonian(g, k, ModelSpec("xy", -1.3))
-        assert np.allclose(hb - h0, -1.3 * (5 - 2 * k) * np.eye(h0.shape[0]), atol=1e-12)
+    for model in ("xy", "heisenberg"):
+        spec = ModelSpec(model, -1.3)
+        for k, hb in enumerate(project_full_to_blocks(full_hamiltonian(g, spec))):
+            h0 = block_hamiltonian(g, k, spec)
+            assert np.array_equal(h0, block_hamiltonian(g, k, ModelSpec(model)))
+            assert spec.sector_shift(5, k) == pytest.approx(-1.3 * (5 - 2 * k))
+            assert np.array_equal(hb, h0 + spec.sector_shift(5, k) * np.eye(len(h0)))
 
 
 def test_block_out_of_range_k():

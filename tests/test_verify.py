@@ -240,8 +240,8 @@ def test_each_wedge_power_built_once_per_graph(monkeypatch):
 
 
 def test_each_operator_built_once_per_graph(monkeypatch):
-    sectors, fulls = Counter(), Counter()
-    real_block, real_full = verify_mod.block_hamiltonian, verify_mod.full_hamiltonian
+    sectors, fulls, solves = Counter(), Counter(), Counter()
+    real_block, real_full, real_eigh = verify_mod.block_hamiltonian, verify_mod.full_hamiltonian, verify_mod.eigh
 
     def counting_block(g, k, spec, wedge=None):
         sectors[(spec, k)] += 1
@@ -251,17 +251,26 @@ def test_each_operator_built_once_per_graph(monkeypatch):
         fulls[spec] += 1
         return real_full(g, spec)
 
+    def counting_eigh(m):
+        solves[len(m)] += 1
+        return real_eigh(m)
+
     monkeypatch.setattr(verify_mod, "block_hamiltonian", counting_block)
     monkeypatch.setattr(verify_mod, "full_hamiltonian", counting_full)
+    monkeypatch.setattr(verify_mod, "eigh", counting_eigh)
     g = cycle_graph(5)
     assert run_verification(corpus=[("cycle:5", g)], random_states=2).passed
     models = [verify_mod.ModelSpec("xy"), verify_mod.ModelSpec("heisenberg")]
-    assert {key: c for key, c in sectors.items() if key[0].field_b == 0.0} == {
-        (m, k): 1 for m in models for k in range(g.n + 1)
-    }
-    # field_shift builds each field's sector itself, once per field value.
-    assert sum(sectors.values()) == 2 * (g.n + 1) * (1 + len(verify_mod.FIELD_VALUES))
-    assert fulls == {m: 1 for m in models}
+    # Every sector operator is field-free and built once.
+    assert sectors == {(m, k): 1 for m in models for k in range(g.n + 1)}
+    # One field-free full per model, shared; field_shift builds each field's
+    # full oracle once.
+    fields = [verify_mod.ModelSpec(m.model, b) for m in models for b in verify_mod.FIELD_VALUES]
+    assert fulls == {spec: 1 for spec in models + fields}
+    # One eigh per sector, one per model's full hamiltonian and one of the
+    # base adjacency, shared by check_lift and free_fermion_route.
+    assert solves[2**g.n] == len(models)
+    assert sum(solves.values()) == 2 * (g.n + 1) + len(models) + 1
 
 
 def test_heisenberg_checks_read_the_shared_decompositions(monkeypatch):
@@ -307,3 +316,40 @@ def test_a_faulty_laplacian_fails_the_heisenberg_checks(monkeypatch):
     union = by_check["sector_union_heisenberg"]
     assert not union.passed and union.tol < union.max_error < math.inf
     assert by_check["sector_vs_full_xy"].passed
+
+
+def _corpus_fulls():
+    for name, g in default_corpus():
+        yield name, g, {m: verify_mod.full_hamiltonian(g, m) for m in verify_mod._MODELS}
+
+
+def test_field_shift_is_exact_on_the_corpus():
+    for name, g, fulls in _corpus_fulls():
+        r = verify_mod.check_field_shift(name, g, fulls)
+        assert r.passed and r.max_error == 0.0 and r.tol == 0.0, r.line()
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [lambda spec, n, k: spec.field_b * (2 * k - n), lambda spec, n, k: spec.field_b * (n - 2 * k) + 1e-12],
+    ids=["reversed-sign", "off-by-1e-12"],
+)
+def test_field_shift_fails_on_a_wrong_sector_shift(shift, monkeypatch):
+    monkeypatch.setattr(verify_mod.ModelSpec, "sector_shift", shift)
+    for name, g, fulls in _corpus_fulls():
+        r = verify_mod.check_field_shift(name, g, fulls)
+        assert not r.passed and r.max_error == math.inf and r.k is not None, name
+
+
+def test_a_refusing_projector_oracle_fails_its_check(monkeypatch, capsys):
+    from spinwedge import cli
+
+    def refusing(g, k):
+        raise RuntimeError("antisymmetrized matrix entries are not integral")
+
+    monkeypatch.setattr(verify_mod, "alt_delta_oracle", refusing)
+    assert cli.main(["verify", "--graph", "complete:4"]) == 1
+    out = capsys.readouterr().out
+    (line,) = [line for line in out.splitlines() if line.startswith("[") and "signed_vs_projector_oracle" in line]
+    assert line.startswith("[FAIL]") and "max_err=      inf" in line and "not integral" in line
+    assert "first failure: (complete:4, k=0, signed_vs_projector_oracle)" in out

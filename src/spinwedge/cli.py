@@ -141,7 +141,7 @@ def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, tol: flo
             vals = np.linalg.eigvalsh(block_hamiltonian(g, k, spec, wedge_of(k)))
         else:
             if base_values is None:
-                sector_dimension(g.n, 1)  # the n x n base is the k = 1 sector
+                sector_dimension(g.n, min(1, g.n))  # the n x n base is the k = 1 sector, if n > 0
                 base_values = np.linalg.eigvalsh(adjacency(g))
             vals = subset_sums(base_values, route.j)
         vals = vals + spec.sector_shift(g.n, k)
@@ -249,6 +249,13 @@ def _parse_times(text: str) -> list[float]:
     return times
 
 
+def _parse_subset(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(sorted(int(part) for part in text.split(",") if part != ""))
+    except ValueError:
+        raise ValueError(f"bad subset list {text!r}") from None
+
+
 def cmd_evolve(args) -> int:
     g = parse_graph_source(args.graph)
     (k,) = _parse_k(args.k, g.n, allow_all=False)
@@ -262,7 +269,7 @@ def cmd_evolve(args) -> int:
             raise ValueError("--from selects a single vertex and needs -k 1")
         subset = (args.from_vertex,)
     elif args.subset is not None:
-        subset = tuple(sorted(int(p) for p in args.subset.split(",") if p != ""))
+        subset = _parse_subset(args.subset)
     else:
         raise ValueError("an initial state is required: --from VERTEX or --subset V0,V1,...")
     if len(subset) != k:

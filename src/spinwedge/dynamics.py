@@ -81,7 +81,7 @@ def lift_propagate(
     r0 = start_rank if h == k else m - 1 - start_rank
     rows = subset_table(n, h)
     if base is None:
-        sector_dimension(n, 1)  # the n x n base is the k = 1 sector
+        sector_dimension(n, min(1, n))  # the n x n base is the k = 1 sector, if n > 0
         base = eigh(adjacency(g))
     phases = np.exp(-1j * np.multiply.outer(t, base.values))
     columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[r0]].T)  # U1(t)[:, S0]

@@ -88,7 +88,7 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     if np.any(residual > EIG_RESIDUAL_FACTOR * scale):
         raise RuntimeError(f"eigensolver residual {residual.max():.3e} above contract")
     gram = vectors.T @ vectors
-    if np.max(np.abs(gram - np.eye(len(values)))) > ORTHONORMALITY_TOL:
+    if np.max(np.abs(gram - np.eye(len(values))), initial=0.0) > ORTHONORMALITY_TOL:
         raise RuntimeError("eigenvectors lost orthonormality")
     return EigenDecomposition(values, vectors)
 

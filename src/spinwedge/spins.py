@@ -16,11 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .graphs import CapacityError, Graph
-from .wedge import WedgeGraph, build_wedge_graph, subset_table, wedge_adjacency, wedge_laplacian
+from .wedge import (
+    TABLE_CACHE_SIZE,
+    WedgeGraph,
+    build_wedge_graph,
+    subset_table,
+    wedge_adjacency,
+    wedge_laplacian,
+)
 
 __all__ = [
     "FULL_SPIN_LIMIT",
@@ -66,12 +74,14 @@ class ModelSpec:
         return self.field_b * (n - 2 * k)
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def basis_states(n: int, k: int) -> np.ndarray:
     """The weight-k bitmasks of n spins, indexed by combinadic rank.
 
     Bit b of entry r is set iff vertex b belongs to the rank-r subset.  Colex
     rank order coincides with ascending numeric order of the masks, so the
-    read-only int64 array is sorted.
+    int64 array is sorted.  Built once per (n, k) and process, and returned
+    read-only.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")

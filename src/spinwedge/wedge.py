@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,6 +53,11 @@ BLOCK_DIM_LIMIT = 5000
 # The literal tensor-space oracle works on arrays of n^k * C(n,k) float64
 # entries, at a peak of about 32 bytes per entry.
 TENSOR_ENTRY_LIMIT = 10**7
+
+# Distinct (n, k) tables kept per process: a pass over the verification
+# corpus uses 42 bitmask tables and 23 subset tables (k <= n/2 only), and
+# each holds at most BLOCK_DIM_LIMIT rows.
+TABLE_CACHE_SIZE = 64
 
 
 def rank_subset(elements, n: int) -> int:
@@ -114,14 +119,33 @@ def sector_dimension(n: int, k: int) -> int:
 
 
 def subset_table(n: int, k: int) -> np.ndarray:
-    """Every k-subset of range(n) as an ascending row; row r is the rank-r subset.
+    """Every k-subset of range(n) as an ascending read-only row; row r is the
+    rank-r subset.
 
-    Raises CapacityError beyond BLOCK_DIM_LIMIT rows, before allocating them.
+    Only tables with k <= n/2 are kept, once per (n, k) and process; a wider
+    one is the complement of the kept (n-k)-table, built on each call, so no
+    kept table is wider than n/2.  Raises CapacityError beyond
+    BLOCK_DIM_LIMIT rows, before allocating them.
     """
     m = sector_dimension(n, k)
+    if 2 * k <= n:
+        return _narrow_table(n, k)
+    # Complementing a k-subset of rank r gives the (n-k)-subset of rank m-1-r.
+    occupied = np.ones((m, n), dtype=bool)
+    occupied[np.arange(m)[:, None], _narrow_table(n, n - k)[::-1]] = False
+    table = np.nonzero(occupied)[1].astype(np.int64).reshape(m, k)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _narrow_table(n: int, k: int) -> np.ndarray:
+    """:func:`subset_table` for 2k <= n, past its guard."""
     # Lexicographic order of descending tuples is reversed colex order.
     descending = np.array(list(itertools.combinations(range(n - 1, -1, -1), k)), dtype=np.int64)
-    return np.ascontiguousarray(descending.reshape(m, k)[::-1, ::-1])
+    table = np.ascontiguousarray(descending.reshape(math.comb(n, k), k)[::-1, ::-1])
+    table.flags.writeable = False
+    return table
 
 
 def hop_sign(subset, src: int, dst: int) -> int:
@@ -177,16 +201,19 @@ class WedgeGraph:
         return list(zip(a[negative].tolist(), b[negative].tolist()))
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _colex_weights(n: int, k: int, cap: int) -> np.ndarray:
-    """weights[v, j] = C(v, j+1), saturated at cap.
+    """weights[v, j] = C(v, j+1), saturated at cap, read-only.
 
     The colex rank of an ascending row t is sum_j weights[t[j], j].  Every term
     of a valid rank is below C(n, k), so with cap = C(n, k) saturation never
     touches a term that is summed, and no entry overflows for any n.
     """
-    return np.array(
+    weights = np.array(
         [[min(math.comb(v, j + 1), cap) for j in range(k)] for v in range(n)], dtype=np.int64
     ).reshape(n, k)
+    weights.flags.writeable = False
+    return weights
 
 
 def _rising_hops(g: Graph, k: int):

@@ -225,6 +225,27 @@ def test_evolve_invalid_subset_exits_2(capsys):
     assert code == 2
 
 
+def test_malformed_subset_list_exits_2_naming_it(capsys):
+    code, out, err = run(capsys, "evolve", "--graph", "path:4", "-k", "2", "--subset", "0,x", "--times", "1")
+    assert code == 2 and out == ""
+    assert err == "error: bad subset list '0,x'\n"
+
+
+def test_graph_without_vertices(tmp_path, capsys):
+    path = tmp_path / "g0.json"
+    path.write_text(json.dumps({"n": 0, "edges": []}))
+    code, out, _ = run(capsys, "verify", "--graph", str(path))
+    assert code == 0 and out.splitlines()[-1].startswith("verification: 21 checks, 21 passed, 0 failed")
+    for model, route in (("xy", "lift"), ("heis", "dense")):
+        code, out, _ = run(capsys, "spectrum", "--graph", str(path), "--model", model)
+        assert code == 0
+        blocks = json.loads(out)["blocks"]
+        assert [(b["k"], b["route"], b["spectrum"]["values"]) for b in blocks] == [(0, route, [0.0])]
+    code, out, _ = run(capsys, "evolve", "--graph", str(path), "-k", "0", "--subset", ",", "--times", "1,2")
+    assert code == 0
+    assert [row["probabilities"] for row in json.loads(out)] == [[1.0], [1.0]]
+
+
 def test_evolve_capacity_guard_before_allocation(capsys):
     subset = ",".join(str(v) for v in range(20))
     code, _, err = run(capsys, "evolve", "--graph", "path:40", "-k", "20", "--subset", subset, "--times", "1")

@@ -55,6 +55,11 @@ def test_eigh_contract_on_random_symmetric():
     assert np.abs(dec.vectors.T @ dec.vectors - np.eye(40)).max() <= 1e-10
 
 
+def test_eigh_of_the_empty_matrix():
+    dec = eigh(np.zeros((0, 0)))
+    assert dec.values.shape == (0,) and dec.vectors.shape == (0, 0)
+
+
 def test_eigh_input_validation():
     with pytest.raises(ValueError):
         eigh(np.array([[0.0, np.nan], [np.nan, 0.0]]))

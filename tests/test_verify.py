@@ -24,6 +24,7 @@ from spinwedge.verify import (
     default_corpus,
     run_verification,
 )
+from spinwedge.wedge import _narrow_table
 
 SMALL_CORPUS = [
     ("path:4", path_graph(4)),
@@ -237,6 +238,17 @@ def test_each_wedge_power_built_once_per_graph(monkeypatch):
     assert report.passed
     assert {k: builds[(g, k)] for k in range(g.n + 1)} == {k: 1 for k in range(g.n + 1)}
     assert max(builds.values()) == 1
+
+
+def test_a_corpus_pass_builds_each_subset_table_once():
+    # No table is evicted and none is built twice: one miss per distinct
+    # (n, min(k, n-k)), against many more reuses.
+    sides = {(g.n, min(k, g.n - k)) for _, g in default_corpus() for k in range(g.n + 1)}
+    _narrow_table.cache_clear()
+    assert run_verification().passed
+    info = _narrow_table.cache_info()
+    assert info.misses == info.currsize == len(sides) < info.maxsize
+    assert info.hits > 10 * info.misses
 
 
 def test_each_operator_built_once_per_graph(monkeypatch):

@@ -10,15 +10,20 @@ import scipy.linalg
 
 from spinwedge import (
     CapacityError,
+    Graph,
+    ModelSpec,
     adjacency,
     alt_delta_oracle,
+    basis_states,
     build_wedge_graph,
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
+    full_hamiltonian,
     hop_sign,
     johnson_spectrum,
     path_graph,
+    project_full_to_blocks,
     rank_subset,
     signed_matrix,
     subset_name,
@@ -32,7 +37,7 @@ from spinwedge import (
     xy_path_spectrum,
 )
 from spinwedge.spectra import spectrum_gap
-from spinwedge.wedge import _ascending_tuples
+from spinwedge.wedge import _ascending_tuples, _colex_weights, _narrow_table, _rising_hops
 
 
 def reference_signed_edges(g, k):
@@ -354,3 +359,83 @@ def test_hop_matrices_agree_with_signed_matrix():
     assert np.array_equal(wedge_adjacency(w), np.abs(c))
     assert np.array_equal(wedge_laplacian(w), np.diag(wedge_degrees(w)) - np.abs(c))
     assert np.array_equal(wedge_degrees(w), np.abs(c).sum(axis=1))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(9) for k in range(n + 1)])
+def test_cached_tables_equal_a_fresh_enumeration(n, k):
+    subsets = sorted(itertools.combinations(range(n), k), key=lambda s: sum(1 << v for v in s))
+    m = len(subsets)
+    table = subset_table(n, k)
+    assert (table is subset_table(n, k)) == (2 * k <= n)
+    assert table.dtype == np.int64 and table.shape == (m, k)
+    assert [tuple(row) for row in table.tolist()] == subsets
+    assert basis_states(n, k).tolist() == [sum(1 << v for v in s) for s in subsets]
+    weights = _colex_weights(n, k, m)
+    assert [int(weights[list(s), range(k)].sum()) for s in subsets] == list(range(m))
+    for cached in (table, basis_states(n, k), weights):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[...] = 0
+
+
+def test_table_caches_are_bounded_and_never_keep_a_refusal():
+    for fn in (_narrow_table, basis_states, _colex_weights):
+        assert fn.cache_info().maxsize is not None
+    _narrow_table.cache_clear()
+    for k in (10, 11):
+        with pytest.raises(CapacityError):
+            subset_table(20, k)
+    info = _narrow_table.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
+
+
+def test_a_wide_table_is_not_kept():
+    # The 599-subsets of 600 vertices are 2.9 MB; only the 4.8 kB table of
+    # their one-element complements stays cached.
+    _narrow_table.cache_clear()
+    tracemalloc.start()
+    try:
+        wide = subset_table(600, 599)
+        assert wide.shape == (600, 599) and not wide.flags.writeable
+        assert wide[0].tolist() == list(range(599)) and wide[-1].tolist() == list(range(1, 600))
+        del wide
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _narrow_table.cache_info().currsize == 1
+    assert kept < 100_000
+
+
+def test_rising_hops_memory_is_linear_in_the_hops():
+    # At k = 1 every edge is one hop. The per-edge scan keeps one small array
+    # per edge; a mask over all (subset, edge) pairs would take m = 300 bytes
+    # per hop, three times over.
+    g = complete_graph(300)
+    subset_table(300, 1)
+    tracemalloc.start()
+    try:
+        a, *_ = _rising_hops(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a) == len(g.edges)
+    assert peak <= 2 * 300 * g.n + 512 * len(a)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(4, ()), Graph(1, ()), path_graph(5), cycle_graph(6), complete_graph(5), erdos_renyi_graph(7, 0.5, 2)],
+    ids=["edgeless4", "single", "path5", "cycle6", "complete5", "er7"],
+)
+def test_hops_match_the_dense_blocks_at_every_k(g):
+    # k = 0, k = n and k > n/2 (the hole side) included.
+    xy, heis = (project_full_to_blocks(full_hamiltonian(g, ModelSpec(model))) for model in ("xy", "heis"))
+    for k in range(g.n + 1):
+        w = build_wedge_graph(g, k)
+        a, b, s = w.hops
+        assert np.all(a < b) and np.all(np.abs(s) == 1)
+        assert np.array_equal(wedge_adjacency(w), xy[k]), k
+        assert np.array_equal(wedge_laplacian(w), heis[k]), k
+        assert np.array_equal(signed_matrix(w), alt_delta_oracle(g, k)), k
+        if not g.edges:
+            assert len(a) == 0

@@ -128,7 +128,7 @@ def cmd_wedge(args) -> int:
 
 def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, tol: float, want_union: bool):
     """Sector spectra, each field-free plus its field shift; an XY sector on the
-    lift route is the j-sums of the base eigenvalues, with no sector matrix."""
+    lift route is the h-sums of eig(sigma A), with no sector matrix."""
     for k in ks:
         sector_dimension(g.n, k)
     wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
@@ -141,9 +141,8 @@ def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, tol: flo
             vals = np.linalg.eigvalsh(block_hamiltonian(g, k, spec, wedge_of(k)))
         else:
             if base_values is None:
-                sector_dimension(g.n, min(1, g.n))  # the n x n base is the k = 1 sector, if n > 0
                 base_values = np.linalg.eigvalsh(adjacency(g))
-            vals = subset_sums(base_values, route.j)
+            vals = subset_sums(route.sigma * base_values, route.h)
         vals = vals + spec.sector_shift(g.n, k)
         union_vals.extend(vals)
         blocks.append({
@@ -189,9 +188,12 @@ def cmd_closed_form(args) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     if args.family == "path" and args.model != "xy":
         raise ValueError("closed forms on the path cover the xy model only")
+    if args.family == "path":
+        check_graph_size(f"path:{n}", n, "vertices")  # the formula lists n single-particle values
     ks = _parse_k(args.k, n, allow_all=True)
     for k in ks:
         sector_dimension(n, k)
+    g = parse_graph_source(f"{args.family}:{n}") if args.check else None
     blocks = []
     union_vals: list[float] = []
     for k in ks:
@@ -211,8 +213,7 @@ def cmd_closed_form(args) -> int:
         "union": spectrum_dict(union_vals, DEFAULT_TOL),
         "ground_energy": min(union_vals),
     }
-    if args.check:
-        g = path_graph(n) if args.family == "path" else complete_graph(n)
+    if g is not None:
         worst = 0.0
         equal = True
         for k, block in zip(ks, blocks):
@@ -318,13 +319,13 @@ def _tolerance(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """argparse type of --random-states: an integer >= 0."""
+    """argparse type of --random-states: an integer >= 1, as no state checks nothing."""
     try:
         count = int(text)
     except ValueError:
-        count = -1
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return count
 
 

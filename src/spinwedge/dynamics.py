@@ -7,8 +7,9 @@ every time point and every state.
 
 An XY basis state whose sector has a lift route (see
 :func:`spinwedge.wedge.lift_route`) is evolved from the n x n base graph
-instead: its amplitudes are signed minors of U1(t) = exp(-i A t), taken on
-the smaller side min(k, n-k) by :func:`spinwedge.spectra.subset_minors`.
+instead: its amplitudes are signed minors of exp(-i sigma A t), the
+one-particle propagator of the signed base sigma A, taken on the smaller
+side min(k, n-k) by :func:`spinwedge.spectra.subset_minors`.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ def lift_propagate(
     """Column ``start_rank`` of exp(-i t A_k) on the field-free XY sector
     route.k, for every t.
 
-    One eigh of the n x n adjacency (``base``, computed when omitted, under
-    the sector guard of k = 1) gives the columns S0 of U1(t) = exp(-i A t)
-    for all times.  On side h = min(k, n-k) the amplitude on S is D[S] D[S0]
-    det exp(-i sigma A t)[S, S0], from one :func:`subset_minors` call over
-    all times, conjugated for sigma = -1.  Returns (times, C(n,k)).
+    One eigh of the n x n adjacency (``base``, computed when omitted; the
+    base is guarded by :func:`spinwedge.wedge.lift_route`) gives the columns
+    S0 of exp(-i sigma A t) for all times.  On side h = min(k, n-k) the
+    amplitude on S is D[S] D[S0] det exp(-i sigma A t)[S, S0], from one
+    :func:`subset_minors` call over all times.  Returns (times, C(n,k)).
     """
     n, k = g.n, route.k
     m = sector_dimension(n, k)
@@ -81,15 +82,10 @@ def lift_propagate(
     r0 = start_rank if h == k else m - 1 - start_rank
     rows = subset_table(n, h)
     if base is None:
-        sector_dimension(n, min(1, n))  # the n x n base is the k = 1 sector, if n > 0
         base = eigh(adjacency(g))
-    phases = np.exp(-1j * np.multiply.outer(t, base.values))
-    columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[r0]].T)  # U1(t)[:, S0]
-    minors = subset_minors(columns)
-    if route.sigma < 0:
-        # det exp(+i A t)[S, S0] is the conjugate of det U1(t)[S, S0], A real.
-        minors = minors.conj()
-    amplitudes = minors * (route.signs * route.signs[r0])
+    phases = np.exp(-1j * route.sigma * np.multiply.outer(t, base.values))
+    columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[r0]].T)  # exp(-i sigma A t)[:, S0]
+    amplitudes = subset_minors(columns) * (route.signs * route.signs[r0])
     return amplitudes[:, ::-1] if h != k else amplitudes
 
 

@@ -17,7 +17,6 @@ Numerical tolerances (the single place they are defined):
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spins import ModelSpec
-from .wedge import sector_dimension, subset_table
+from .wedge import colex_level, sector_dimension, subset_table
 
 __all__ = [
     "DEFAULT_TOL",
@@ -222,10 +221,12 @@ def subset_minors(x) -> np.ndarray:
     shape (..., C(n, j)).  Laplace expansion along column c-1 gives the
     minors of the first c columns from those of the first c-1, so level c
     holds C(n, c) minors of c terms each, and the whole stack shares each
-    level's index tables.  No level is wider than C(n, min(j, n/2)), which
-    is guarded like a sector.  Callers with j > n/2 take the n-j complement
-    columns of a unitary instead (see :func:`lift_eigenvector`), so their
-    levels stay within C(n, min(j, n-j)).
+    level's index tables: the cached :func:`spinwedge.wedge.colex_level`,
+    which :func:`subset_table` reads too.  The lift route passes columns of
+    exp(-i sigma A t), so sigma never enters here.  No level is wider than
+    C(n, min(j, n/2)), which is guarded like a sector.  Callers with
+    j > n/2 take the n-j complement columns of a unitary instead (see
+    :func:`lift_eigenvector`), so their levels stay within C(n, min(j, n-j)).
     """
     x = np.asarray(x)
     if x.ndim < 2:
@@ -237,31 +238,11 @@ def subset_minors(x) -> np.ndarray:
     columns = np.moveaxis(x, -1, 0)
     minors = np.ones(x.shape[:-2] + (1,), dtype=x.dtype)  # the empty minor
     for c in range(1, j + 1):
-        rows, drops = _laplace_level(n, c)
-        terms = columns[c - 1][..., rows] * minors[..., drops]
+        table, drops = colex_level(n, c)
+        terms = columns[c - 1][..., table.T] * minors[..., drops.T]
         # The p-th term of the expansion along column c-1 has sign (-1)^(p+c-1).
         minors = terms[..., (c - 1) % 2 :: 2, :].sum(axis=-2) - terms[..., c % 2 :: 2, :].sum(axis=-2)
     return minors
-
-
-@functools.lru_cache(maxsize=256)
-def _laplace_level(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables of the c-subsets of range(n), one column per colex rank:
-    row p of ``rows`` holds each subset's p-th element, and row p of
-    ``drops`` the rank of the subset less that element."""
-    if c == 0:
-        return np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1), dtype=np.intp)
-    rows, drops = _laplace_level(n, c - 1)
-    # Colex order lists the subsets by their top element m; those with top
-    # m are the (c-1)-subsets of range(m), which come first in their level.
-    counts = np.array([math.comb(m, c - 1) for m in range(c - 1, n)], dtype=np.intp)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    below = np.arange(starts.size) - starts
-    rows = np.vstack((rows[:, below], np.repeat(np.arange(c - 1, n), counts)))
-    # Dropping an element under the top keeps the top, worth C(m, c-1).
-    drops = np.vstack((drops[:, below] + np.repeat(counts, counts), below))
-    rows.flags.writeable = drops.flags.writeable = False
-    return rows, drops
 
 
 def lift_eigenvector(base: EigenDecomposition, index_sets) -> EigenDecomposition:

@@ -270,8 +270,8 @@ def check_lift(name: str, g: Graph, wedges: dict, base, tol: float) -> list[Chec
 def _determinant_formula(g: Graph, route, start_rank: int, times, base) -> np.ndarray:
     """exp(-i t A_k)[S, S0] on XY sector route.k as the lift states it: D[S]
     D[S0] det exp(-i sigma A t)[S, S0] on side h by LAPACK determinants,
-    relabelled when h != k.  The reference for the minors kernel and for the
-    conjugation that :func:`lift_propagate` uses when sigma = -1."""
+    relabelled when h != k.  The reference for the minors kernel and the
+    relabelling."""
     n, k, h = g.n, route.k, route.h
     t = np.asarray(times, dtype=float)
     phases = np.exp(-1j * route.sigma * np.multiply.outer(t, base.values))
@@ -285,8 +285,8 @@ def _determinant_formula(g: Graph, route, start_rank: int, times, base) -> np.nd
 def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, base, times, tol: float) -> CheckResult:
     """Every XY sector on the lift route against the dense route.
 
-    For each: D . C_h . D == sigma A_h exactly on the built side h, the j-sums
-    of the base spectrum (``base``, the eigh of g's adjacency) equal the dense
+    For each: D . C_h . D == sigma A_h exactly on the built side h, the h-sums
+    of eig(sigma A) (``base``, the eigh of g's adjacency A) equal the dense
     sector spectrum, and the lift amplitudes from one basis state equal both
     dense propagation and the determinant formula at ``times``.  The dense
     reference is the field-free decomposition from ``sectors`` (see
@@ -306,7 +306,7 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, b
         d, wh = route.signs, wedges[route.h]
         exact = np.array_equal(d[:, None] * signed_matrix(wh) * d, route.sigma * wedge_adjacency(wh))
         dec = sectors[("xy", k)].dec
-        gap = spectrum_gap(subset_sums(base.values, route.j), dec.values)
+        gap = spectrum_gap(subset_sums(route.sigma * base.values, route.h), dec.values)
         r0 = dec.dim // 2
         dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
         lifted_amps = lift_propagate(g, route, r0, times, base)
@@ -508,7 +508,7 @@ def check_named_isomorphisms(builder=None) -> list[CheckResult]:
     return out
 
 
-def _graph_checks(index, name, g, tol, seed, n_states, times, builder) -> list[CheckResult]:
+def _graph_checks(index, name, g, tol, seed, n_states, builder) -> list[CheckResult]:
     """Every check of one corpus graph.  Its wedge powers, field-free sector
     operators, base eigh and field-free full hamiltonians are built here once
     each and shared by the checks; a full eigh is made one model at a time."""
@@ -520,7 +520,7 @@ def _graph_checks(index, name, g, tol, seed, n_states, times, builder) -> list[C
     results: list[CheckResult] = []
     results += check_structure(name, g, wedges)
     results += check_lift(name, g, wedges, base, tol)
-    results.append(check_free_fermion_route(name, g, wedges, sectors, base, times, tol))
+    results.append(check_free_fermion_route(name, g, wedges, sectors, base, DYNAMICS_TIMES, tol))
     oracle = check_signed_oracle(name, g, wedges)
     if oracle is not None:
         results.append(oracle)
@@ -530,7 +530,7 @@ def _graph_checks(index, name, g, tol, seed, n_states, times, builder) -> list[C
     for model in _MODELS:
         full = _operator(fulls.pop(model))
         results += check_sector_spectra(name, g, model, sectors, full, tol)
-        results += check_dynamics(name, g, model, sectors, full, rng, n_states, times, tol)
+        results += check_dynamics(name, g, model, sectors, full, rng, n_states, DYNAMICS_TIMES, tol)
         del full  # one model's 2^n eigendecomposition at a time
     family = name.split(":", 1)[0]
     if family == "path":
@@ -544,7 +544,6 @@ def run_verification(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
     random_states: int = 20,
-    times=DYNAMICS_TIMES,
     corpus: list[tuple[str, Graph]] | None = None,
     wedge_builder=None,
 ) -> VerificationReport:
@@ -561,7 +560,7 @@ def run_verification(
     entries = corpus if corpus is not None else default_corpus()
     results = [
         r for i, (name, g) in enumerate(entries)
-        for r in _graph_checks(i, name, g, tol, seed, random_states, times, builder)
+        for r in _graph_checks(i, name, g, tol, seed, random_states, builder)
     ]
     results += check_named_isomorphisms(builder)
     return VerificationReport(results, time.monotonic() - start)

@@ -122,30 +122,42 @@ def subset_table(n: int, k: int) -> np.ndarray:
     """Every k-subset of range(n) as an ascending read-only row; row r is the
     rank-r subset.
 
-    Only tables with k <= n/2 are kept, once per (n, k) and process; a wider
-    one is the complement of the kept (n-k)-table, built on each call, so no
-    kept table is wider than n/2.  Raises CapacityError beyond
+    Only tables with k <= n/2 are kept, as levels of :func:`colex_level`; a
+    wider one is the complement of the kept (n-k)-table, built on each call,
+    so no kept table is wider than n/2.  Raises CapacityError beyond
     BLOCK_DIM_LIMIT rows, before allocating them.
     """
     m = sector_dimension(n, k)
     if 2 * k <= n:
-        return _narrow_table(n, k)
+        return colex_level(n, k)[0]
     # Complementing a k-subset of rank r gives the (n-k)-subset of rank m-1-r.
     occupied = np.ones((m, n), dtype=bool)
-    occupied[np.arange(m)[:, None], _narrow_table(n, n - k)[::-1]] = False
+    occupied[np.arange(m)[:, None], colex_level(n, n - k)[0][::-1]] = False
     table = np.nonzero(occupied)[1].astype(np.int64).reshape(m, k)
     table.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _narrow_table(n: int, k: int) -> np.ndarray:
-    """:func:`subset_table` for 2k <= n, past its guard."""
-    # Lexicographic order of descending tuples is reversed colex order.
-    descending = np.array(list(itertools.combinations(range(n - 1, -1, -1), k)), dtype=np.int64)
-    table = np.ascontiguousarray(descending.reshape(math.comb(n, k), k)[::-1, ::-1])
-    table.flags.writeable = False
-    return table
+def colex_level(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The c-subsets of range(n) in colex rank order, as two read-only
+    (C(n, c), c) int64 tables: row r of ``table`` is the rank-r subset,
+    ascending, and drops[r, p] is the rank of that subset less its p-th
+    element.  The one place subsets are enumerated; callers guard C(n, c).
+    """
+    if c == 0:
+        table = drops = np.zeros((1, 0), dtype=np.int64)
+    else:
+        below_table, below_drops = colex_level(n, c - 1)
+        # Colex order lists the subsets by their top element m; those with top
+        # m are the (c-1)-subsets of range(m), which come first in their level.
+        counts = np.array([math.comb(m, c - 1) for m in range(c - 1, n)], dtype=np.int64)
+        below = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        table = np.column_stack((below_table[below], np.repeat(np.arange(c - 1, n), counts)))
+        # Dropping an element under the top keeps the top, worth C(m, c-1).
+        drops = np.column_stack((below_drops[below] + np.repeat(counts, counts)[:, None], below))
+    table.flags.writeable = drops.flags.writeable = False
+    return table, drops
 
 
 def hop_sign(subset, src: int, dst: int) -> int:
@@ -291,11 +303,11 @@ class LiftRoute:
     """Sector k of the XY model on n vertices as a free-fermion problem.
 
     On side h = min(k, n-k), D . C_h . D = sigma * A_h with D = ``signs``
-    over the h-subset ranks.  As C_h(-A) = -C_h(A), A_h = D . C_h(sigma A) . D,
-    so the sector spectrum is the h-sums of eig(sigma A), that is the j-sums
-    of eig(A) (tr A = 0), and exp(-i A_h t)[S, S0] = D[S] D[S0]
-    det exp(-i sigma A t)[S, S0].  A_k is A_h relabelled by r -> C(n,k)-1-r.
-    Here j is h for sigma = +1 and n-h for sigma = -1.
+    over the h-subset ranks.  As C_h(-A) = -C_h(A), A_h = D . C_h(sigma A) . D:
+    sector h is the h-particle problem of the signed base sigma A, so its
+    spectrum is the h-sums of eig(sigma A) and exp(-i A_h t)[S, S0] = D[S]
+    D[S0] det exp(-i sigma A t)[S, S0].  A_k is A_h relabelled by
+    r -> C(n,k)-1-r.
     """
 
     n: int
@@ -307,15 +319,13 @@ class LiftRoute:
     def h(self) -> int:
         return min(self.k, self.n - self.k)
 
-    @property
-    def j(self) -> int:
-        return self.h if self.sigma > 0 else self.n - self.h
-
 
 def lift_route(g: Graph, k: int, wedge_of=None) -> LiftRoute | None:
     """The lift route of sector k by one :func:`switching_signs` of side
     h = min(k, n-k), built by ``wedge_of(h)`` (default: :func:`build_wedge_graph`),
-    or None when C_h switches to neither A_h nor -A_h."""
+    or None when C_h switches to neither A_h nor -A_h.  The n x n base that
+    the route answers from is the k = 1 sector (if n > 0), guarded first."""
+    sector_dimension(g.n, min(1, g.n))
     h = min(k, g.n - k)
     switching = switching_signs(wedge_of(h) if wedge_of is not None else build_wedge_graph(g, h))
     return None if switching is None else LiftRoute(g.n, k, *switching)

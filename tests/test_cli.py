@@ -158,6 +158,7 @@ def test_closed_form_guards_every_sector_before_any_work(capsys, monkeypatch):
         (("spectrum", "--graph", "path:3", "--tol", "tiny"), "--tol", "'tiny'"),
         (("verify", "--graph", "path:3", "--random-states", "-1"), "--random-states", "'-1'"),
         (("verify", "--graph", "path:3", "--random-states", "2.5"), "--random-states", "'2.5'"),
+        (("verify", "--graph", "path:3", "--random-states", "0"), "--random-states", "'0'"),
     ],
 )
 def test_bad_option_values_exit_2_naming_them(capsys, argv, option, value):
@@ -166,11 +167,9 @@ def test_bad_option_values_exit_2_naming_them(capsys, argv, option, value):
     assert f"argument {option}:" in err and value in err
 
 
-def test_zero_tolerance_and_zero_random_states_are_accepted(capsys):
+def test_zero_tolerance_is_accepted(capsys):
     code, out, _ = run(capsys, "spectrum", "--graph", "path:3", "-k", "1", "--tol", "0")
     assert code == 0 and json.loads(out)["tol"] == 0.0
-    code, out, _ = run(capsys, "verify", "--graph", "path:3", "--random-states", "0")
-    assert code == 0 and "0 failed" in out
 
 
 def test_boolean_graph_labels_exit_2(tmp_path, capsys):
@@ -281,15 +280,34 @@ def test_oversized_json_graph_exits_2_before_it_is_built(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, spec, count",
+    [
+        (("closed-form", "path", "--n", "1000001", "-k", "0"), "path:1000001", 1000001),
+        (("closed-form", "path", "--n", "1000001", "-k", "0", "--check"), "path:1000001", 1000001),
+        (("closed-form", "complete", "--n", "1415", "-k", "0", "--check"), "complete:1415", math.comb(1415, 2)),
+    ],
+)
+def test_oversized_closed_form_graph_exits_2_before_it_is_built(argv, spec, count, capsys):
+    # The path formula lists n single-particle values and --check builds the
+    # graph, so both pass the graph size guard, even at k = 0.
+    code, err, peak = _traced_run(capsys, *argv)
+    assert code == 2
+    assert f"graph {spec} has {count} " in err
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("spectrum", "--graph", "path:5001", "-k", "0"),
         ("evolve", "--graph", "path:5001", "-k", "0", "--subset", "", "--times", "1"),
+        ("spectrum", "--graph", "path:5001", "-k", "5001"),
+        ("evolve", "--graph", "path:5001", "-k", "5001", "--subset", ",".join(map(str, range(5001))), "--times", "1"),
     ],
 )
 def test_lift_base_is_guarded_before_allocation(argv, capsys):
-    # Sector k=0 has one subset, but its lift route needs the 5001 x 5001
-    # base adjacency (200 MB), which is sector k=1.
+    # Sectors k=0 and k=n have one subset, but their lift route needs the
+    # 5001 x 5001 base adjacency (200 MB), which is sector k=1.
     code, err, peak = _traced_run(capsys, *argv)
     assert code == 2
     assert "C(5001,1)=5001" in err

@@ -1,6 +1,7 @@
 """The free-fermion lift route for XY sectors: the switching test, the route
 rule, and agreement of the lift with the dense route."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -37,6 +38,7 @@ from spinwedge import (
     unrank_subset,
     wedge_adjacency,
 )
+from spinwedge.spectra import DEFAULT_TOL
 from spinwedge.verify import check_free_fermion_route, check_lift, default_corpus, run_verification
 
 STAR5 = Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
@@ -108,6 +110,14 @@ def _reference_side(g, k):
     if 2 * h == g.n or _union_find_signs(w, -1) is None:
         return None
     return g.n - h
+
+
+def _side(route):
+    """The side j of the earlier rule, from the route's h and sigma: h for
+    sigma = +1, n-h for sigma = -1, or None without a route."""
+    if route is None:
+        return None
+    return route.h if route.sigma > 0 else route.n - route.h
 
 
 def _assert_exact_on_hops(w, signs, sigma):
@@ -194,7 +204,7 @@ def _route_sets():
 def test_forest_route_matches_the_union_find_reference():
     for name, g, k in _route_sets():
         route = lift_route(g, k)
-        assert (None if route is None else route.j) == _reference_side(g, k), (name, k)
+        assert _side(route) == _reference_side(g, k), (name, k)
         if route is not None:
             assert route.h == min(k, g.n - k)
             _assert_exact_on_hops(build_wedge_graph(g, route.h), route.signs, route.sigma)
@@ -218,7 +228,7 @@ def _check_one_wedge_route(g, k):
 
     route = lift_route(g, k, wedge_of)
     assert built == [min(k, g.n - k)]
-    assert (None if route is None else route.j) == _two_build_rule(g, k)
+    assert _side(route) == _two_build_rule(g, k)
     if route is not None:
         w = build_wedge_graph(g, route.h)
         d, sigma = route.signs, route.sigma
@@ -236,10 +246,10 @@ def test_route_rule_facts():
     for n in range(1, 15):
         g = path_graph(n)
         for k in range(n + 1):
-            assert lift_route(g, k).j == min(k, n - k)
+            assert _side(lift_route(g, k)) == min(k, n - k)
     c7 = cycle_graph(7)
     for k in range(1, 7):
-        assert lift_route(c7, k).j == (k if k % 2 else 7 - k)
+        assert _side(lift_route(c7, k)) == (k if k % 2 else 7 - k)
     for name, g in default_corpus() + [("star:5", STAR5)]:
         for k in {0, 1, g.n - 1, g.n}:
             assert lift_route(g, k) is not None, (name, k)
@@ -317,10 +327,12 @@ def test_evolve_on_a_3001_vertex_path_takes_the_lift(capsys):
 
 
 def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
-    # Even k on an odd cycle lifts through side n-k = 15; the minors are
-    # taken on the 2-subsets, never through C(17, 8) = 24310 of them.
+    # Even k on an odd cycle lifts with sigma = -1: h = 2 particles on the
+    # base -A.  The minors are taken on the 2-subsets, never through
+    # C(17, 8) = 24310 of them.
     g, times = cycle_graph(17), [0.3, 1.7, 6.0]
-    assert lift_route(g, 2).j == 15
+    lifted = lift_route(g, 2)
+    assert (lifted.h, lifted.sigma, _side(lifted)) == (2, -1, 15)
     widths, real = [], dynamics_mod.subset_minors
 
     def recording(x):
@@ -339,6 +351,41 @@ def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
     dense = propagate(eigh(block_hamiltonian(g, 2, spec) + 0.4 * (17 - 4) * np.eye(m)), start, times)
     assert route == "lift"
     assert np.max(np.abs(series - dense)) <= 1e-10
+
+
+def _lift_answers(monkeypatch, g, k, r0, times, flip):
+    """The spectrum that `spectrum` prints and the amplitudes from rank r0
+    that `evolve_subset` returns for XY sector k, each through a lift route
+    whose sigma is flipped when ``flip``."""
+    real = wedge_mod.lift_route
+
+    def route_of(*args):
+        route = real(*args)
+        return dataclasses.replace(route, sigma=-route.sigma) if flip else route
+
+    monkeypatch.setattr(cli, "lift_route", route_of)
+    monkeypatch.setattr(dynamics_mod, "lift_route", route_of)
+    (block,) = cli._spectrum_payload(g, "g", ModelSpec("xy"), range(k, k + 1), DEFAULT_TOL, False)["blocks"]
+    amplitudes, route = evolve_subset(g, ModelSpec("xy"), unrank_subset(r0, g.n, k), times)
+    assert block["route"] == route == "lift"
+    return block["spectrum"]["values"], amplitudes
+
+
+@pytest.mark.parametrize(
+    "name, k", [("cycle:5", 2), ("cycle:5", 3), ("cycle:7", 2), ("cycle:7", 5), ("cycle:9", 4), ("cycle:17", 2)]
+)
+def test_negative_sigma_sectors_are_particles_on_minus_a(name, k, monkeypatch):
+    # sigma enters only as the signed base sigma A, in both the spectrum and
+    # the amplitudes; the same route with sigma flipped misses both.
+    g, times = cli.parse_graph_source(name), [0.5, 1.0, 5.0]
+    assert lift_route(g, k).sigma == -1
+    dec = eigh(block_hamiltonian(g, k, ModelSpec("xy")))
+    r0 = dec.dim // 2
+    dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
+    for flip in (False, True):
+        values, amplitudes = _lift_answers(monkeypatch, g, k, r0, times, flip)
+        errors = (spectrum_gap(values, dec.values), float(np.max(np.abs(amplitudes - dense))))
+        assert min(errors) > 0.1 if flip else max(errors) <= DEFAULT_TOL, (flip, errors)
 
 
 def test_no_lapack_determinant_in_evolve_or_check_lift(monkeypatch, capsys):

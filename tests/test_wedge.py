@@ -37,7 +37,7 @@ from spinwedge import (
     xy_path_spectrum,
 )
 from spinwedge.spectra import spectrum_gap
-from spinwedge.wedge import _ascending_tuples, _colex_weights, _narrow_table, _rising_hops
+from spinwedge.wedge import _ascending_tuples, _colex_weights, _rising_hops, colex_level
 
 
 def reference_signed_edges(g, k):
@@ -372,27 +372,36 @@ def test_cached_tables_equal_a_fresh_enumeration(n, k):
     assert basis_states(n, k).tolist() == [sum(1 << v for v in s) for s in subsets]
     weights = _colex_weights(n, k, m)
     assert [int(weights[list(s), range(k)].sum()) for s in subsets] == list(range(m))
-    for cached in (table, basis_states(n, k), weights):
+    cached_arrays = [table, basis_states(n, k), weights]
+    if 2 * k <= n:
+        # The kept table is a level of the one enumeration, which also holds
+        # the rank of each subset less each of its elements.
+        level, drops = colex_level(n, k)
+        assert level is table
+        assert drops.tolist() == [[rank_subset(s[:p] + s[p + 1 :], n) for p in range(k)] for s in subsets]
+        cached_arrays.append(drops)
+    for cached in cached_arrays:
         assert not cached.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             cached[...] = 0
 
 
 def test_table_caches_are_bounded_and_never_keep_a_refusal():
-    for fn in (_narrow_table, basis_states, _colex_weights):
+    for fn in (colex_level, basis_states, _colex_weights):
         assert fn.cache_info().maxsize is not None
-    _narrow_table.cache_clear()
+    colex_level.cache_clear()
     for k in (10, 11):
         with pytest.raises(CapacityError):
             subset_table(20, k)
-    info = _narrow_table.cache_info()
+    info = colex_level.cache_info()
     assert (info.misses, info.currsize) == (0, 0)
 
 
 def test_a_wide_table_is_not_kept():
     # The 599-subsets of 600 vertices are 2.9 MB; only the 4.8 kB table of
-    # their one-element complements stays cached.
-    _narrow_table.cache_clear()
+    # their one-element complements stays cached, with the empty level 0
+    # that it is built from.
+    colex_level.cache_clear()
     tracemalloc.start()
     try:
         wide = subset_table(600, 599)
@@ -402,7 +411,7 @@ def test_a_wide_table_is_not_kept():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert _narrow_table.cache_info().currsize == 1
+    assert colex_level.cache_info().currsize == 2
     assert kept < 100_000
 
 

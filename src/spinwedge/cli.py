@@ -126,7 +126,7 @@ def cmd_wedge(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, tol: float, want_union: bool):
+def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, want_union: bool):
     """Sector spectra, each field-free plus its field shift; an XY sector on the
     lift route is the h-sums of eig(sigma A), with no sector matrix."""
     for k in ks:
@@ -149,19 +149,19 @@ def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, tol: flo
             "k": k,
             "dim": len(vals),
             "route": "dense" if route is None else "lift",
-            "spectrum": spectrum_dict(vals, tol),
+            "spectrum": spectrum_dict(vals, DEFAULT_TOL),
         })
     payload = {
         "graph": label,
         "n": g.n,
         "model": spec.model,
         "field": spec.sector_shift(1, 0),  # B: one spin, none flipped
-        "tol": tol,
+        "tol": DEFAULT_TOL,
         "blocks": blocks,
         "ground_energy": min(union_vals),
     }
     if want_union:
-        payload["union"] = spectrum_dict(union_vals, tol)
+        payload["union"] = spectrum_dict(union_vals, DEFAULT_TOL)
     return payload
 
 
@@ -176,7 +176,7 @@ def _spectrum_csv(payload) -> str:
 def cmd_spectrum(args) -> int:
     g = parse_graph_source(args.graph)
     ks = _parse_k(args.k, g.n, allow_all=True)
-    payload = _spectrum_payload(g, args.graph, _model_spec(args), ks, args.tol, args.k == "all")
+    payload = _spectrum_payload(g, args.graph, _model_spec(args), ks, args.k == "all")
     text = _spectrum_csv(payload) if args.format == "csv" else json.dumps(payload)
     _emit(text, args.output)
     return EXIT_OK
@@ -230,12 +230,7 @@ def cmd_verify(args) -> int:
     corpus = None
     if args.graph is not None:
         corpus = [(args.graph, parse_graph_source(args.graph))]
-    report = run_verification(
-        tol=args.tol,
-        seed=args.seed,
-        random_states=args.random_states,
-        corpus=corpus,
-    )
+    report = run_verification(seed=args.seed, random_states=args.random_states, corpus=corpus)
     _emit("\n".join(report.lines()), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -307,17 +302,6 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tol: a finite number >= 0."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return tol
-
-
 def _count(text: str) -> int:
     """argparse type of --random-states: an integer >= 1, as no state checks nothing."""
     try:
@@ -352,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", default="all", help="sector (integer) or 'all'")
     p.add_argument("--model", choices=("xy", "heis", "heisenberg"), default="xy")
     p.add_argument("--field", type=float, default=0.0, help="uniform z-field coefficient")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_spectrum)
 
@@ -367,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification corpus")
     p.add_argument("--graph", default=None, help="verify one graph instead of the built-in corpus")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0, help="seed for the random-state checks")
     p.add_argument("--random-states", type=_count, default=20, help="random states per graph and sector")
     p.add_argument("--output", "-o", default=None)

@@ -224,9 +224,12 @@ def subset_minors(x) -> np.ndarray:
     level's index tables: the cached :func:`spinwedge.wedge.colex_level`,
     which :func:`subset_table` reads too.  The lift route passes columns of
     exp(-i sigma A t), so sigma never enters here.  No level is wider than
-    C(n, min(j, n/2)), which is guarded like a sector.  Callers with
-    j > n/2 take the n-j complement columns of a unitary instead (see
-    :func:`lift_eigenvector`), so their levels stay within C(n, min(j, n-j)).
+    C(n, min(j, n/2)), which is guarded like a sector.  Levels 0..j stay in
+    the cache, so a call with j > n/2 keeps levels wider than n/2, but it
+    runs only while C(n, n/2) <= BLOCK_DIM_LIMIT, that is n <= 14, and no
+    kept level has more than C(14, 7) * 7 = 24,024 entries.  The package's
+    callers with j > n/2 take the n-j complement columns of a unitary
+    instead (see :func:`lift_eigenvector`).
     """
     x = np.asarray(x)
     if x.ndim < 2:

@@ -7,6 +7,8 @@ against the excitation blocks of the full 2^n oracle, the oracle's field
 against the one sector field formula, the combinatorial signed wedge
 construction against the literal tensor-space projector, closed forms against
 dense diagonalization, and sector dynamics against full-space dynamics.
+Every bound is 0 (exact) or a value of the tolerance table in
+:mod:`spinwedge.spectra`; none is an argument.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .spectra import (
     DEFAULT_TOL,
     EigenDecomposition,
     UNITARITY_TOL,
+    complete_graph_spectra,
     eigh,
     johnson_spectrum,
     lift_eigenvector,
@@ -160,11 +163,13 @@ def sector_decompositions(g: Graph, wedges: dict) -> dict:
 
 
 def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
-    """Dimensions, handshake sums, k=1 identity, one-subset end sectors.
+    """Dimensions and handshake sums of every power, the k=1 identity, and
+    for the solved families all-positive path signs and the Johnson degree.
 
     The handshake count is independent of the wedge builder: twice the hops
     of wedge power k must equal the summed cut sizes of the weight-k
-    occupation bitmasks of the base graph.
+    occupation bitmasks of the base graph.  At k = 0 and k = n that is one
+    subset and no hop, as the empty and the full bitmask cut no edge.
     """
     bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n)) & 1
     cuts = sum((bits[:, u] ^ bits[:, v] for u, v in g.edges), np.zeros(1 << g.n, dtype=np.int64))
@@ -183,9 +188,6 @@ def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
         same = w1.skeleton() == g and bool(np.all(w1.hops[2] == 1))
         results.append(_result("wedge_k1_identity", name, 0.0 if same else 1.0, 0.0, k=1))
 
-    wn = wedges[g.n]
-    top_ok = wn.num_vertices == 1 and len(wn.hops[0]) == 0
-    results.append(_result("wedge_full_tuple", name, 0.0 if top_ok else 1.0, 0.0, k=g.n))
 
     if name.startswith("path:"):
         neg_counts = {k: int(np.count_nonzero(w.hops[2] < 0)) for k, w in wedges.items()}
@@ -203,26 +205,26 @@ def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
     return results
 
 
-def check_sector_spectra(name: str, g: Graph, model: ModelSpec, sectors: dict, full: Operator, tol: float) -> list[CheckResult]:
+def check_sector_spectra(name: str, g: Graph, model: ModelSpec, sectors: dict, full: Operator) -> list[CheckResult]:
     """Sector matrices against the full-space oracle: entries exactly equal
     to the full hamiltonian's excitation blocks, which also catches a
     relabelled but isospectral sector, and the union of the sector spectra
-    within tol of the full spectrum.
+    within DEFAULT_TOL of the full spectrum.
 
     ``sectors`` is :func:`sector_decompositions` of g and ``full`` the 2^n
     hamiltonian of ``model`` with its eigh."""
     try:
         full_blocks = project_full_to_blocks(full.matrix)
     except RuntimeError as exc:
-        return [_result(f"sector_vs_full_{model.model}", name, math.inf, tol, note=str(exc))]
+        return [_result(f"sector_vs_full_{model.model}", name, math.inf, DEFAULT_TOL, note=str(exc))]
     mismatched = [k for k in range(g.n + 1) if not np.array_equal(sectors[(model.model, k)].matrix, full_blocks[k])]
     union = np.concatenate([sectors[(model.model, k)].dec.values for k in range(g.n + 1)])
     union_err = spectrum_gap(union, full.dec.values)
     note = f"entries differ from the full hamiltonian at k={mismatched}" if mismatched else ""
     return [
-        _result(f"sector_vs_full_{model.model}", name, math.inf if mismatched else 0.0, tol,
+        _result(f"sector_vs_full_{model.model}", name, math.inf if mismatched else 0.0, DEFAULT_TOL,
                 k=mismatched[0] if mismatched else None, note=note),
-        _result(f"sector_union_{model.model}", name, union_err, tol),
+        _result(f"sector_union_{model.model}", name, union_err, DEFAULT_TOL),
     ]
 
 
@@ -243,7 +245,7 @@ def check_signed_oracle(name: str, g: Graph, wedges: dict) -> CheckResult | None
     return _result("signed_vs_projector_oracle", name, worst, 0.0, k=bad_k)
 
 
-def check_lift(name: str, g: Graph, wedges: dict, base, tol: float) -> list[CheckResult]:
+def check_lift(name: str, g: Graph, wedges: dict, base) -> list[CheckResult]:
     """Sum-lift of base eigenvalues and determinant eigenvectors against the
     signed matrix of every wedge power; ``base`` is the eigh of g's adjacency."""
     worst_gap, gap_k = 0.0, None
@@ -261,8 +263,8 @@ def check_lift(name: str, g: Graph, wedges: dict, base, tol: float) -> list[Chec
         if res > worst_res:
             worst_res, res_k = res, k
     return [
-        _result("lift_spectrum_vs_signed", name, worst_gap, tol, k=gap_k),
-        _result("lift_eigenvector_residual", name, worst_res, tol, k=res_k,
+        _result("lift_spectrum_vs_signed", name, worst_gap, DEFAULT_TOL, k=gap_k),
+        _result("lift_eigenvector_residual", name, worst_res, DEFAULT_TOL, k=res_k,
                 note=f"signed equals unsigned: {'yes' if c_equals_a else 'no'}"),
     ]
 
@@ -282,7 +284,7 @@ def _determinant_formula(g: Graph, route, start_rank: int, times, base) -> np.nd
     return amplitudes[:, ::-1] if h != k else amplitudes
 
 
-def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, base, times, tol: float) -> CheckResult:
+def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, base, times) -> CheckResult:
     """Every XY sector on the lift route against the dense route.
 
     For each: D . C_h . D == sigma A_h exactly on the built side h, the h-sums
@@ -316,10 +318,10 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, b
         if err > worst:
             worst, bad_k = err, k
     note = f"lift k={lifted}" + (f"; must lift but dense: k={unrouted}" if unrouted else "")
-    return _result("free_fermion_route", name, worst, tol, k=bad_k, note=note)
+    return _result("free_fermion_route", name, worst, DEFAULT_TOL, k=bad_k, note=note)
 
 
-def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, sectors: dict, tol: float) -> CheckResult:
+def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, sectors: dict) -> CheckResult:
     """Heisenberg sectors are positive semidefinite with one zero mode per
     connected component of the wedge power; their eigenvalues come from
     ``sectors`` (see :func:`sector_decompositions`)."""
@@ -328,12 +330,12 @@ def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, sectors: dict, tol:
     for k, w in wedges.items():
         vals = sectors[("heisenberg", k)].dec.values
         neg = max(0.0, float(-vals.min())) if vals.size else 0.0
-        zeros = int(np.sum(np.abs(vals) <= tol))
+        zeros = int(np.sum(np.abs(vals) <= DEFAULT_TOL))
         comps = component_count(w.num_vertices, *w.hops[:2])
         err = neg if zeros == comps else math.inf
         if err > worst:
             worst, bad_k = err, k
-    return _result("heis_psd_kernel", name, worst, tol, k=bad_k)
+    return _result("heis_psd_kernel", name, worst, DEFAULT_TOL, k=bad_k)
 
 
 def check_field_shift(name: str, g: Graph, fulls: dict) -> CheckResult:
@@ -389,7 +391,6 @@ def check_dynamics(
     rng: np.random.Generator,
     n_states: int,
     times,
-    tol: float,
 ) -> list[CheckResult]:
     """Sector evolution against full-space evolution for random sector states.
 
@@ -426,13 +427,13 @@ def check_dynamics(
         if dev > worst:
             worst, bad_k = dev, k
     return [
-        _result(f"dynamics_block_vs_full_{model.model}", name, worst, tol, k=bad_k),
+        _result(f"dynamics_block_vs_full_{model.model}", name, worst, DEFAULT_TOL, k=bad_k),
         _result(f"dynamics_unitarity_{model.model}", name, worst_norm, UNITARITY_TOL),
-        _result(f"dynamics_energy_{model.model}", name, worst_energy, tol),
+        _result(f"dynamics_energy_{model.model}", name, worst_energy, DEFAULT_TOL),
     ]
 
 
-def check_path_closed_form(n: int, tol: float, builder=None) -> list[CheckResult]:
+def check_path_closed_form(n: int, builder=None) -> list[CheckResult]:
     """Cosine spectrum, sine eigenvectors and their sector sums on the path.
 
     Like every family oracle here, it builds the wedge powers of the
@@ -457,14 +458,15 @@ def check_path_closed_form(n: int, tol: float, builder=None) -> list[CheckResult
         if err > sum_err:
             sum_err, bad_k = err, k
     return [
-        _result("path_cosine_spectrum", name, spec_err, tol),
-        _result("path_sine_eigenvectors", name, vec_err, tol),
-        _result("path_sector_sums", name, sum_err, tol, k=bad_k),
+        _result("path_cosine_spectrum", name, spec_err, DEFAULT_TOL),
+        _result("path_sine_eigenvectors", name, vec_err, DEFAULT_TOL),
+        _result("path_sector_sums", name, sum_err, DEFAULT_TOL, k=bad_k),
     ]
 
 
-def check_johnson_family(n: int, tol: float, builder=None) -> list[CheckResult]:
-    """Johnson closed form, Heisenberg value set, and XY ground energy on K_n.
+def check_johnson_family(n: int, builder=None) -> list[CheckResult]:
+    """Johnson closed form per sector, and the full spectrum of each model on
+    K_n, multiplicities included, against its closed form.
 
     The wedge powers are built as in :func:`check_path_closed_form`.
     """
@@ -477,19 +479,10 @@ def check_johnson_family(n: int, tol: float, builder=None) -> list[CheckResult]:
         err = spectrum_gap(johnson_spectrum(n, k), vals)
         if err > worst:
             worst, bad_k = err, k
-    results = [_result("johnson_formula", name, worst, tol, k=bad_k)]
-
-    allowed = {j * (n + 1 - j) for j in range(n + 1)}
-    heis_vals = np.linalg.eigvalsh(full_hamiltonian(g, ModelSpec("heisenberg")))
-    heis_err = 0.0
-    for v in heis_vals:
-        nearest = min(allowed, key=lambda x: abs(x - v))
-        heis_err = max(heis_err, abs(v - nearest))
-    results.append(_result("heis_complete_value_set", name, heis_err, tol))
-
-    # The lowest Johnson value over all sectors is -floor(n/2), at k = floor(n/2).
-    e0 = float(np.linalg.eigvalsh(full_hamiltonian(g, ModelSpec("xy"))).min())
-    results.append(_result("xy_complete_ground_energy", name, abs(e0 + n // 2), tol, note=f"E0={e0:.12g}"))
+    results = [_result("johnson_formula", name, worst, DEFAULT_TOL, k=bad_k)]
+    for model in _MODELS:
+        err = spectrum_gap(complete_graph_spectra(n, model.model), np.linalg.eigvalsh(full_hamiltonian(g, model)))
+        results.append(_result(f"complete_spectrum_{model.model}", name, err, DEFAULT_TOL))
     return results
 
 
@@ -508,7 +501,7 @@ def check_named_isomorphisms(builder=None) -> list[CheckResult]:
     return out
 
 
-def _graph_checks(index, name, g, tol, seed, n_states, builder) -> list[CheckResult]:
+def _graph_checks(index, name, g, seed, n_states, builder) -> list[CheckResult]:
     """Every check of one corpus graph.  Its wedge powers, field-free sector
     operators, base eigh and field-free full hamiltonians are built here once
     each and shared by the checks; a full eigh is made one model at a time."""
@@ -519,29 +512,28 @@ def _graph_checks(index, name, g, tol, seed, n_states, builder) -> list[CheckRes
     rng = np.random.default_rng([seed, index])
     results: list[CheckResult] = []
     results += check_structure(name, g, wedges)
-    results += check_lift(name, g, wedges, base, tol)
-    results.append(check_free_fermion_route(name, g, wedges, sectors, base, DYNAMICS_TIMES, tol))
+    results += check_lift(name, g, wedges, base)
+    results.append(check_free_fermion_route(name, g, wedges, sectors, base, DYNAMICS_TIMES))
     oracle = check_signed_oracle(name, g, wedges)
     if oracle is not None:
         results.append(oracle)
-    results.append(check_heis_psd_kernel(name, g, wedges, sectors, tol))
+    results.append(check_heis_psd_kernel(name, g, wedges, sectors))
     results.append(check_field_shift(name, g, fulls))
     results.append(check_complement_isomorphism(name, g, wedges))
     for model in _MODELS:
         full = _operator(fulls.pop(model))
-        results += check_sector_spectra(name, g, model, sectors, full, tol)
-        results += check_dynamics(name, g, model, sectors, full, rng, n_states, DYNAMICS_TIMES, tol)
+        results += check_sector_spectra(name, g, model, sectors, full)
+        results += check_dynamics(name, g, model, sectors, full, rng, n_states, DYNAMICS_TIMES)
         del full  # one model's 2^n eigendecomposition at a time
     family = name.split(":", 1)[0]
     if family == "path":
-        results += check_path_closed_form(g.n, tol, builder)
+        results += check_path_closed_form(g.n, builder)
     elif family == "complete":
-        results += check_johnson_family(g.n, tol, builder)
+        results += check_johnson_family(g.n, builder)
     return results
 
 
 def run_verification(
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
     random_states: int = 20,
     corpus: list[tuple[str, Graph]] | None = None,
@@ -560,7 +552,7 @@ def run_verification(
     entries = corpus if corpus is not None else default_corpus()
     results = [
         r for i, (name, g) in enumerate(entries)
-        for r in _graph_checks(i, name, g, tol, seed, random_states, builder)
+        for r in _graph_checks(i, name, g, seed, random_states, builder)
     ]
     results += check_named_isomorphisms(builder)
     return VerificationReport(results, time.monotonic() - start)

@@ -123,9 +123,8 @@ def subset_table(n: int, k: int) -> np.ndarray:
     rank-r subset.
 
     Only tables with k <= n/2 are kept, as levels of :func:`colex_level`; a
-    wider one is the complement of the kept (n-k)-table, built on each call,
-    so no kept table is wider than n/2.  Raises CapacityError beyond
-    BLOCK_DIM_LIMIT rows, before allocating them.
+    wider one is the complement of the kept (n-k)-table, built on each call.
+    Raises CapacityError beyond BLOCK_DIM_LIMIT rows, before allocating them.
     """
     m = sector_dimension(n, k)
     if 2 * k <= n:
@@ -214,13 +213,14 @@ class WedgeGraph:
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _colex_weights(n: int, k: int, cap: int) -> np.ndarray:
-    """weights[v, j] = C(v, j+1), saturated at cap, read-only.
+def _colex_weights(n: int, k: int) -> np.ndarray:
+    """weights[v, j] = C(v, j+1), saturated at C(n, k), read-only.
 
     The colex rank of an ascending row t is sum_j weights[t[j], j].  Every term
-    of a valid rank is below C(n, k), so with cap = C(n, k) saturation never
-    touches a term that is summed, and no entry overflows for any n.
+    of a valid rank is below C(n, k), so saturation never touches a term that
+    is summed, and no entry overflows for any n.
     """
+    cap = math.comb(n, k)
     weights = np.array(
         [[min(math.comb(v, j + 1), cap) for j in range(k)] for v in range(n)], dtype=np.int64
     ).reshape(n, k)
@@ -251,7 +251,7 @@ def _rising_hops(g: Graph, k: int):
     crossed = np.count_nonzero((moved > src[:, None]) & (moved < dst[:, None]), axis=1)
     moved = np.where(moved == src[:, None], dst[:, None], moved)
     moved.sort(axis=1)
-    b = _colex_weights(g.n, k, m)[moved, np.arange(k)].sum(axis=1)
+    b = _colex_weights(g.n, k)[moved, np.arange(k)].sum(axis=1)
     return a, b, crossed, dst - src - 1
 
 
@@ -389,6 +389,7 @@ def alt_delta_oracle(g: Graph, k: int) -> np.ndarray:
 
     Intended as an independent oracle for :func:`signed_matrix`; guarded to
     n^k * C(n,k) <= TENSOR_ENTRY_LIMIT work entries, before any allocation.
+    As C(n,k) <= n^k, that also keeps C(n,k) <= 3162, below BLOCK_DIM_LIMIT.
     """
     n = g.n
     if not 0 <= k <= n:
@@ -402,8 +403,6 @@ def alt_delta_oracle(g: Graph, k: int) -> np.ndarray:
             f"tensor-space oracle at k={k} needs n^k * C({n},{k}) = {entries} entries, "
             f"above the limit {TENSOR_ENTRY_LIMIT}"
         )
-    if m > BLOCK_DIM_LIMIT:
-        raise CapacityError(f"compressed matrix C({n},{k})={m} exceeds limit {BLOCK_DIM_LIMIT}")
 
     a = adjacency(g)
     tuples = _ascending_tuples(n, k)

@@ -241,7 +241,7 @@ def test_criterion_09_dynamics(corpus, wedges):
             rng = np.random.default_rng([0, i])
             h = full_hamiltonian(g, ModelSpec(model))
             full = Operator(h, eigh(h))
-            for r in check_dynamics(name, g, ModelSpec(model), sectors, full, rng, 20, DYNAMICS_TIMES, TOL):
+            for r in check_dynamics(name, g, ModelSpec(model), sectors, full, rng, 20, DYNAMICS_TIMES):
                 if not r.passed:
                     worst = math.inf
                 if r.check.startswith("dynamics_block"):

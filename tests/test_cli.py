@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -151,11 +152,11 @@ def test_closed_form_guards_every_sector_before_any_work(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv,option,value",
     [
-        (("verify", "--graph", "path:3", "--tol", "nan"), "--tol", "'nan'"),
-        (("verify", "--graph", "path:3", "--tol", "-1"), "--tol", "'-1'"),
-        (("spectrum", "--graph", "path:3", "--tol", "nan"), "--tol", "'nan'"),
-        (("spectrum", "--graph", "path:3", "--tol", "inf"), "--tol", "'inf'"),
-        (("spectrum", "--graph", "path:3", "--tol", "tiny"), "--tol", "'tiny'"),
+        (("verify", "--graph", "path:3", "--seed", "1.5"), "--seed", "'1.5'"),
+        (("spectrum", "--graph", "path:3", "--model", "ising"), "--model", "'ising'"),
+        (("spectrum", "--graph", "path:3", "--field", "weak"), "--field", "'weak'"),
+        (("closed-form", "path", "--n", "six"), "--n", "'six'"),
+        (("evolve", "--graph", "path:3", "-k", "1", "--from", "0", "--times", "1", "--to", "x"), "--to", "'x'"),
         (("verify", "--graph", "path:3", "--random-states", "-1"), "--random-states", "'-1'"),
         (("verify", "--graph", "path:3", "--random-states", "2.5"), "--random-states", "'2.5'"),
         (("verify", "--graph", "path:3", "--random-states", "0"), "--random-states", "'0'"),
@@ -167,9 +168,36 @@ def test_bad_option_values_exit_2_naming_them(capsys, argv, option, value):
     assert f"argument {option}:" in err and value in err
 
 
-def test_zero_tolerance_is_accepted(capsys):
-    code, out, _ = run(capsys, "spectrum", "--graph", "path:3", "-k", "1", "--tol", "0")
-    assert code == 0 and json.loads(out)["tol"] == 0.0
+@pytest.mark.parametrize("command", [("spectrum", "--graph", "path:3", "-k", "1"), ("verify", "--graph", "path:3")])
+def test_tolerance_is_not_an_option(capsys, command):
+    # Every bound comes from the table in spinwedge.spectra.
+    code, out, err = run(capsys, *command, "--tol", "0")
+    assert code == 2 and out == "" and "unrecognized arguments: --tol 0" in err
+    code, out, _ = run(capsys, *command)
+    assert code == 0 and (command[0] != "spectrum" or json.loads(out)["tol"] == 1e-9)
+
+
+# Every option of every subcommand; a new option shows up here.
+OPTIONS = {
+    "wedge": ["--format", "--graph", "--help", "--output", "-h", "-k", "-o"],
+    "spectrum": ["--field", "--format", "--graph", "--help", "--model", "--output", "-h", "-k", "-o"],
+    "closed-form": ["--check", "--help", "--model", "--n", "--output", "-h", "-k", "-o", "family"],
+    "verify": ["--graph", "--help", "--output", "--random-states", "--seed", "-h", "-o"],
+    "evolve": [
+        "--field", "--format", "--from", "--graph", "--help", "--model", "--output", "--subset", "--times", "--to",
+        "-h", "-k", "-o",
+    ],
+    "export": ["--format", "--graph", "--help", "--output", "-h", "-o"],
+}
+
+
+def test_option_set_is_pinned():
+    (subcommands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: sorted(s for a in parser._actions for s in a.option_strings or [a.dest])
+        for name, parser in subcommands.choices.items()
+    }
+    assert found == OPTIONS
 
 
 def test_boolean_graph_labels_exit_2(tmp_path, capsys):
@@ -234,7 +262,7 @@ def test_graph_without_vertices(tmp_path, capsys):
     path = tmp_path / "g0.json"
     path.write_text(json.dumps({"n": 0, "edges": []}))
     code, out, _ = run(capsys, "verify", "--graph", str(path))
-    assert code == 0 and out.splitlines()[-1].startswith("verification: 21 checks, 21 passed, 0 failed")
+    assert code == 0 and out.splitlines()[-1].startswith("verification: 20 checks, 20 passed, 0 failed")
     for model, route in (("xy", "lift"), ("heis", "dense")):
         code, out, _ = run(capsys, "spectrum", "--graph", str(path), "--model", model)
         assert code == 0

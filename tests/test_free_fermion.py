@@ -365,7 +365,7 @@ def _lift_answers(monkeypatch, g, k, r0, times, flip):
 
     monkeypatch.setattr(cli, "lift_route", route_of)
     monkeypatch.setattr(dynamics_mod, "lift_route", route_of)
-    (block,) = cli._spectrum_payload(g, "g", ModelSpec("xy"), range(k, k + 1), DEFAULT_TOL, False)["blocks"]
+    (block,) = cli._spectrum_payload(g, "g", ModelSpec("xy"), range(k, k + 1), False)["blocks"]
     amplitudes, route = evolve_subset(g, ModelSpec("xy"), unrank_subset(r0, g.n, k), times)
     assert block["route"] == route == "lift"
     return block["spectrum"]["values"], amplitudes
@@ -399,7 +399,7 @@ def test_no_lapack_determinant_in_evolve_or_check_lift(monkeypatch, capsys):
         assert {row["route"] for row in json.loads(capsys.readouterr().out)} == {"lift"}
     for name, g in (("cycle:7", cycle_graph(7)), ("er:6:0.5:2", erdos_renyi_graph(6, 0.5, 2))):
         wedges = {k: build_wedge_graph(g, k) for k in range(g.n + 1)}
-        assert all(r.passed for r in check_lift(name, g, wedges, eigh(adjacency(g)), 1e-9))
+        assert all(r.passed for r in check_lift(name, g, wedges, eigh(adjacency(g))))
 
 
 def test_verify_check_fails_on_a_false_switching(monkeypatch):
@@ -413,9 +413,9 @@ def test_verify_check_fails_on_a_false_switching(monkeypatch):
 
     wedges = {k: build_wedge_graph(g, k) for k in range(7)}
     sectors, base = verify_mod.sector_decompositions(g, wedges), eigh(adjacency(g))
-    assert check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES, 1e-9).passed
+    assert check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES).passed
     monkeypatch.setattr(wedge_mod, "switching_signs", all_ones)
-    result = check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES, 1e-9)
+    result = check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES)
     assert not result.passed and result.k == 2
 
 
@@ -467,6 +467,6 @@ def test_handshake_counts_cut_sizes_independently():
 def test_full_corpus_has_one_route_check_per_graph():
     report = run_verification()
     assert report.passed
-    assert len(report.results) == 487
+    assert len(report.results) == 465
     route_checks = [r.subject for r in report.results if r.check == "free_fermion_route"]
     assert route_checks == [name for name, _ in default_corpus()]

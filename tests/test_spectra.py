@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinwedge import (
+    CapacityError,
     EigenDecomposition,
     ModelSpec,
     adjacency,
@@ -30,6 +31,7 @@ from spinwedge import (
     xy_path_spectrum,
 )
 from spinwedge.spectra import LIFT_NORM_TOL
+from spinwedge.wedge import colex_level
 
 SQRT2 = math.sqrt(2.0)
 
@@ -236,6 +238,19 @@ def test_subset_minors_match_lapack(n):
 def test_subset_minors_rejects_wide_input():
     with pytest.raises(ValueError):
         subset_minors(np.zeros((3, 4)))
+
+
+def test_wide_minors_keep_levels_within_the_entry_bound():
+    # A call with j > n/2 keeps every level up to j, wider than n/2, but runs
+    # only while C(n, n/2) is within the sector limit: n <= 14.
+    colex_level.cache_clear()
+    subset_minors(np.eye(14)[:, :10])
+    assert colex_level.cache_info().currsize == 11
+    kept = [array for c in range(11) for array in colex_level(14, c)]
+    assert max(array.size for array in kept) == math.comb(14, 7) * 7 == 24024
+    with pytest.raises(CapacityError, match=r"C\(15,7\)=6435"):
+        subset_minors(np.eye(15)[:, :10])
+    assert colex_level.cache_info().currsize == 11
 
 
 def test_lift_eigenvector_is_the_determinant_on_both_sides():

@@ -24,6 +24,7 @@ from spinwedge.verify import (
     default_corpus,
     run_verification,
 )
+from spinwedge.spectra import complete_graph_spectra
 from spinwedge.wedge import colex_level
 
 SMALL_CORPUS = [
@@ -79,7 +80,7 @@ def dropping_builder(target_graph, target_k):
 
 
 # sha256 of the "check subject" lines of the default run, one per check.
-CHECK_LIST_DIGEST = "2cf5d83f15eeb4d69ec893f707d1a704070ed7a325f711e01d0fe7a047c8a6ff"
+CHECK_LIST_DIGEST = "950ec6825ba730d9d3bc1dd7c2c98defb624f8acbe4882a4c0b3ce489b8a8792"
 
 
 def test_default_corpus_composition():
@@ -136,7 +137,7 @@ def test_check_result_line_format():
 
 
 def test_path_closed_form_standalone():
-    results = check_path_closed_form(9, 1e-9)
+    results = check_path_closed_form(9)
     assert all(r.passed for r in results)
 
 
@@ -185,7 +186,7 @@ def test_check_list_is_pinned():
     report = run_verification()
     assert report.passed, report.first_failure
     lines = "\n".join(f"{r.check} {r.subject}" for r in report.results)
-    assert len(report.results) == 487
+    assert len(report.results) == 465
     assert hashlib.sha256(lines.encode()).hexdigest() == CHECK_LIST_DIGEST
 
 
@@ -207,8 +208,10 @@ def test_relabelled_isospectral_sector_fails_sector_vs_full():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_complete_ground_energy_checked_for_every_n(n, monkeypatch):
-    by_check = {r.check: r for r in check_johnson_family(n, 1e-9)}
-    assert by_check["xy_complete_ground_energy"].passed
+    # The full spectrum of each model on K_n is checked against its closed
+    # form, the ground energy and every multiplicity included.
+    by_check = {r.check: r for r in check_johnson_family(n)}
+    assert by_check["complete_spectrum_xy"].passed and by_check["complete_spectrum_heisenberg"].passed
 
     real = verify_mod.full_hamiltonian
 
@@ -217,9 +220,25 @@ def test_complete_ground_energy_checked_for_every_n(n, monkeypatch):
         return h + 0.5 * np.eye(len(h)) if spec.is_xy else h
 
     monkeypatch.setattr(verify_mod, "full_hamiltonian", shifted)
-    by_check = {r.check: r for r in check_johnson_family(n, 1e-9)}
-    assert not by_check["xy_complete_ground_energy"].passed
-    assert by_check["heis_complete_value_set"].passed
+    by_check = {r.check: r for r in check_johnson_family(n)}
+    assert not by_check["complete_spectrum_xy"].passed
+    assert by_check["complete_spectrum_heisenberg"].passed
+
+    # Move one Heisenberg eigenvalue onto another allowed value j(n+1-j): the
+    # value set is right, one multiplicity is not.
+    allowed = sorted({j * (n + 1 - j) for j in range(n + 1)})
+    values = complete_graph_spectra(n, "heisenberg")
+    values[-1] = allowed[0]
+    assert all(min(abs(v - a) for a in allowed) <= 1e-9 for v in values)
+
+    def moved(g, spec):
+        return real(g, spec) if spec.is_xy else np.diag(values)
+
+    monkeypatch.setattr(verify_mod, "full_hamiltonian", moved)
+    by_check = {r.check: r for r in check_johnson_family(n)}
+    assert by_check["complete_spectrum_xy"].passed
+    r = by_check["complete_spectrum_heisenberg"]
+    assert not r.passed and r.max_error >= 1.0
 
 
 def test_each_wedge_power_built_once_per_graph(monkeypatch):
@@ -304,9 +323,9 @@ def test_heisenberg_checks_read_the_shared_decompositions(monkeypatch):
 
     for solver in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, solver, counting(getattr(np.linalg, solver)))
-    assert verify_mod.check_heis_psd_kernel("cycle:5", g, wedges, sectors, 1e-9).passed
+    assert verify_mod.check_heis_psd_kernel("cycle:5", g, wedges, sectors).passed
     assert not calls
-    assert all(r.passed for r in verify_mod.check_sector_spectra("cycle:5", g, heisenberg, sectors, full, 1e-9))
+    assert all(r.passed for r in verify_mod.check_sector_spectra("cycle:5", g, heisenberg, sectors, full))
     # The oracle's blocks are compared entry by entry, so nothing is solved.
     assert not calls
 

@@ -199,6 +199,10 @@ def test_build_capacity_guard():
 def test_oracle_capacity_guard():
     with pytest.raises(CapacityError):
         alt_delta_oracle(path_graph(12), 6)
+    # C(15,7) = 6435 is above the sector limit, but C(n,k) <= n^k, so the
+    # tensor guard, at C(n,k)^2 or more, always refuses first.
+    with pytest.raises(CapacityError, match=r"tensor-space oracle at k=7 needs .* = 1099480078125 entries"):
+        alt_delta_oracle(path_graph(15), 7)
 
 
 def test_oracle_guard_refuses_before_allocating():
@@ -370,8 +374,9 @@ def test_cached_tables_equal_a_fresh_enumeration(n, k):
     assert table.dtype == np.int64 and table.shape == (m, k)
     assert [tuple(row) for row in table.tolist()] == subsets
     assert basis_states(n, k).tolist() == [sum(1 << v for v in s) for s in subsets]
-    weights = _colex_weights(n, k, m)
+    weights = _colex_weights(n, k)
     assert [int(weights[list(s), range(k)].sum()) for s in subsets] == list(range(m))
+    assert weights.shape == (n, k) and int(weights.max(initial=0)) <= m
     cached_arrays = [table, basis_states(n, k), weights]
     if 2 * k <= n:
         # The kept table is a level of the one enumeration, which also holds

@@ -53,8 +53,10 @@ from .spectra import (
     lift_eigenvector,
     path_eigenvector,
     path_spectrum,
+    singlet_levels,
     spectrum_dict,
     spectrum_gap,
+    su2_pays,
     subset_minors,
     subset_sums,
     xy_path_spectrum,
@@ -65,6 +67,7 @@ from .spins import (
     block_hamiltonian,
     full_hamiltonian,
     project_full_to_blocks,
+    singlet_basis,
 )
 from .dynamics import (
     evolve_subset,

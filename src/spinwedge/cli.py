@@ -35,8 +35,10 @@ from .graphs import (
 from .spectra import (
     DEFAULT_TOL,
     johnson_spectrum,
+    singlet_levels,
     spectrum_dict,
     spectrum_gap,
+    su2_pays,
     subset_sums,
     xy_path_spectrum,
 )
@@ -127,30 +129,34 @@ def cmd_wedge(args) -> int:
 
 
 def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, want_union: bool):
-    """Sector spectra, each field-free plus its field shift; an XY sector on the
-    lift route is the h-sums of eig(sigma A), with no sector matrix."""
+    """Sector spectra, each field-free plus its field shift.  An XY sector on
+    the lift route is the h-sums of eig(sigma A), with no sector matrix; a
+    Heisenberg sector where :func:`su2_pays` is the union of the singlet
+    levels of the sides j = 0..h.  Sectors k and n-k share side h =
+    min(k, n-k): each side's lift decision and singlet levels are computed
+    once, for every sector that reads them."""
     for k in ks:
         sector_dimension(g.n, k)
     wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
+    lift_side = functools.cache(lambda h: lift_route(g, h, wedge_of))
+    levels_of = functools.cache(lambda j: singlet_levels(wedge_of(j)))
     base_values = None
     blocks = []
     union_vals: list[float] = []
     for k in ks:
-        route = lift_route(g, k, wedge_of) if spec.is_xy else None
-        if route is None:
-            vals = np.linalg.eigvalsh(block_hamiltonian(g, k, spec, wedge_of(k)))
-        else:
+        h = min(k, g.n - k)
+        route = lift_side(h) if spec.is_xy else None
+        if route is not None:
             if base_values is None:
                 base_values = np.linalg.eigvalsh(adjacency(g))
-            vals = subset_sums(route.sigma * base_values, route.h)
+            vals, taken = subset_sums(route.sigma * base_values, h), "lift"
+        elif not spec.is_xy and su2_pays(g.n, k):
+            vals, taken = np.sort(np.concatenate([levels_of(j) for j in range(h + 1)])), "su2"
+        else:
+            vals, taken = np.linalg.eigvalsh(block_hamiltonian(g, k, spec, wedge_of(k))), "dense"
         vals = vals + spec.sector_shift(g.n, k)
         union_vals.extend(vals)
-        blocks.append({
-            "k": k,
-            "dim": len(vals),
-            "route": "dense" if route is None else "lift",
-            "spectrum": spectrum_dict(vals, DEFAULT_TOL),
-        })
+        blocks.append({"k": k, "dim": len(vals), "route": taken, "spectrum": spectrum_dict(vals, DEFAULT_TOL)})
     payload = {
         "graph": label,
         "n": g.n,

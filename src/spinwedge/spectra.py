@@ -1,4 +1,5 @@
-"""Symmetric eigensolving, closed-form spectra, the wedge spectral lift.
+"""Symmetric eigensolving, closed-form spectra, the wedge spectral lift, and
+the spin-singlet blocks of the Heisenberg sectors.
 
 A spectrum is a float64 array sorted in ascending order.
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spins import ModelSpec
-from .wedge import colex_level, sector_dimension, subset_table
+from .spins import ModelSpec, singlet_basis
+from .wedge import WedgeGraph, colex_level, sector_dimension, subset_table
 
 __all__ = [
     "DEFAULT_TOL",
@@ -42,6 +43,8 @@ __all__ = [
     "subset_sums",
     "subset_minors",
     "lift_eigenvector",
+    "su2_pays",
+    "singlet_levels",
     "spectrum_gap",
     "spectrum_dict",
 ]
@@ -296,3 +299,83 @@ def lift_eigenvector(base: EigenDecomposition, index_sets) -> EigenDecomposition
         raise ValueError("base decomposition is not orthonormal enough to lift")
     values = np.array([math.fsum(base.values[idx]) for idx in sets])
     return EigenDecomposition(values, (amplitudes / norms[:, None]).T)
+
+
+def su2_pays(n: int, k: int) -> bool:
+    """Whether Heisenberg sector k is cheaper from its spin-singlet blocks
+    (:func:`singlet_levels` of the sides j = 0..h, h = min(k, n-k)) than from
+    one dense eigensolve: when the largest block, d_h = C(n,h) - C(n,h-1),
+    is at most half of C(n,h), that is 3h >= n+1.  Below that the blocks
+    save little time and their work arrays outgrow the dense matrix's."""
+    return 3 * min(k, n - k) >= n + 1
+
+
+def _invert_lower(r: np.ndarray) -> np.ndarray:
+    """Invert a lower-triangular matrix in place, by halves: with diagonal
+    blocks A and D, the inverse has diagonal blocks A^-1 and D^-1 and lower
+    block -D^-1 R21 A^-1.  A sixth of the flops of a general inverse, mostly
+    in matrix products, with no second n x n array."""
+    n = len(r)
+    if n <= 64:
+        r[...] = np.linalg.inv(r)
+        return r
+    h = n // 2
+    a, d = _invert_lower(r[:h, :h]), _invert_lower(r[h:, h:])
+    r[h:, :h] = -(d @ (r[h:, :h] @ a))
+    return r
+
+
+def singlet_levels(w: WedgeGraph) -> np.ndarray:
+    """The new Heisenberg levels of side j = w.k <= n/2, ascending: the
+    eigenvalues of the wedge laplacian L_j on the kernel of W_{j-1,j}.
+
+    The total spin commutes with the hamiltonian, so Heisenberg sector k is
+    the union of the new levels of the sides j = 0..min(k, n-k), one block of
+    d_j = C(n,j) - C(n,j-1) values each.  With B the
+    :func:`spinwedge.spins.singlet_basis` of side j as a C(n,j) x d_j matrix,
+    the levels are the eigenvalues of the pencil (B^T L_j B, B^T B), taken as
+    those of R^-1 B^T L_j B R^-T with B^T B = R R^T.  L_j B is assembled from
+    the hops, so no C(n,j) x C(n,j) matrix is formed.  B, L_j B and both
+    products are integer matrices: B's entries are 0 and +-1, L_j B's are at
+    most twice the largest wedge degree j(n-j), so no partial sum of the
+    products exceeds 2^j * 2j(n-j), which the sector guard on C(n,j) keeps
+    below 2^15.  They are computed in float32, exactly, at half the cost of
+    float64.
+    """
+    n, j, m = w.base.n, w.k, w.num_vertices
+    rows, signs = singlet_basis(n, j)
+    d, width = rows.shape
+    entries = rows.ravel()
+    cols = np.repeat(np.arange(d), width)
+    values = np.tile(signs, d).astype(np.float32)
+    # L_j = degrees minus adjacency: each basis entry on rank r adds
+    # deg(r) times itself at r and minus itself at every neighbour of r.
+    a, b, _ = w.hops
+    ends = np.concatenate((a, b))
+    neighbours = np.concatenate((b, a))[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=m)
+    counts = degree[entries]
+    basis = np.zeros((m, d), dtype=np.float32)
+    basis[entries, cols] = values
+    laplace = np.zeros((m, d), dtype=np.float32)
+    laplace[entries, cols] = values * counts
+    # The flat index of every (entry, neighbour) pair in laplace, built in
+    # place: each work array is dropped or reused once it is read, which keeps
+    # the peak below that of one dense C(n,j) x C(n,j) matrix where su2_pays.
+    at = np.repeat(np.cumsum(degree)[entries] - np.cumsum(counts), counts)
+    at += np.arange(len(at))
+    at = neighbours[at]
+    at *= d
+    at += np.repeat(cols, counts)
+    np.add.at(laplace.reshape(-1), at, -np.repeat(values, counts))
+    del at
+    gram, pencil = basis.T @ basis, basis.T @ laplace
+    del basis, laplace
+    gram, pencil = gram.astype(float), pencil.astype(float)
+    inverse = np.linalg.cholesky(gram)
+    del gram
+    _invert_lower(inverse)
+    pencil = inverse @ pencil
+    pencil = pencil @ inverse.T
+    del inverse
+    return np.linalg.eigvalsh(pencil)

@@ -6,7 +6,9 @@ routes against each other: the field-free wedge-power sector hamiltonians
 against the excitation blocks of the full 2^n oracle, the oracle's field
 against the one sector field formula, the combinatorial signed wedge
 construction against the literal tensor-space projector, closed forms against
-dense diagonalization, and sector dynamics against full-space dynamics.
+dense diagonalization, the Heisenberg levels of the spin-singlet blocks
+against the dense sector spectra, and sector dynamics against full-space
+dynamics.
 Every bound is 0 (exact) or a value of the tolerance table in
 :mod:`spinwedge.spectra`; none is an argument.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +42,7 @@ from .spectra import (
     lift_eigenvector,
     path_eigenvector,
     path_spectrum,
+    singlet_levels,
     spectrum_gap,
     subset_sums,
     xy_path_spectrum,
@@ -50,6 +53,7 @@ from .spins import (
     block_hamiltonian,
     full_hamiltonian,
     project_full_to_blocks,
+    singlet_basis,
 )
 from .wedge import (
     alt_delta_oracle,
@@ -89,10 +93,11 @@ class CheckResult:
     k: int | None = None
     note: str = ""
 
-    def line(self) -> str:
+    def line(self, width: int = 0) -> str:
+        """One report line, the check name padded to ``width`` columns."""
         status = "PASS" if self.passed else "FAIL"
         where = self.subject + (f" k={self.k}" if self.k is not None else "")
-        text = f"[{status}] {self.check:<26} {where:<18} max_err={self.max_error:9.3e}  tol={self.tol:.1e}"
+        text = f"[{status}] {self.check:<{width}} {where:<18} max_err={self.max_error:9.3e}  tol={self.tol:.1e}"
         if self.note:
             text += f"  ({self.note})"
         return text
@@ -112,7 +117,10 @@ class VerificationReport:
         return next((r for r in self.results if not r.passed), None)
 
     def lines(self) -> list[str]:
-        out = [r.line() for r in self.results]
+        """One line per check, every name padded to the longest, so the
+        columns after it line up, then the summary."""
+        width = max((len(r.check) for r in self.results), default=0)
+        out = [r.line(width) for r in self.results]
         n_fail = sum(not r.passed for r in self.results)
         out.append(
             f"verification: {len(self.results)} checks, {len(self.results) - n_fail} passed, "
@@ -290,15 +298,20 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, b
     For each: D . C_h . D == sigma A_h exactly on the built side h, the h-sums
     of eig(sigma A) (``base``, the eigh of g's adjacency A) equal the dense
     sector spectrum, and the lift amplitudes from one basis state equal both
-    dense propagation and the determinant formula at ``times``.  The dense
+    dense propagation and the determinant formula at ``times``.  Sectors k
+    and n-k share side h, which is decided once.  The dense
     reference is the field-free decomposition from ``sectors`` (see
     :func:`sector_decompositions`).  Sectors k in {0, 1, n-1, n}, and every
     sector of a path, must lift.
     """
     worst, bad_k = 0.0, None
     lifted, unrouted = [], []
+    sides = {}
     for k in wedges:
-        route = lift_route(g, k, wedges.__getitem__)
+        h = min(k, g.n - k)
+        if h not in sides:
+            sides[h] = lift_route(g, h, wedges.__getitem__)
+        route = None if sides[h] is None else replace(sides[h], k=k)
         if route is None:
             if name.startswith("path:") or k in (0, 1, g.n - 1, g.n):
                 unrouted.append(k)
@@ -336,6 +349,45 @@ def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, sectors: dict) -> C
         if err > worst:
             worst, bad_k = err, k
     return _result("heis_psd_kernel", name, worst, DEFAULT_TOL, k=bad_k)
+
+
+def _unflip(n: int, k: int) -> np.ndarray:
+    """W_{k-1,k}: the 0/1 int64 inclusion matrix of the (k-1)-subsets in the
+    k-subsets, the ladder operator that unflips one spin of sector k, read
+    off the bitmasks of :func:`basis_states`."""
+    return ((basis_states(n, k - 1)[:, None] & ~basis_states(n, k)) == 0).astype(np.int64)
+
+
+def check_heis_su2_intertwining(name: str, g: Graph, sectors: dict) -> CheckResult:
+    """W_{k-1,k} L_k == L_{k-1} W_{k-1,k} exactly for k = 1..n, L_k the
+    Heisenberg sector matrix in ``sectors``: the hamiltonian commutes with the
+    total spin, the identity that the singlet levels rest on."""
+    for k in range(1, g.n + 1):
+        w = _unflip(g.n, k)
+        if not np.array_equal(w @ sectors[("heisenberg", k)].matrix, sectors[("heisenberg", k - 1)].matrix @ w):
+            return _result("heis_su2_intertwining", name, math.inf, 0.0, k=k)
+    return _result("heis_su2_intertwining", name, 0.0, 0.0)
+
+
+def check_heis_su2_levels(name: str, g: Graph, wedges: dict, sectors: dict) -> CheckResult:
+    """Every Heisenberg sector k is the union of the :func:`singlet_levels`
+    of the sides j = 0..min(k, n-k), within DEFAULT_TOL of its dense values in
+    ``sectors``, multiplicities included; and every :func:`singlet_basis`
+    lies in the kernel of W_{j-1,j}, exactly, in integers."""
+    for j in range(1, g.n // 2 + 1):
+        rows, signs = singlet_basis(g.n, j)
+        basis = np.zeros((math.comb(g.n, j), len(rows)), dtype=np.int64)
+        basis[rows, np.arange(len(rows))[:, None]] = signs
+        if np.any(_unflip(g.n, j) @ basis):
+            return _result("heis_su2_levels", name, math.inf, DEFAULT_TOL, k=j, note=f"W B != 0 on side j={j}")
+    levels = [singlet_levels(wedges[j]) for j in range(g.n // 2 + 1)]
+    worst, bad_k = 0.0, None
+    for k in range(g.n + 1):
+        union = np.concatenate(levels[: min(k, g.n - k) + 1])
+        gap = spectrum_gap(union, sectors[("heisenberg", k)].dec.values)
+        if gap > worst:
+            worst, bad_k = gap, k
+    return _result("heis_su2_levels", name, worst, DEFAULT_TOL, k=bad_k)
 
 
 def check_field_shift(name: str, g: Graph, fulls: dict) -> CheckResult:
@@ -518,6 +570,8 @@ def _graph_checks(index, name, g, seed, n_states, builder) -> list[CheckResult]:
     if oracle is not None:
         results.append(oracle)
     results.append(check_heis_psd_kernel(name, g, wedges, sectors))
+    results.append(check_heis_su2_intertwining(name, g, sectors))
+    results.append(check_heis_su2_levels(name, g, wedges, sectors))
     results.append(check_field_shift(name, g, fulls))
     results.append(check_complement_isomorphism(name, g, wedges))
     for model in _MODELS:

@@ -55,8 +55,8 @@ BLOCK_DIM_LIMIT = 5000
 TENSOR_ENTRY_LIMIT = 10**7
 
 # Distinct (n, k) tables kept per process: a pass over the verification
-# corpus uses 42 bitmask tables and 23 subset tables (k <= n/2 only), and
-# each holds at most BLOCK_DIM_LIMIT rows.
+# corpus uses 42 bitmask tables, 23 subset tables and 23 singlet bases
+# (k <= n/2 only), and each holds at most BLOCK_DIM_LIMIT rows.
 TABLE_CACHE_SIZE = 64
 
 

@@ -20,6 +20,7 @@ from spinwedge import (
     block_hamiltonian,
     build_wedge_graph,
     complete_graph,
+    complete_graph_spectra,
     connected_components,
     eigh,
     evolve_subset,
@@ -156,9 +157,8 @@ def test_criterion_05_johnson_and_complete_graph():
         for k in range(n + 1):
             vals = np.linalg.eigvalsh(wedge_adjacency(build_wedge_graph(g, k)))
             worst = max(worst, spectrum_gap(johnson_spectrum(n, k), vals))
-        allowed = {j * (n + 1 - j) for j in range(n + 1)}
-        for v in np.linalg.eigvalsh(full_hamiltonian(g, ModelSpec("heisenberg"))):
-            worst = max(worst, min(abs(v - a) for a in allowed))
+        full = np.linalg.eigvalsh(full_hamiltonian(g, ModelSpec("heisenberg")))
+        worst = max(worst, spectrum_gap(complete_graph_spectra(n, "heisenberg"), full))
     notes = []
     for n in (2, 4, 6, 8):
         e0 = float(np.linalg.eigvalsh(full_hamiltonian(complete_graph(n), ModelSpec("xy"))).min())
@@ -166,7 +166,7 @@ def test_criterion_05_johnson_and_complete_graph():
     for n in (3, 5, 7):
         e0 = float(np.linalg.eigvalsh(full_hamiltonian(complete_graph(n), ModelSpec("xy"))).min())
         notes.append(f"n={n}: E0={e0:.6f} (expected {-(n - 1) / 2})")
-    _report(5, worst <= TOL, f"Johnson formula n<=8, Heisenberg value set, even E0=-n/2; max err {worst:.2e}; odd-n minima recorded: {'; '.join(notes)}")
+    _report(5, worst <= TOL, f"Johnson formula n<=8, Heisenberg full spectrum with multiplicities, even E0=-n/2; max err {worst:.2e}; odd-n minima recorded: {'; '.join(notes)}")
 
 
 def test_criterion_06_lift_spectral_theorem(corpus, wedges):

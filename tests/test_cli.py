@@ -262,7 +262,7 @@ def test_graph_without_vertices(tmp_path, capsys):
     path = tmp_path / "g0.json"
     path.write_text(json.dumps({"n": 0, "edges": []}))
     code, out, _ = run(capsys, "verify", "--graph", str(path))
-    assert code == 0 and out.splitlines()[-1].startswith("verification: 20 checks, 20 passed, 0 failed")
+    assert code == 0 and out.splitlines()[-1].startswith("verification: 22 checks, 22 passed, 0 failed")
     for model, route in (("xy", "lift"), ("heis", "dense")):
         code, out, _ = run(capsys, "spectrum", "--graph", str(path), "--model", model)
         assert code == 0
@@ -461,7 +461,8 @@ def test_spectrum_blocks_name_their_route(capsys):
     routes = [b["route"] for b in json.loads(out)["blocks"]]
     assert routes == ["lift", "lift", "dense", "lift", "dense", "lift", "lift"]
     code, out, _ = run(capsys, "spectrum", "--graph", "cycle:6", "-k", "all", "--model", "heis")
-    assert {b["route"] for b in json.loads(out)["blocks"]} == {"dense"}
+    routes = [b["route"] for b in json.loads(out)["blocks"]]
+    assert routes == ["dense", "dense", "dense", "su2", "dense", "dense", "dense"]
     code, out, _ = run(capsys, "spectrum", "--graph", "cycle:6", "-k", "3", "--format", "csv")
     lines = out.strip().splitlines()
     assert lines[0] == "k,index,value" and len(lines) == 21 and "lift" not in out

@@ -464,9 +464,27 @@ def test_handshake_counts_cut_sizes_independently():
     assert {r.check: r for r in clean.results}["wedge_dimensions"].passed
 
 
+def test_each_lift_side_is_decided_once(monkeypatch, capsys):
+    # Sectors k and n-k share side min(k, n-k): one parity forest per side.
+    calls, real = [], wedge_mod.switching_signs
+
+    def counting(w):
+        calls.append(w.k)
+        return real(w)
+
+    monkeypatch.setattr(wedge_mod, "switching_signs", counting)
+    for name, g in default_corpus()[::3]:
+        calls.clear()
+        assert run_verification(corpus=[(name, g)], random_states=1).passed
+        assert calls == list(range(g.n // 2 + 1)), name
+    calls.clear()
+    assert cli.main(["spectrum", "--graph", "er:6:0.5:2", "-k", "all"]) == 0
+    assert calls == [0, 1, 2, 3]
+
+
 def test_full_corpus_has_one_route_check_per_graph():
     report = run_verification()
     assert report.passed
-    assert len(report.results) == 465
+    assert len(report.results) == 509
     route_checks = [r.subject for r in report.results if r.check == "free_fermion_route"]
     assert route_checks == [name for name, _ in default_corpus()]

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import spinwedge.spectra as spectra_mod
 import spinwedge.verify as verify_mod
 from spinwedge import (
     WedgeGraph,
@@ -18,11 +19,14 @@ from spinwedge import (
 from spinwedge.verify import (
     CheckResult,
     check_complement_isomorphism,
+    check_heis_su2_intertwining,
+    check_heis_su2_levels,
     check_johnson_family,
     check_named_isomorphisms,
     check_path_closed_form,
     default_corpus,
     run_verification,
+    sector_decompositions,
 )
 from spinwedge.spectra import complete_graph_spectra
 from spinwedge.wedge import colex_level
@@ -80,7 +84,7 @@ def dropping_builder(target_graph, target_k):
 
 
 # sha256 of the "check subject" lines of the default run, one per check.
-CHECK_LIST_DIGEST = "950ec6825ba730d9d3bc1dd7c2c98defb624f8acbe4882a4c0b3ce489b8a8792"
+CHECK_LIST_DIGEST = "1ac28d6fbcdd58e223cc07a3ed89fce9cc971d8e2716bd2b3229aaded7b40d21"
 
 
 def test_default_corpus_composition():
@@ -182,11 +186,22 @@ def test_named_isomorphism_fails_on_a_dropped_hop():
     assert not by_check["named_isomorphism_k3"].passed and by_check["named_isomorphism_k5"].passed
 
 
+def test_default_run_lines_up_its_columns():
+    report = run_verification()
+    width = max(len(r.check) for r in report.results)
+    assert width == len("dynamics_block_vs_full_heisenberg")
+    lines = report.lines()[: len(report.results)]
+    subjects = {line.index(r.subject, len("[PASS] ") + len(r.check)) for r, line in zip(report.results, lines)}
+    assert subjects == {len("[PASS] ") + width + 1}
+    assert len({line.index("max_err=") for line in lines}) == 1
+    assert len({line.index("tol=") for line in lines}) == 1
+
+
 def test_check_list_is_pinned():
     report = run_verification()
     assert report.passed, report.first_failure
     lines = "\n".join(f"{r.check} {r.subject}" for r in report.results)
-    assert len(report.results) == 465
+    assert len(report.results) == 509
     assert hashlib.sha256(lines.encode()).hexdigest() == CHECK_LIST_DIGEST
 
 
@@ -385,3 +400,49 @@ def test_a_refusing_projector_oracle_fails_its_check(monkeypatch, capsys):
     (line,) = [line for line in out.splitlines() if line.startswith("[") and "signed_vs_projector_oracle" in line]
     assert line.startswith("[FAIL]") and "max_err=      inf" in line and "not integral" in line
     assert "first failure: (complete:4, k=0, signed_vs_projector_oracle)" in out
+
+
+def test_intertwining_fails_on_a_relabelled_wedge():
+    # The relabelled power is isospectral, but its laplacian no longer
+    # commutes with the ladder operator read off the bitmasks.
+    g = cycle_graph(4)
+    relabel = relabelling_builder(g, 2)
+    for builder, passed in ((build_wedge_graph, True), (relabel, False)):
+        sectors = sector_decompositions(g, {k: builder(g, k) for k in range(5)})
+        r = check_heis_su2_intertwining("cycle:4", g, sectors)
+        assert r.passed == passed and r.k == (None if passed else 2)
+    report = run_verification(corpus=SMALL_CORPUS, random_states=2, wedge_builder=relabel)
+    by_check = {(r.check, r.subject): r for r in report.results}
+    assert not by_check[("heis_su2_intertwining", "cycle:4")].passed
+    assert by_check[("heis_su2_intertwining", "path:4")].passed
+
+
+def _flip_first_singlet(real):
+    """singlet_basis with the first pair of every vector of side 2 a triplet."""
+
+    def basis(n, j):
+        rows, signs = real(n, j)
+        if j == 2:
+            signs = signs * (1 - 2 * (np.arange(len(signs)) & 1))
+        return rows, signs
+
+    return basis
+
+
+@pytest.mark.parametrize("name", ["path:5", "cycle:6", "er:6:0.5:1"])
+def test_su2_levels_check_fails_on_a_flipped_singlet(name, monkeypatch):
+    g = dict(default_corpus() + [("path:5", path_graph(5))])[name]
+    wedges = {k: build_wedge_graph(g, k) for k in range(g.n + 1)}
+    sectors = sector_decompositions(g, wedges)
+    assert check_heis_su2_levels(name, g, wedges, sectors).passed
+    flipped = _flip_first_singlet(verify_mod.singlet_basis)
+    # Flipped where the levels are computed, with the kernel test on the true
+    # basis: the levels miss the dense spectrum.
+    monkeypatch.setattr(spectra_mod, "singlet_basis", flipped)
+    r = check_heis_su2_levels(name, g, wedges, sectors)
+    assert not r.passed and r.max_error > 1e-3
+    # Flipped where the kernel is tested, with the levels right: W B != 0.
+    monkeypatch.undo()
+    monkeypatch.setattr(verify_mod, "singlet_basis", flipped)
+    r = check_heis_su2_levels(name, g, wedges, sectors)
+    assert not r.passed and r.k == 2 and "j=2" in r.note

@@ -104,7 +104,10 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spinwedge-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spinwedge-")
+    except OSError as exc:  # it names the temporary file, not the one asked for
+        raise OSError(exc.errno, exc.strerror, output) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -129,31 +132,31 @@ def cmd_wedge(args) -> int:
 
 
 def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, want_union: bool):
-    """Sector spectra, each field-free plus its field shift.  An XY sector on
-    the lift route is the h-sums of eig(sigma A), with no sector matrix; a
-    Heisenberg sector where :func:`su2_pays` is the union of the singlet
-    levels of the sides j = 0..h.  Sectors k and n-k share side h =
-    min(k, n-k): each side's lift decision and singlet levels are computed
-    once, for every sector that reads them."""
+    """Sector spectra, each field-free plus its field shift.  Sectors k and
+    n-k are one graph under the complement, so both are answered from side
+    h = min(k, n-k), computed once: an XY side on the lift route is the
+    h-sums of eig(sigma A), with no sector matrix; a Heisenberg side where
+    :func:`su2_pays` is the union of the singlet levels of the sides
+    j = 0..h; any other side is one dense eigensolve."""
     for k in ks:
         sector_dimension(g.n, k)
     wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
-    lift_side = functools.cache(lambda h: lift_route(g, h, wedge_of))
     levels_of = functools.cache(lambda j: singlet_levels(wedge_of(j)))
-    base_values = None
+    base_values = functools.cache(lambda: np.linalg.eigvalsh(adjacency(g)))
+
+    @functools.cache
+    def side(h):
+        route = lift_route(wedge_of(h)) if spec.is_xy else None
+        if route is not None:
+            return subset_sums(route.sigma * base_values(), h), "lift"
+        if not spec.is_xy and su2_pays(g.n, h):
+            return np.sort(np.concatenate([levels_of(j) for j in range(h + 1)])), "su2"
+        return np.linalg.eigvalsh(block_hamiltonian(g, h, spec, wedge_of(h))), "dense"
+
     blocks = []
     union_vals: list[float] = []
     for k in ks:
-        h = min(k, g.n - k)
-        route = lift_side(h) if spec.is_xy else None
-        if route is not None:
-            if base_values is None:
-                base_values = np.linalg.eigvalsh(adjacency(g))
-            vals, taken = subset_sums(route.sigma * base_values, h), "lift"
-        elif not spec.is_xy and su2_pays(g.n, k):
-            vals, taken = np.sort(np.concatenate([levels_of(j) for j in range(h + 1)])), "su2"
-        else:
-            vals, taken = np.linalg.eigvalsh(block_hamiltonian(g, k, spec, wedge_of(k))), "dense"
+        vals, taken = side(min(k, g.n - k))
         vals = vals + spec.sector_shift(g.n, k)
         union_vals.extend(vals)
         blocks.append({"k": k, "dim": len(vals), "route": taken, "spectrum": spectrum_dict(vals, DEFAULT_TOL)})
@@ -308,15 +311,15 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
-    """argparse type of --random-states: an integer >= 1, as no state checks nothing."""
+def _at_least(low: int, text: str) -> int:
+    """argparse type, with ``low`` bound by functools.partial: an integer >= low."""
     try:
-        count = int(text)
+        value = int(text)
     except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return count
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+    return value
 
 
 def _add_common(p, graph_required=True):
@@ -356,8 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification corpus")
     p.add_argument("--graph", default=None, help="verify one graph instead of the built-in corpus")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random-state checks")
-    p.add_argument("--random-states", type=_count, default=20, help="random states per graph and sector")
+    p.add_argument("--seed", type=functools.partial(_at_least, 0), default=0, help="seed for the random-state checks")
+    # At least one random state, as none would check nothing.
+    states = functools.partial(_at_least, 1)
+    p.add_argument("--random-states", type=states, default=20, help="random states per graph and sector")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_verify)
 

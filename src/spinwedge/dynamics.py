@@ -8,13 +8,12 @@ every time point and every state.
 An XY basis state whose sector has a lift route (see
 :func:`spinwedge.wedge.lift_route`) is evolved from the n x n base graph
 instead: its amplitudes are signed minors of exp(-i sigma A t), the
-one-particle propagator of the signed base sigma A, taken on the smaller
-side min(k, n-k) by :func:`spinwedge.spectra.subset_minors`.
+one-particle propagator of the signed base sigma A, taken by
+:func:`spinwedge.spectra.subset_minors`.  Both routes evolve sector k on
+side min(k, n-k), relabelled in one place, :func:`evolve_subset`.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -61,41 +60,41 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 def lift_propagate(
     g: Graph, route: LiftRoute, start_rank: int, times, base: EigenDecomposition | None = None
 ) -> np.ndarray:
-    """Column ``start_rank`` of exp(-i t A_k) on the field-free XY sector
-    route.k, for every t.
+    """Column ``start_rank`` of exp(-i t A_h) on the field-free XY side
+    route.h, for every t.
 
     One eigh of the n x n adjacency (``base``, computed when omitted; the
     base is guarded by :func:`spinwedge.wedge.lift_route`) gives the columns
-    S0 of exp(-i sigma A t) for all times.  On side h = min(k, n-k) the
-    amplitude on S is D[S] D[S0] det exp(-i sigma A t)[S, S0], from one
-    :func:`subset_minors` call over all times.  Returns (times, C(n,k)).
+    S0 of exp(-i sigma A t) for all times.  The amplitude on S is
+    D[S] D[S0] det exp(-i sigma A t)[S, S0], from one :func:`subset_minors`
+    call over all times.  Returns (times, C(n,h)).
     """
-    n, k = g.n, route.k
-    m = sector_dimension(n, k)
+    n, h = g.n, route.h
+    m = sector_dimension(n, h)
     if not 0 <= start_rank < m:
-        raise ValueError(f"start rank {start_rank} out of range for C({n},{k})={m}")
+        raise ValueError(f"start rank {start_rank} out of range for C({n},{h})={m}")
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)):
         raise ValueError(f"times must be a 1-D array of finite values, got {times}")
-    h = route.h
-    # Complementing a k-subset of rank r gives the (n-k)-subset of rank m-1-r.
-    r0 = start_rank if h == k else m - 1 - start_rank
     rows = subset_table(n, h)
     if base is None:
         base = eigh(adjacency(g))
     phases = np.exp(-1j * route.sigma * np.multiply.outer(t, base.values))
-    columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[r0]].T)  # exp(-i sigma A t)[:, S0]
-    amplitudes = subset_minors(columns) * (route.signs * route.signs[r0])
-    return amplitudes[:, ::-1] if h != k else amplitudes
+    # exp(-i sigma A t)[:, S0] for every t
+    columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[start_rank]].T)
+    return subset_minors(columns) * (route.signs * route.signs[start_rank])
 
 
 def evolve_subset(g: Graph, spec: ModelSpec, subset, times) -> tuple[np.ndarray, str]:
     """Evolve the basis state of one k-subset to every time in ``times``.
 
     k = len(subset).  Returns the (len(times), C(n, k)) complex amplitudes
-    and the route that computed them: "lift" for an XY sector with a lift
-    route, else "dense", one diagonalization of the sector.  Either route
-    evolves the field-free sector; the field multiplies the result by
+    and the route that computed them: "lift" for an XY side with a lift
+    route, else "dense", one diagonalization of the side.  Sector k is side
+    h = min(k, n-k): complementing a k-subset of rank r gives the
+    (n-k)-subset of rank C(n,k)-1-r, so for h != k the state starts from the
+    complement's rank and the columns are reversed.  Either route evolves
+    the field-free side; the field multiplies the result by
     exp(-i spec.sector_shift(n, k) t).  Every row passes a norm check.  A
     general (non-basis) sector state is evolved the same way, by
     ``propagate(eigh(block_hamiltonian(g, k, spec)), state, times)``.
@@ -106,14 +105,17 @@ def evolve_subset(g: Graph, spec: ModelSpec, subset, times) -> tuple[np.ndarray,
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or not np.all(np.isfinite(t)):
         raise ValueError(f"times must be a 1-D array of finite values, got {times}")
-    wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
-    route = lift_route(g, k, wedge_of) if spec.is_xy else None
+    h = min(k, g.n - k)
+    r0 = r0 if h == k else m - 1 - r0
+    w = build_wedge_graph(g, h)
+    route = lift_route(w) if spec.is_xy else None
     if route is not None:
         amplitudes = lift_propagate(g, route, r0, t)
     else:
         start = np.zeros(m)
         start[r0] = 1.0
-        amplitudes = propagate(eigh(block_hamiltonian(g, k, spec, wedge_of(k))), start, t)
+        amplitudes = propagate(eigh(block_hamiltonian(g, h, spec, w)), start, t)
+    amplitudes = amplitudes if h == k else amplitudes[:, ::-1]
     amplitudes = amplitudes * np.exp(-1j * spec.sector_shift(g.n, k) * t)[:, None]
     norms = np.linalg.norm(amplitudes, axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNITARITY_TOL)

@@ -201,20 +201,12 @@ def complete_graph_spectra(n: int, model: str) -> np.ndarray:
 
 
 def subset_sums(values, k: int) -> np.ndarray:
-    """Sums of k distinct entries of ``values``, one per k-subset, sorted.
-
-    Above k = d/2 each sum is the total minus the sum over the complement,
-    so the subset table is never wider than min(k, d-k).
-    """
+    """Sums of k distinct entries of ``values``, one per k-subset, sorted."""
     values = np.asarray(values, dtype=float)
     d = values.size
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
-    if 2 * k <= d:
-        sums = values[subset_table(d, k)].sum(axis=1)
-    else:
-        sums = values.sum() - values[subset_table(d, d - k)].sum(axis=1)
-    return np.sort(sums)
+    return np.sort(values[subset_table(d, k)].sum(axis=1))
 
 
 def subset_minors(x) -> np.ndarray:

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import lift_propagate, propagate
 from .graphs import (
+    CapacityError,
     Graph,
     adjacency,
     complete_graph,
@@ -75,6 +76,10 @@ __all__ = [
 
 FIELD_VALUES = (0.5, -1.3)
 DYNAMICS_TIMES = (0.5, 1.0, 5.0)
+
+# A graph's checks hold about seven dense 2^n x 2^n float64 arrays at once
+# (two full hamiltonians, a full eigh, the field-shift temporaries).
+VERIFY_SPIN_LIMIT = 12
 
 # The literal projector oracle is exercised at these sizes only.
 ORACLE_MAX_N = 6
@@ -278,50 +283,42 @@ def check_lift(name: str, g: Graph, wedges: dict, base) -> list[CheckResult]:
 
 
 def _determinant_formula(g: Graph, route, start_rank: int, times, base) -> np.ndarray:
-    """exp(-i t A_k)[S, S0] on XY sector route.k as the lift states it: D[S]
-    D[S0] det exp(-i sigma A t)[S, S0] on side h by LAPACK determinants,
-    relabelled when h != k.  The reference for the minors kernel and the
-    relabelling."""
-    n, k, h = g.n, route.k, route.h
+    """exp(-i t A_h)[S, S0] on XY side route.h as the lift states it: D[S]
+    D[S0] det exp(-i sigma A t)[S, S0] by LAPACK determinants.  The reference
+    for the minors kernel."""
     t = np.asarray(times, dtype=float)
     phases = np.exp(-1j * route.sigma * np.multiply.outer(t, base.values))
     u1 = base.vectors @ (phases[:, :, None] * base.vectors.T)
-    rows = subset_table(n, h)
-    s0 = start_rank if h == k else len(rows) - 1 - start_rank
-    amplitudes = np.linalg.det(u1[:, rows[:, :, None], rows[s0]]) * (route.signs * route.signs[s0])
-    return amplitudes[:, ::-1] if h != k else amplitudes
+    rows = subset_table(g.n, route.h)
+    return np.linalg.det(u1[:, rows[:, :, None], rows[start_rank]]) * (route.signs * route.signs[start_rank])
 
 
 def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, base, times) -> CheckResult:
-    """Every XY sector on the lift route against the dense route.
+    """Every XY side h = 0..n//2 on the lift route against the dense route.
 
-    For each: D . C_h . D == sigma A_h exactly on the built side h, the h-sums
-    of eig(sigma A) (``base``, the eigh of g's adjacency A) equal the dense
-    sector spectrum, and the lift amplitudes from one basis state equal both
-    dense propagation and the determinant formula at ``times``.  Sectors k
-    and n-k share side h, which is decided once.  The dense
+    For each: D . C_h . D == sigma A_h exactly, the h-sums of eig(sigma A)
+    (``base``, the eigh of g's adjacency A) equal the dense spectrum of
+    sector h, and the lift amplitudes from one basis state equal both dense
+    propagation and the determinant formula at ``times``.  The dense
     reference is the field-free decomposition from ``sectors`` (see
-    :func:`sector_decompositions`).  Sectors k in {0, 1, n-1, n}, and every
-    sector of a path, must lift.
+    :func:`sector_decompositions`).  Sector n-h is side h relabelled by the
+    complement, which sector_vs_full and complement_isomorphism certify.
+    Sides 0 and 1, and every side of a path, must lift.
     """
-    worst, bad_k = 0.0, None
+    worst, bad_h = 0.0, None
     lifted, unrouted = [], []
-    sides = {}
-    for k in wedges:
-        h = min(k, g.n - k)
-        if h not in sides:
-            sides[h] = lift_route(g, h, wedges.__getitem__)
-        route = None if sides[h] is None else replace(sides[h], k=k)
+    for h in range(g.n // 2 + 1):
+        route = lift_route(wedges[h])
         if route is None:
-            if name.startswith("path:") or k in (0, 1, g.n - 1, g.n):
-                unrouted.append(k)
-                worst, bad_k = math.inf, k
+            if name.startswith("path:") or h <= 1:
+                unrouted.append(h)
+                worst, bad_h = math.inf, h
             continue
-        lifted.append(k)
-        d, wh = route.signs, wedges[route.h]
+        lifted.append(h)
+        d, wh = route.signs, wedges[h]
         exact = np.array_equal(d[:, None] * signed_matrix(wh) * d, route.sigma * wedge_adjacency(wh))
-        dec = sectors[("xy", k)].dec
-        gap = spectrum_gap(subset_sums(route.sigma * base.values, route.h), dec.values)
+        dec = sectors[("xy", h)].dec
+        gap = spectrum_gap(subset_sums(route.sigma * base.values, h), dec.values)
         r0 = dec.dim // 2
         dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
         lifted_amps = lift_propagate(g, route, r0, times, base)
@@ -329,9 +326,9 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, b
         amp_err = float(max(np.max(np.abs(lifted_amps - dense)), np.max(np.abs(lifted_amps - formula))))
         err = max(gap, amp_err) if exact else math.inf
         if err > worst:
-            worst, bad_k = err, k
-    note = f"lift k={lifted}" + (f"; must lift but dense: k={unrouted}" if unrouted else "")
-    return _result("free_fermion_route", name, worst, DEFAULT_TOL, k=bad_k, note=note)
+            worst, bad_h = err, h
+    note = f"lift h={lifted}" + (f"; must lift but dense: h={unrouted}" if unrouted else "")
+    return _result("free_fermion_route", name, worst, DEFAULT_TOL, k=bad_h, note=note)
 
 
 def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, sectors: dict) -> CheckResult:
@@ -598,12 +595,19 @@ def run_verification(
     Each graph's wedge powers, sector operators and full hamiltonians are
     built once and shared by all its checks; the path and Johnson family
     oracles build the wedge powers of their canonical graph themselves.
-    ``wedge_builder`` substitutes every construction (fault-injection hook
-    for testing the suite itself).
+    Raises CapacityError, before anything is built, for a graph above
+    VERIFY_SPIN_LIMIT spins.  ``wedge_builder`` substitutes every
+    construction (fault-injection hook for testing the suite itself).
     """
     start = time.monotonic()
     builder = wedge_builder if wedge_builder is not None else build_wedge_graph
     entries = corpus if corpus is not None else default_corpus()
+    for name, g in entries:
+        if g.n > VERIFY_SPIN_LIMIT:
+            raise CapacityError(
+                f"verify of {name} needs n <= {VERIFY_SPIN_LIMIT} spins "
+                f"(about seven dense 2^n x 2^n arrays), got n={g.n}"
+            )
     results = [
         r for i, (name, g) in enumerate(entries)
         for r in _graph_checks(i, name, g, seed, random_states, builder)

@@ -265,6 +265,8 @@ def build_wedge_graph(g: Graph, k: int) -> WedgeGraph:
     """
     n = g.n
     m = sector_dimension(n, k)
+    if m == 1:  # k = 0 or n: the one subset has no hop, whatever the edges
+        return WedgeGraph(g, k, 1, (np.zeros(0, dtype=np.int64),) * 3)
     if 2 * k <= n:
         a, b, crossed, _ = _rising_hops(g, k)
     else:
@@ -300,35 +302,29 @@ def switching_signs(w: WedgeGraph) -> tuple[np.ndarray, int] | None:
 
 @dataclass(frozen=True)
 class LiftRoute:
-    """Sector k of the XY model on n vertices as a free-fermion problem.
+    """Side h of the XY model on n vertices as a free-fermion problem.
 
-    On side h = min(k, n-k), D . C_h . D = sigma * A_h with D = ``signs``
-    over the h-subset ranks.  As C_h(-A) = -C_h(A), A_h = D . C_h(sigma A) . D:
-    sector h is the h-particle problem of the signed base sigma A, so its
-    spectrum is the h-sums of eig(sigma A) and exp(-i A_h t)[S, S0] = D[S]
-    D[S0] det exp(-i sigma A t)[S, S0].  A_k is A_h relabelled by
-    r -> C(n,k)-1-r.
+    D . C_h . D = sigma * A_h with D = ``signs`` over the h-subset ranks.  As
+    C_h(-A) = -C_h(A), A_h = D . C_h(sigma A) . D: side h is the h-particle
+    problem of the signed base sigma A, so its spectrum is the h-sums of
+    eig(sigma A) and exp(-i A_h t)[S, S0] = D[S] D[S0]
+    det exp(-i sigma A t)[S, S0].
     """
 
     n: int
-    k: int
+    h: int
     signs: np.ndarray
     sigma: int
 
-    @property
-    def h(self) -> int:
-        return min(self.k, self.n - self.k)
 
-
-def lift_route(g: Graph, k: int, wedge_of=None) -> LiftRoute | None:
-    """The lift route of sector k by one :func:`switching_signs` of side
-    h = min(k, n-k), built by ``wedge_of(h)`` (default: :func:`build_wedge_graph`),
-    or None when C_h switches to neither A_h nor -A_h.  The n x n base that
-    the route answers from is the k = 1 sector (if n > 0), guarded first."""
-    sector_dimension(g.n, min(1, g.n))
-    h = min(k, g.n - k)
-    switching = switching_signs(wedge_of(h) if wedge_of is not None else build_wedge_graph(g, h))
-    return None if switching is None else LiftRoute(g.n, k, *switching)
+def lift_route(w: WedgeGraph) -> LiftRoute | None:
+    """The lift route of side h = w.k by one :func:`switching_signs`, or None
+    when C_h switches to neither A_h nor -A_h.  The n x n base that the route
+    answers from is the k = 1 sector (if n > 0), guarded first."""
+    n = w.base.n
+    sector_dimension(n, min(1, n))
+    switching = switching_signs(w)
+    return None if switching is None else LiftRoute(n, w.k, *switching)
 
 
 def _hop_matrix(w: WedgeGraph, values) -> np.ndarray:

@@ -160,6 +160,7 @@ def test_closed_form_guards_every_sector_before_any_work(capsys, monkeypatch):
         (("verify", "--graph", "path:3", "--random-states", "-1"), "--random-states", "'-1'"),
         (("verify", "--graph", "path:3", "--random-states", "2.5"), "--random-states", "'2.5'"),
         (("verify", "--graph", "path:3", "--random-states", "0"), "--random-states", "'0'"),
+        (("verify", "--graph", "path:3", "--seed", "-1"), "--seed", "'-1'"),
     ],
 )
 def test_bad_option_values_exit_2_naming_them(capsys, argv, option, value):
@@ -290,6 +291,15 @@ def _traced_run(capsys, *argv):
     return code, err, peak
 
 
+def test_verify_refuses_13_spins_before_building_anything(capsys):
+    # At n = 12 verify peaks near 1 GB in about seven 2^n x 2^n arrays; the
+    # refusal at n = 13 comes before the first of them.
+    code, err, peak = _traced_run(capsys, "verify", "--graph", "path:13")
+    assert code == 2
+    assert "path:13" in err and "n=13" in err and "n <= 12" in err
+    assert peak < 1 << 20, peak
+
+
 @pytest.mark.parametrize("spec", ["complete:100000", "er:100000:0.001:0"])
 def test_oversized_family_graph_exits_2_before_it_is_built(spec, capsys):
     code, err, peak = _traced_run(capsys, "wedge", "--graph", spec, "-k", "2")
@@ -410,6 +420,14 @@ def test_output_written_atomically(tmp_path, capsys):
     assert data["graph"] == "path:3"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".spinwedge-")]
     assert leftovers == []
+
+
+def test_output_into_a_missing_directory_names_the_path(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "g.json"
+    code, out, err = run(capsys, "export", "--graph", "path:3", "-o", str(out_file))
+    assert code == 2 and out == ""
+    assert str(out_file) in err and ".spinwedge-" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -65,3 +65,14 @@ def test_unrank_input_errors():
         unrank_subset(-1, 4, 2)
     with pytest.raises(ValueError):
         unrank_subset(0, 4, 5)
+
+
+def test_complement_reverses_the_rank():
+    # Sector n-k is sector k relabelled by this map, checked here through
+    # rank_subset alone, with subsets and complements listed by itertools.
+    for n in range(13):
+        for k in range(n + 1):
+            total = math.comb(n, k)
+            for subset in itertools.combinations(range(n), k):
+                rest = sorted(set(range(n)) - set(subset))
+                assert rank_subset(rest, n) == total - 1 - rank_subset(subset, n), (n, subset)

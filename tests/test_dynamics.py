@@ -12,6 +12,7 @@ from spinwedge import (
     adjacency,
     basis_states,
     block_hamiltonian,
+    build_wedge_graph,
     cli,
     complete_graph,
     cycle_graph,
@@ -28,6 +29,7 @@ from spinwedge import (
     unrank_subset,
 )
 from spinwedge.spins import FULL_SPIN_LIMIT
+from spinwedge.verify import default_corpus
 
 
 def _basis_state(dim, i):
@@ -248,7 +250,7 @@ def test_propagate_makes_no_complex_copy_of_the_eigenvectors():
 def test_lift_propagate_makes_no_complex_copy_of_the_base_eigenvectors():
     g = path_graph(600)
     base = eigh(adjacency(g))
-    route = lift_route(g, 1)
+    route = lift_route(build_wedge_graph(g, 1))
     times = np.linspace(0.0, 3.0, 16)
     tracemalloc.start()
     try:
@@ -316,3 +318,90 @@ def test_evolve_command_diagonalizes_once(monkeypatch, capsys):
         assert calls == [shape]
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 6 and {row["route"] for row in rows} == {route}
+
+
+def _record_builds_and_solves(monkeypatch):
+    """Record the k of every wedge power that `spectrum` and `evolve` build
+    and the matrix of every LAPACK symmetric eigensolve."""
+    import spinwedge.dynamics as dyn
+    import spinwedge.spins as spins_mod
+
+    builds, solves = [], []
+    for mod in (cli, dyn, spins_mod):
+        monkeypatch.setattr(mod, "build_wedge_graph", lambda g, k: builds.append(k) or build_wedge_graph(g, k))
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def solve(m, *args, real=real, **kwargs):
+            solves.append(np.array(m))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, solve)
+    return builds, solves
+
+
+@pytest.mark.parametrize(
+    "argv, built, sizes",
+    [
+        # Every side of cycle:7 lifts: one base eigensolve serves them all.
+        (["spectrum", "--graph", "cycle:7", "-k", "all"], [0, 1, 2, 3], [7]),
+        # Side 2 of cycle:6 is dense, the others lift; sectors 4-6 read sides 2-0.
+        (["spectrum", "--graph", "cycle:6", "-k", "all"], [0, 1, 2, 3], [6, 15]),
+        # Dense Heisenberg sides 0-2, then side 3 from singlet blocks 0..3.
+        (["spectrum", "--graph", "er:6:0.5:2", "--model", "heis", "-k", "all"], [0, 1, 2, 3], [1, 6, 15, 1, 5, 9, 5]),
+        (["evolve", "--graph", "path:7", "-k", "5", "--subset", "0,1,2,4,6"], [2], [7]),
+        (["evolve", "--graph", "cycle:6", "-k", "4", "--subset", "0,1,3,4"], [2], [15]),
+        (["evolve", "--graph", "cycle:6", "--model", "heis", "-k", "4", "--subset", "0,1,3,4"], [2], [15]),
+        (["evolve", "--graph", "path:7", "--model", "heis", "-k", "6", "--subset", "0,1,2,3,4,6"], [1], [7]),
+    ],
+)
+def test_sectors_above_half_are_answered_from_their_side(argv, built, sizes, monkeypatch, capsys):
+    # Sectors k and n-k are one graph: no wedge power above n/2 is built,
+    # and each side is built and diagonalized once.
+    builds, solves = _record_builds_and_solves(monkeypatch)
+    times = ["--times", "0.5,2"] if argv[0] == "evolve" else []
+    assert cli.main(argv + times) == 0
+    capsys.readouterr()
+    assert builds == built
+    assert [len(m) for m in solves] == sizes
+
+
+def test_evolve_chain_op_builds_and_solves_once(monkeypatch, capsys):
+    # The benchmark's evolve_chain op: XY on path:12 at k = 4 <= n/2, side 4.
+    import spinwedge.dynamics as dyn
+    import spinwedge.wedge as wedge_mod
+
+    builds, solves = _record_builds_and_solves(monkeypatch)
+    counts = {"switching_signs": 0, "subset_minors": 0}
+    for mod, name in ((wedge_mod, "switching_signs"), (dyn, "subset_minors")):
+        real = getattr(mod, name)
+
+        def counting(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, counting)
+    times = ",".join(str(0.5 * i) for i in range(1, 17))
+    argv = ["evolve", "--graph", "path:12", "-k", "4", "--subset", "1,4,7,9", "--times", times]
+    assert cli.main(argv) == 0
+    assert {row["route"] for row in json.loads(capsys.readouterr().out)} == {"lift"}
+    assert builds == [4]
+    assert [m.shape for m in solves] == [(12, 12)] and np.array_equal(solves[0], adjacency(path_graph(12)))
+    assert counts == {"switching_signs": 1, "subset_minors": 1}
+
+
+@pytest.mark.parametrize("model", ["xy", "heisenberg"])
+def test_evolve_subset_above_half_matches_its_own_sector(model):
+    # Sector k > n/2 is answered from side n-k, relabelled; the reference is
+    # dense propagation in sector k, built from its own wedge power.
+    times = [0.5, 1.0, 5.0]
+    for name, g in default_corpus():
+        for k in range(g.n // 2 + 1, g.n + 1):
+            m = math.comb(g.n, k)
+            spec = ModelSpec(model, 0.3)
+            dec = eigh(block_hamiltonian(g, k, spec, build_wedge_graph(g, k)))
+            phase = np.exp(-1j * spec.sector_shift(g.n, k) * np.array(times))[:, None]
+            for r0 in sorted({0, 1 % m, m // 2, m - 1}):
+                series, _ = evolve_subset(g, spec, unrank_subset(r0, g.n, k), times)
+                dense = propagate(dec, np.eye(m)[:, r0], times) * phase
+                assert np.max(np.abs(series - dense)) <= 1e-10, (name, k, r0)

@@ -112,6 +112,11 @@ def _reference_side(g, k):
     return g.n - h
 
 
+def _route(g, k):
+    """The lift route of sector k: that of its side h = min(k, n-k)."""
+    return lift_route(build_wedge_graph(g, min(k, g.n - k)))
+
+
 def _side(route):
     """The side j of the earlier rule, from the route's h and sigma: h for
     sigma = +1, n-h for sigma = -1, or None without a route."""
@@ -203,7 +208,7 @@ def _route_sets():
 
 def test_forest_route_matches_the_union_find_reference():
     for name, g, k in _route_sets():
-        route = lift_route(g, k)
+        route = _route(g, k)
         assert _side(route) == _reference_side(g, k), (name, k)
         if route is not None:
             assert route.h == min(k, g.n - k)
@@ -220,14 +225,7 @@ def _two_build_rule(g, k):
 
 
 def _check_one_wedge_route(g, k):
-    built = []
-
-    def wedge_of(j):
-        built.append(j)
-        return build_wedge_graph(g, j)
-
-    route = lift_route(g, k, wedge_of)
-    assert built == [min(k, g.n - k)]
+    route = _route(g, k)
     assert _side(route) == _two_build_rule(g, k)
     if route is not None:
         w = build_wedge_graph(g, route.h)
@@ -246,17 +244,17 @@ def test_route_rule_facts():
     for n in range(1, 15):
         g = path_graph(n)
         for k in range(n + 1):
-            assert _side(lift_route(g, k)) == min(k, n - k)
+            assert _side(_route(g, k)) == min(k, n - k)
     c7 = cycle_graph(7)
     for k in range(1, 7):
-        assert _side(lift_route(c7, k)) == (k if k % 2 else 7 - k)
+        assert _side(_route(c7, k)) == (k if k % 2 else 7 - k)
     for name, g in default_corpus() + [("star:5", STAR5)]:
         for k in {0, 1, g.n - 1, g.n}:
-            assert lift_route(g, k) is not None, (name, k)
+            assert _route(g, k) is not None, (name, k)
     dense = [(cycle_graph(6), 2), (cycle_graph(6), 4), (STAR5, 2), (STAR5, 3)]
     dense += [(erdos_renyi_graph(6, 0.5, 2), k) for k in (2, 3, 4)]
     for g, k in dense:
-        assert lift_route(g, k) is None
+        assert _route(g, k) is None
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -268,7 +266,7 @@ def test_spectrum_cap_graphs_stay_dense(seed):
 
 def test_lift_and_dense_routes_agree_on_the_corpus():
     for name, g, k in _sectors(default_corpus()):
-        if lift_route(g, k) is None:
+        if _route(g, k) is None:
             continue
         m = math.comb(g.n, k)
         for b in (0.0, 0.5):
@@ -292,7 +290,7 @@ def test_spectrum_routes_agree(name, capsys):
         oracle = project_full_to_blocks(full_hamiltonian(g, ModelSpec("xy", b)))
         for block in blocks:
             k = block["k"]
-            route = lift_route(g, k)
+            route = _route(g, k)
             assert block["route"] == ("dense" if route is None else "lift")
             dense = np.linalg.eigvalsh(oracle[k])
             assert spectrum_gap(block["spectrum"]["values"], dense) <= 1e-9
@@ -331,7 +329,7 @@ def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
     # base -A.  The minors are taken on the 2-subsets, never through
     # C(17, 8) = 24310 of them.
     g, times = cycle_graph(17), [0.3, 1.7, 6.0]
-    lifted = lift_route(g, 2)
+    lifted = _route(g, 2)
     assert (lifted.h, lifted.sigma, _side(lifted)) == (2, -1, 15)
     widths, real = [], dynamics_mod.subset_minors
 
@@ -378,7 +376,7 @@ def test_negative_sigma_sectors_are_particles_on_minus_a(name, k, monkeypatch):
     # sigma enters only as the signed base sigma A, in both the spectrum and
     # the amplitudes; the same route with sigma flipped misses both.
     g, times = cli.parse_graph_source(name), [0.5, 1.0, 5.0]
-    assert lift_route(g, k).sigma == -1
+    assert _route(g, k).sigma == -1
     dec = eigh(block_hamiltonian(g, k, ModelSpec("xy")))
     r0 = dec.dim // 2
     dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
@@ -436,8 +434,9 @@ def _flipping_builder(flips):
 
 def test_verify_check_fails_when_a_path_sector_is_not_lifted():
     # {0,2}-{1,2} at k=2 and {1,3,4}-{0,3,4} at k=3 each lie on a 4-cycle of
-    # hops.  Sectors 2 and 3 of path:5 are both decided on side 2 alone, so a
-    # flip on side 3 is never consulted, and one on side 2 unroutes both.
+    # hops.  Sectors 2 and 3 of path:5 are both answered from side 2, the
+    # only one the check routes, so a flip on side 3 is never consulted, and
+    # one on side 2 unroutes it.
     corpus = [("path:5", path_graph(5))]
     side3 = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(3, 7, 8)}))
     by_check = {r.check: r for r in side3.results}
@@ -445,7 +444,7 @@ def test_verify_check_fails_when_a_path_sector_is_not_lifted():
     side2 = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(2, 1, 2)}))
     by_check = {r.check: r for r in side2.results}
     result = by_check["free_fermion_route"]
-    assert not result.passed and result.k in (2, 3) and "must lift but dense: k=[2, 3]" in result.note
+    assert not result.passed and result.k == 2 and "must lift but dense: h=[2]" in result.note
 
 
 def test_handshake_counts_cut_sizes_independently():

@@ -180,9 +180,10 @@ def test_spectrum_all_computes_each_side_once(capsys, monkeypatch):
     routes = [b["route"] for b in payload["blocks"]]
     assert routes == ["dense"] * 3 + ["su2"] * 3 + ["dense"] * 3
     assert sides == [0, 1, 2, 3, 4]
-    # Dense sectors 0-2 and 6-8, and one singlet block d_j per side, k = 5
-    # reading those of k = 3; no C(8, 3) or C(8, 4) matrix.
-    assert sizes == [1, 8, 28, 1, 7, 20, 28, 14, 28, 8, 1]
+    # Dense sides 0-2, read again by sectors 8-6, and one singlet block d_j
+    # per side, k = 5 reading those of k = 3; no C(8, 3) or C(8, 4) matrix
+    # and no second solve of any side.
+    assert sizes == [1, 8, 28, 1, 7, 20, 28, 14]
     g = cycle_graph(8)
     for block in payload["blocks"]:
         k = block["k"]

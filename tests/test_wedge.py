@@ -453,3 +453,19 @@ def test_hops_match_the_dense_blocks_at_every_k(g):
         assert np.array_equal(signed_matrix(w), alt_delta_oracle(g, k)), k
         if not g.edges:
             assert len(a) == 0
+
+
+def test_one_subset_sectors_read_no_edges(monkeypatch):
+    # k = 0 and k = n have one subset and no hop, so the edges are not read:
+    # a side-0 wedge of a huge graph costs nothing before the base guard.
+    import spinwedge.wedge as wedge_mod
+
+    def forbidden(*args):
+        raise AssertionError("hops enumerated for a one-subset sector")
+
+    monkeypatch.setattr(wedge_mod, "_rising_hops", forbidden)
+    g = complete_graph(6)
+    for k in (0, 6):
+        w = build_wedge_graph(g, k)
+        assert (w.k, w.num_vertices) == (k, 1)
+        assert all(x.shape == (0,) and x.dtype == np.int64 for x in w.hops)

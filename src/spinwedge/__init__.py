@@ -26,11 +26,9 @@ from .graphs import (
     path_graph,
 )
 from .wedge import (
-    LiftRoute,
     WedgeGraph,
     alt_delta_oracle,
     build_wedge_graph,
-    hop_sign,
     lift_route,
     rank_subset,
     sector_dimension,
@@ -70,8 +68,8 @@ from .spins import (
     singlet_basis,
 )
 from .dynamics import (
+    Sides,
     evolve_subset,
-    lift_propagate,
     propagate,
 )
 from .verify import (

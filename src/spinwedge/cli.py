@@ -19,10 +19,9 @@ import tempfile
 
 import numpy as np
 
-from .dynamics import evolve_subset
+from .dynamics import Sides, evolve_subset
 from .graphs import (
     Graph,
-    adjacency,
     check_graph_size,
     complete_graph,
     cycle_graph,
@@ -35,18 +34,14 @@ from .graphs import (
 from .spectra import (
     DEFAULT_TOL,
     johnson_spectrum,
-    singlet_levels,
     spectrum_dict,
     spectrum_gap,
-    su2_pays,
-    subset_sums,
     xy_path_spectrum,
 )
 from .spins import ModelSpec, block_hamiltonian
 from .verify import run_verification
 from .wedge import (
     build_wedge_graph,
-    lift_route,
     sector_dimension,
     subset_name,
     subset_table,
@@ -132,34 +127,18 @@ def cmd_wedge(args) -> int:
 
 
 def _spectrum_payload(g: Graph, label: str, spec: ModelSpec, ks: range, want_union: bool):
-    """Sector spectra, each field-free plus its field shift.  Sectors k and
-    n-k are one graph under the complement, so both are answered from side
-    h = min(k, n-k), computed once: an XY side on the lift route is the
-    h-sums of eig(sigma A), with no sector matrix; a Heisenberg side where
-    :func:`su2_pays` is the union of the singlet levels of the sides
-    j = 0..h; any other side is one dense eigensolve."""
+    """Sector spectra by :meth:`Side.values`, each side computed once for
+    sectors k and n-k, after every sector passes the capacity guard."""
     for k in ks:
         sector_dimension(g.n, k)
-    wedge_of = functools.cache(functools.partial(build_wedge_graph, g))
-    levels_of = functools.cache(lambda j: singlet_levels(wedge_of(j)))
-    base_values = functools.cache(lambda: np.linalg.eigvalsh(adjacency(g)))
-
-    @functools.cache
-    def side(h):
-        route = lift_route(wedge_of(h)) if spec.is_xy else None
-        if route is not None:
-            return subset_sums(route.sigma * base_values(), h), "lift"
-        if not spec.is_xy and su2_pays(g.n, h):
-            return np.sort(np.concatenate([levels_of(j) for j in range(h + 1)])), "su2"
-        return np.linalg.eigvalsh(block_hamiltonian(g, h, spec, wedge_of(h))), "dense"
-
+    sides = Sides(g, spec)
     blocks = []
     union_vals: list[float] = []
     for k in ks:
-        vals, taken = side(min(k, g.n - k))
-        vals = vals + spec.sector_shift(g.n, k)
+        side = sides(k)
+        vals = side.values(k)
         union_vals.extend(vals)
-        blocks.append({"k": k, "dim": len(vals), "route": taken, "spectrum": spectrum_dict(vals, DEFAULT_TOL)})
+        blocks.append({"k": k, "dim": len(vals), "route": side.route, "spectrum": spectrum_dict(vals, DEFAULT_TOL)})
     payload = {
         "graph": label,
         "n": g.n,
@@ -327,7 +306,10 @@ def _add_common(p, graph_required=True):
     p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and
+    never changes it."""
     parser = argparse.ArgumentParser(
         prog="spinwedge",
         description="Wedge powers of graphs and the sector spectra/dynamics of XY and Heisenberg spin models.",

@@ -1,36 +1,38 @@
-"""Continuous-time evolution: one excitation sector is one particle hopping.
+"""Sector answers from their sides, and the dense propagator.
 
-Propagators are exact spectral exponentials U(t) = V exp(-i t diag) V^T of
-the real symmetric sector (or full-space) hamiltonian, so unitarity holds to
-solver precision and no time stepping is involved.  One decomposition serves
-every time point and every state.
-
-An XY basis state whose sector has a lift route (see
-:func:`spinwedge.wedge.lift_route`) is evolved from the n x n base graph
-instead: its amplitudes are signed minors of exp(-i sigma A t), the
-one-particle propagator of the signed base sigma A, taken by
-:func:`spinwedge.spectra.subset_minors`.  Both routes evolve sector k on
-side min(k, n-k), relabelled in one place, :func:`evolve_subset`.
+Sectors k and n-k of either model are one graph: S -> V \\ S carries wedge
+power k onto power n-k and the k-subset of rank r to the (n-k)-subset of
+rank C(n,k)-1-r.  A uniform field B adds B(n-2k) on sector k.  So the
+:class:`Side` h = min(k, n-k), built once per call by :class:`Sides`,
+decides its route once and answers sectors h and n-h field-free; its
+:meth:`Side.relabel` and :meth:`Side.shift` are the one place where ranks
+are relabelled and the field is added.
 """
 
 from __future__ import annotations
 
+import functools
+from functools import cached_property
+
 import numpy as np
 
 from .graphs import Graph, adjacency
-from .spectra import EigenDecomposition, UNITARITY_TOL, eigh, subset_minors
+from .spectra import EigenDecomposition, UNITARITY_TOL, eigh, singlet_levels, su2_pays, subset_minors, subset_sums
 from .spins import ModelSpec, block_hamiltonian
-from .wedge import LiftRoute, build_wedge_graph, lift_route, rank_subset, sector_dimension, subset_table
+from .wedge import build_wedge_graph, lift_route, rank_subset, sector_dimension, subset_table
 
 __all__ = [
     "propagate",
+    "Side",
+    "Sides",
     "evolve_subset",
-    "lift_propagate",
 ]
 
 
 def propagate(dec: EigenDecomposition, states: np.ndarray, times) -> np.ndarray:
-    """Apply exp(-i t H), given the spectral decomposition of H, for every t.
+    """Apply exp(-i t H) = V exp(-i t diag) V^T, given the spectral
+    decomposition of the real symmetric H, for every t: exact to solver
+    precision, with no time stepping, and one decomposition for all.
 
     ``states`` is one vector or a (dim, s) block of column states.  A scalar
     time returns an array shaped like ``states``; a 1-D array of times stacks
@@ -57,69 +59,117 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (m @ np.ascontiguousarray(z).view(float)).view(complex)
 
 
-def lift_propagate(
-    g: Graph, route: LiftRoute, start_rank: int, times, base: EigenDecomposition | None = None
-) -> np.ndarray:
-    """Column ``start_rank`` of exp(-i t A_h) on the field-free XY side
-    route.h, for every t.
+class Sides:
+    """The sides of one graph and model, for one call: ``sides(k)`` is the
+    :class:`Side` of sector k, built on first use and kept.  They share the
+    wedge powers (``wedges``, a mapping from h, or each built once), the
+    n x n base eigensolve and the singlet levels of each side j.  No part
+    refers back to a Sides, so reference counting frees a call's arrays."""
 
-    One eigh of the n x n adjacency (``base``, computed when omitted; the
-    base is guarded by :func:`spinwedge.wedge.lift_route`) gives the columns
-    S0 of exp(-i sigma A t) for all times.  The amplitude on S is
-    D[S] D[S0] det exp(-i sigma A t)[S, S0], from one :func:`subset_minors`
-    call over all times.  Returns (times, C(n,h)).
-    """
-    n, h = g.n, route.h
-    m = sector_dimension(n, h)
-    if not 0 <= start_rank < m:
-        raise ValueError(f"start rank {start_rank} out of range for C({n},{h})={m}")
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)):
-        raise ValueError(f"times must be a 1-D array of finite values, got {times}")
-    rows = subset_table(n, h)
-    if base is None:
-        base = eigh(adjacency(g))
-    phases = np.exp(-1j * route.sigma * np.multiply.outer(t, base.values))
-    # exp(-i sigma A t)[:, S0] for every t
-    columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[start_rank]].T)
-    return subset_minors(columns) * (route.signs * route.signs[start_rank])
+    def __init__(self, g: Graph, spec: ModelSpec, wedges=None):
+        wedge = functools.cache(functools.partial(build_wedge_graph, g)) if wedges is None else wedges.__getitem__
+        self.graph, self.spec, self.wedge = g, spec, wedge
+        self.base_values = functools.cache(lambda: np.linalg.eigvalsh(adjacency(g)))
+        self.base = functools.cache(lambda: eigh(adjacency(g)))
+        self.levels = functools.cache(lambda j: singlet_levels(wedge(j)))
+        self._built: dict[int, Side] = {}
+
+    def __call__(self, k: int) -> Side:
+        h = min(k, self.graph.n - k)
+        if h not in self._built:
+            self._built[h] = Side(self, h)
+        return self._built[h]
+
+
+class Side:
+    """Side h = min(k, n-k) of one graph and model, for sectors h and n-h.
+
+    It decides the route of :meth:`values`, ``route``, once.  "lift": an XY
+    side with the switching (D, sigma) of :func:`spinwedge.wedge.lift_route`
+    is the h-particle problem of the signed base sigma A (side 0, one
+    subset, needs no base).  "su2": a Heisenberg side where
+    :func:`spinwedge.spectra.su2_pays` is the union of the singlet levels of
+    the sides j = 0..h.  "dense": one eigensolve of the side matrix.
+    :meth:`evolve` takes the lift route where there is one, else the dense."""
+
+    def __init__(self, sides: Sides, h: int):
+        self.graph, self.spec, self.h, self.wedge = sides.graph, sides.spec, h, sides.wedge(h)
+        self._base_values, self._base, self._levels = sides.base_values, sides.base, sides.levels
+        self.switching = lift_route(self.wedge) if self.spec.is_xy else None
+        su2 = not self.spec.is_xy and su2_pays(self.graph.n, h)
+        self.route = "lift" if self.switching is not None else "su2" if su2 else "dense"
+
+    def shift(self, k: int) -> float:
+        """The field energy B(n-2k) that every answer for sector k adds."""
+        return self.spec.sector_shift(self.graph.n, k)
+
+    def relabel(self, k: int, x: np.ndarray) -> np.ndarray:
+        """``x``, indexed by ranks along its last axis, read in the other
+        labelling: side ranks as sector-k ranks or back.  The identity for
+        k = h; for k = n-h the complement sends rank r to C-1-r."""
+        return x if k == self.h else x[..., ::-1]
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """The field-free values of the side, ascending."""
+        if self.route == "lift":  # side 0 is the empty sum, with no base
+            return subset_sums(self.switching[1] * self._base_values(), self.h) if self.h else np.zeros(1)
+        if self.route == "su2":
+            return np.sort(np.concatenate([self._levels(j) for j in range(self.h + 1)]))
+        return np.linalg.eigvalsh(block_hamiltonian(self.graph, self.h, self.spec, self.wedge))
+
+    def values(self, k: int) -> np.ndarray:
+        """The spectrum of sector k, ascending."""
+        return self._values + self.shift(k)
+
+    def _lift_propagate(self, start: int, t: np.ndarray) -> np.ndarray:
+        """Column S0 = ``start`` of exp(-i t A_h) for every t: D[S] D[S0]
+        det exp(-i sigma A t)[S, S0], by one :func:`subset_minors` call."""
+        if self.h == 0:
+            return np.ones((t.size, 1), dtype=complex)
+        signs, sigma = self.switching
+        base = self._base()
+        phases = np.exp(-1j * sigma * np.multiply.outer(t, base.values))
+        # exp(-i sigma A t)[:, S0] for every t
+        rows = subset_table(self.graph.n, self.h)
+        columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[start]].T)
+        return subset_minors(columns) * (signs * signs[start])
+
+    def evolve(self, k: int, r0: int, times) -> tuple[np.ndarray, str]:
+        """The (len(times), C(n,k)) amplitudes of the basis state of rank
+        ``r0`` in sector k, and the route ("lift" or "dense") taken."""
+        m = self.wedge.num_vertices
+        if not 0 <= r0 < m:
+            raise ValueError(f"start rank {r0} out of range for sector k={k} of dimension {m}")
+        t = np.asarray(times, dtype=float)
+        if t.ndim != 1 or not np.all(np.isfinite(t)):
+            raise ValueError(f"times must be a 1-D array of finite values, got {times}")
+        start = int(self.relabel(k, np.arange(m))[r0])
+        if self.switching is not None:
+            amplitudes, route = self._lift_propagate(start, t), "lift"
+        else:
+            state = np.zeros(m)
+            state[start] = 1.0
+            dec = eigh(block_hamiltonian(self.graph, self.h, self.spec, self.wedge))
+            amplitudes, route = propagate(dec, state, t), "dense"
+        return self.relabel(k, amplitudes) * np.exp(-1j * self.shift(k) * t)[:, None], route
 
 
 def evolve_subset(g: Graph, spec: ModelSpec, subset, times) -> tuple[np.ndarray, str]:
-    """Evolve the basis state of one k-subset to every time in ``times``.
-
-    k = len(subset).  Returns the (len(times), C(n, k)) complex amplitudes
-    and the route that computed them: "lift" for an XY side with a lift
-    route, else "dense", one diagonalization of the side.  Sector k is side
-    h = min(k, n-k): complementing a k-subset of rank r gives the
-    (n-k)-subset of rank C(n,k)-1-r, so for h != k the state starts from the
-    complement's rank and the columns are reversed.  Either route evolves
-    the field-free side; the field multiplies the result by
-    exp(-i spec.sector_shift(n, k) t).  Every row passes a norm check.  A
-    general (non-basis) sector state is evolved the same way, by
-    ``propagate(eigh(block_hamiltonian(g, k, spec)), state, times)``.
+    """Evolve the basis state of one k-subset to every time in ``times``, by
+    :meth:`Side.evolve` of sector k = len(subset); every row of the
+    amplitudes passes a norm check.  A general state x of sector k takes the
+    dense route of ``side = Sides(g, spec)(k)``:
+    ``side.relabel(k, propagate(eigh(block_hamiltonian(g, side.h, spec,
+    side.wedge)), side.relabel(k, x), times))`` times exp(-i side.shift(k) t).
     """
     k = len(subset)
-    m = sector_dimension(g.n, k)
+    sector_dimension(g.n, k)
     r0 = rank_subset(subset, g.n)
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or not np.all(np.isfinite(t)):
-        raise ValueError(f"times must be a 1-D array of finite values, got {times}")
-    h = min(k, g.n - k)
-    r0 = r0 if h == k else m - 1 - r0
-    w = build_wedge_graph(g, h)
-    route = lift_route(w) if spec.is_xy else None
-    if route is not None:
-        amplitudes = lift_propagate(g, route, r0, t)
-    else:
-        start = np.zeros(m)
-        start[r0] = 1.0
-        amplitudes = propagate(eigh(block_hamiltonian(g, h, spec, w)), start, t)
-    amplitudes = amplitudes if h == k else amplitudes[:, ::-1]
-    amplitudes = amplitudes * np.exp(-1j * spec.sector_shift(g.n, k) * t)[:, None]
+    amplitudes, route = Sides(g, spec)(k).evolve(k, r0, times)
     norms = np.linalg.norm(amplitudes, axis=1)
     bad = np.flatnonzero(np.abs(norms - 1.0) > UNITARITY_TOL)
     if bad.size:
         i = bad[0]
-        raise ValueError(f"state norm {norms[i]} at t={t[i]} is not 1 within {UNITARITY_TOL}")
-    return amplitudes, "dense" if route is None else "lift"
+        raise ValueError(f"state norm {norms[i]} at t={times[i]} is not 1 within {UNITARITY_TOL}")
+    return amplitudes, route

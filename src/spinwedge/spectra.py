@@ -222,9 +222,9 @@ def subset_minors(x) -> np.ndarray:
     C(n, min(j, n/2)), which is guarded like a sector.  Levels 0..j stay in
     the cache, so a call with j > n/2 keeps levels wider than n/2, but it
     runs only while C(n, n/2) <= BLOCK_DIM_LIMIT, that is n <= 14, and no
-    kept level has more than C(14, 7) * 7 = 24,024 entries.  The package's
-    callers with j > n/2 take the n-j complement columns of a unitary
-    instead (see :func:`lift_eigenvector`).
+    kept level has more than C(14, 7) * 7 = 24,024 entries.  The package
+    calls it with j <= n/2 only: sides above n/2 are answered from side
+    n-j.
     """
     x = np.asarray(x)
     if x.ndim < 2:
@@ -251,17 +251,13 @@ def lift_eigenvector(base: EigenDecomposition, index_sets) -> EigenDecomposition
     base eigenvalues.  The amplitude on the ordered subset
     (l_0 < ... < l_{k-1}) is the k x k determinant of base eigenvector
     components picked by rows l and the set's columns; one
-    :func:`subset_minors` call takes them for every set.  Above k = d/2 they
-    come from the d-k complement columns by Jacobi's identity for the
-    orthogonal V: det V[S, I] = (-1)^(sum S + sum I) det V det V[S', I'],
-    with S', I' the complements.  Repeated indices would antisymmetrize to
-    zero and are rejected.
+    :func:`subset_minors` call takes them for every set.  Repeated indices
+    would antisymmetrize to zero and are rejected.
     """
     sets = np.asarray(index_sets, dtype=np.intp)
     if sets.ndim != 2:
         raise ValueError(f"expected a sequence of index sets of one size, got shape {sets.shape}")
     d = base.dim
-    count, k = sets.shape
     bad = np.flatnonzero(np.any(np.diff(sets, axis=1) <= 0, axis=1))
     if bad.size:
         raise ValueError(
@@ -270,18 +266,7 @@ def lift_eigenvector(base: EigenDecomposition, index_sets) -> EigenDecomposition
     bad = np.flatnonzero(np.any((sets < 0) | (sets >= d), axis=1))
     if bad.size:
         raise ValueError(f"index set {tuple(sets[bad[0]].tolist())} is out of range for dimension {d}")
-    v = base.vectors
-    if 2 * k <= d:
-        amplitudes = subset_minors(v.T[sets].transpose(0, 2, 1))
-    else:
-        outside = np.ones((count, d), dtype=bool)
-        outside[np.arange(count)[:, None], sets] = False
-        rest = np.nonzero(outside)[1].reshape(count, d - k)
-        minors = subset_minors(v.T[rest].transpose(0, 2, 1))
-        parity = 1 - 2 * (subset_table(d, d - k).sum(axis=1) & 1)
-        sign = np.linalg.slogdet(v)[0] * (1 - 2 * (rest.sum(axis=1) & 1))
-        # The complement of the k-subset of rank r has rank C(d,k) - 1 - r.
-        amplitudes = (sign[:, None] * parity * minors)[:, ::-1]
+    amplitudes = subset_minors(base.vectors.T[sets].transpose(0, 2, 1))
     norms = np.linalg.norm(amplitudes, axis=1)
     if np.any(norms == 0.0):
         raise RuntimeError("lifted vector vanished; base eigenvectors are degenerate-dependent")

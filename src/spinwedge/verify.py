@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import lift_propagate, propagate
+from .dynamics import Sides, propagate
 from .graphs import (
     CapacityError,
     Graph,
@@ -59,7 +59,6 @@ from .spins import (
 from .wedge import (
     alt_delta_oracle,
     build_wedge_graph,
-    lift_route,
     signed_matrix,
     subset_table,
     wedge_adjacency,
@@ -260,14 +259,12 @@ def check_signed_oracle(name: str, g: Graph, wedges: dict) -> CheckResult | None
 
 def check_lift(name: str, g: Graph, wedges: dict, base) -> list[CheckResult]:
     """Sum-lift of base eigenvalues and determinant eigenvectors against the
-    signed matrix of every wedge power; ``base`` is the eigh of g's adjacency."""
+    signed matrix of every side k <= n/2 (the powers above are certified by
+    xy_particle_hole); ``base`` is the eigh of g's adjacency."""
     worst_gap, gap_k = 0.0, None
     worst_res, res_k = 0.0, None
-    c_equals_a = True
-    for k, w in wedges.items():
-        c = signed_matrix(w)
-        if np.any(c < 0):
-            c_equals_a = False
+    for k in range(g.n // 2 + 1):
+        c = signed_matrix(wedges[k])
         gap = spectrum_gap(subset_sums(base.values, k), np.linalg.eigvalsh(c))
         if gap > worst_gap:
             worst_gap, gap_k = gap, k
@@ -275,6 +272,7 @@ def check_lift(name: str, g: Graph, wedges: dict, base) -> list[CheckResult]:
         res = float(np.max(np.linalg.norm(c @ lifted.vectors - lifted.vectors * lifted.values, axis=0)))
         if res > worst_res:
             worst_res, res_k = res, k
+    c_equals_a = not any(np.any(w.hops[2] < 0) for w in wedges.values())
     return [
         _result("lift_spectrum_vs_signed", name, worst_gap, DEFAULT_TOL, k=gap_k),
         _result("lift_eigenvector_residual", name, worst_res, DEFAULT_TOL, k=res_k,
@@ -282,47 +280,61 @@ def check_lift(name: str, g: Graph, wedges: dict, base) -> list[CheckResult]:
     ]
 
 
-def _determinant_formula(g: Graph, route, start_rank: int, times, base) -> np.ndarray:
-    """exp(-i t A_h)[S, S0] on XY side route.h as the lift states it: D[S]
-    D[S0] det exp(-i sigma A t)[S, S0] by LAPACK determinants.  The reference
-    for the minors kernel."""
+def check_xy_particle_hole(name: str, g: Graph, wedges: dict) -> CheckResult:
+    """The signed matrix C_{n-k}, relabelled by r -> C(n,k)-1-r as every
+    route relabels it, equals -E C_k E for every k <= n/2, exactly, in
+    integers, with E[S] = (-1)^(sum of S): power n-k carries the negated
+    signed spectrum of power k, as the lift's sums do (tr A = 0)."""
+    for k in range(g.n // 2 + 1):
+        e = 1 - 2 * (subset_table(g.n, k).sum(axis=1) & 1)
+        c, hole = (signed_matrix(wedges[j]).astype(np.int64) for j in (k, g.n - k))
+        if not np.array_equal(hole[::-1, ::-1], -(e[:, None] * c * e)):
+            return _result("xy_particle_hole", name, math.inf, 0.0, k=g.n - k)
+    return _result("xy_particle_hole", name, 0.0, 0.0)
+
+
+def _determinant_formula(g: Graph, side, start_rank: int, times, base) -> np.ndarray:
+    """exp(-i t A_h)[S, S0] on XY side h = side.h as the lift states it: D[S]
+    D[S0] det exp(-i sigma A t)[S, S0] by LAPACK determinants, with (D, sigma)
+    the side's switching.  The reference for the minors kernel."""
+    signs, sigma = side.switching
     t = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * route.sigma * np.multiply.outer(t, base.values))
+    phases = np.exp(-1j * sigma * np.multiply.outer(t, base.values))
     u1 = base.vectors @ (phases[:, :, None] * base.vectors.T)
-    rows = subset_table(g.n, route.h)
-    return np.linalg.det(u1[:, rows[:, :, None], rows[start_rank]]) * (route.signs * route.signs[start_rank])
+    rows = subset_table(g.n, side.h)
+    return np.linalg.det(u1[:, rows[:, :, None], rows[start_rank]]) * (signs * signs[start_rank])
 
 
 def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, base, times) -> CheckResult:
-    """Every XY side h = 0..n//2 on the lift route against the dense route.
+    """Every XY side h = 0..n//2 of :class:`Sides` on ``wedges`` that takes
+    the lift route, against the dense route.
 
-    For each: D . C_h . D == sigma A_h exactly, the h-sums of eig(sigma A)
-    (``base``, the eigh of g's adjacency A) equal the dense spectrum of
-    sector h, and the lift amplitudes from one basis state equal both dense
-    propagation and the determinant formula at ``times``.  The dense
-    reference is the field-free decomposition from ``sectors`` (see
-    :func:`sector_decompositions`).  Sector n-h is side h relabelled by the
-    complement, which sector_vs_full and complement_isomorphism certify.
-    Sides 0 and 1, and every side of a path, must lift.
+    For each: D . C_h . D == sigma A_h exactly, and its values and its
+    amplitudes from one basis state at ``times`` equal the dense sector h in
+    ``sectors`` and the determinant formula on ``base``, the eigh of g's
+    adjacency A.  Sector n-h is side h relabelled, which sector_vs_full,
+    complement_isomorphism and xy_particle_hole certify.  Sides 0 and 1, and
+    every side of a path, must lift.
     """
+    sides = Sides(g, ModelSpec("xy"), wedges)
     worst, bad_h = 0.0, None
     lifted, unrouted = [], []
     for h in range(g.n // 2 + 1):
-        route = lift_route(wedges[h])
-        if route is None:
+        side = sides(h)
+        if side.switching is None:
             if name.startswith("path:") or h <= 1:
                 unrouted.append(h)
                 worst, bad_h = math.inf, h
             continue
         lifted.append(h)
-        d, wh = route.signs, wedges[h]
-        exact = np.array_equal(d[:, None] * signed_matrix(wh) * d, route.sigma * wedge_adjacency(wh))
+        d, sigma = side.switching
+        exact = np.array_equal(d[:, None] * signed_matrix(side.wedge) * d, sigma * wedge_adjacency(side.wedge))
         dec = sectors[("xy", h)].dec
-        gap = spectrum_gap(subset_sums(route.sigma * base.values, h), dec.values)
+        gap = spectrum_gap(side.values(h), dec.values)
         r0 = dec.dim // 2
         dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
-        lifted_amps = lift_propagate(g, route, r0, times, base)
-        formula = _determinant_formula(g, route, r0, times, base)
+        lifted_amps, _ = side.evolve(h, r0, times)
+        formula = _determinant_formula(g, side, r0, times, base)
         amp_err = float(max(np.max(np.abs(lifted_amps - dense)), np.max(np.abs(lifted_amps - formula))))
         err = max(gap, amp_err) if exact else math.inf
         if err > worst:
@@ -562,6 +574,7 @@ def _graph_checks(index, name, g, seed, n_states, builder) -> list[CheckResult]:
     results: list[CheckResult] = []
     results += check_structure(name, g, wedges)
     results += check_lift(name, g, wedges, base)
+    results.append(check_xy_particle_hole(name, g, wedges))
     results.append(check_free_fermion_route(name, g, wedges, sectors, base, DYNAMICS_TIMES))
     oracle = check_signed_oracle(name, g, wedges)
     if oracle is not None:

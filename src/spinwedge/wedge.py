@@ -28,13 +28,11 @@ __all__ = [
     "BLOCK_DIM_LIMIT",
     "TENSOR_ENTRY_LIMIT",
     "WedgeGraph",
-    "LiftRoute",
     "sector_dimension",
     "rank_subset",
     "unrank_subset",
     "subset_name",
     "subset_table",
-    "hop_sign",
     "build_wedge_graph",
     "switching_signs",
     "lift_route",
@@ -157,17 +155,6 @@ def colex_level(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
         drops = np.column_stack((below_drops[below] + np.repeat(counts, counts)[:, None], below))
     table.flags.writeable = drops.flags.writeable = False
     return table, drops
-
-
-def hop_sign(subset, src: int, dst: int) -> int:
-    """Sign of moving occupied src to empty dst with the rest of subset fixed.
-
-    Equals the parity of the re-sorting permutation: -1 raised to the number
-    of occupied vertices strictly between src and dst.
-    """
-    lo, hi = (src, dst) if src < dst else (dst, src)
-    crossed = sum(1 for x in subset if lo < x < hi)
-    return -1 if crossed & 1 else 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,31 +287,15 @@ def switching_signs(w: WedgeGraph) -> tuple[np.ndarray, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class LiftRoute:
-    """Side h of the XY model on n vertices as a free-fermion problem.
-
-    D . C_h . D = sigma * A_h with D = ``signs`` over the h-subset ranks.  As
-    C_h(-A) = -C_h(A), A_h = D . C_h(sigma A) . D: side h is the h-particle
-    problem of the signed base sigma A, so its spectrum is the h-sums of
-    eig(sigma A) and exp(-i A_h t)[S, S0] = D[S] D[S0]
-    det exp(-i sigma A t)[S, S0].
-    """
-
-    n: int
-    h: int
-    signs: np.ndarray
-    sigma: int
-
-
-def lift_route(w: WedgeGraph) -> LiftRoute | None:
-    """The lift route of side h = w.k by one :func:`switching_signs`, or None
-    when C_h switches to neither A_h nor -A_h.  The n x n base that the route
-    answers from is the k = 1 sector (if n > 0), guarded first."""
-    n = w.base.n
-    sector_dimension(n, min(1, n))
-    switching = switching_signs(w)
-    return None if switching is None else LiftRoute(n, w.k, *switching)
+def lift_route(w: WedgeGraph) -> tuple[np.ndarray, int] | None:
+    """The switching (D, sigma) that puts XY side h = w.k on the lift route,
+    or None.  As C_h(-A) = -C_h(A), D . C_h . D = sigma * A_h makes side h
+    the h-particle problem of the signed base sigma A.  Side 0, one subset
+    and no hop, switches with D = [1] and sigma = 1, without a
+    :func:`switching_signs` forest."""
+    if w.num_vertices == 1:
+        return np.ones(1, dtype=np.int64), 1
+    return switching_signs(w)
 
 
 def _hop_matrix(w: WedgeGraph, values) -> np.ndarray:

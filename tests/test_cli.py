@@ -201,6 +201,27 @@ def test_option_set_is_pinned():
     assert found == OPTIONS
 
 
+def test_a_usage_error_leaves_the_next_call_parsing_as_before(capsys):
+    # The parser is built once per process and shared by every main() call.
+    assert cli.build_parser() is cli.build_parser()
+    plain = ("spectrum", "--graph", "path:3", "-k", "1")
+    want = run(capsys, *plain)
+    assert want[0] == 0
+    for bad in (
+        ("spectrum", "--graph", "path:3", "--model", "ising", "--field", "0.5"),
+        ("spectrum", "--graph", "path:3", "--format", "csv", "-k"),
+        ("evolve", "--graph", "path:3", "-k", "1", "--from", "x", "--times", "1"),
+        ("bogus",),
+        (),
+    ):
+        code, out, err = run(capsys, *bad)
+        assert code == 2 and out == "" and err, bad
+        assert run(capsys, *plain) == want, bad
+    # Options given in one call do not carry over as defaults of the next.
+    assert run(capsys, "spectrum", "--graph", "path:3", "-k", "1", "--model", "heis", "--field", "0.5")[0] == 0
+    assert run(capsys, *plain) == want
+
+
 def test_boolean_graph_labels_exit_2(tmp_path, capsys):
     for text, named in (('{"n": 2, "edges": [[false, true]]}', "[False, True]"), ('{"n": true, "edges": []}', "True")):
         path = tmp_path / "g.json"
@@ -263,7 +284,7 @@ def test_graph_without_vertices(tmp_path, capsys):
     path = tmp_path / "g0.json"
     path.write_text(json.dumps({"n": 0, "edges": []}))
     code, out, _ = run(capsys, "verify", "--graph", str(path))
-    assert code == 0 and out.splitlines()[-1].startswith("verification: 22 checks, 22 passed, 0 failed")
+    assert code == 0 and out.splitlines()[-1].startswith("verification: 23 checks, 23 passed, 0 failed")
     for model, route in (("xy", "lift"), ("heis", "dense")):
         code, out, _ = run(capsys, "spectrum", "--graph", str(path), "--model", model)
         assert code == 0
@@ -337,19 +358,26 @@ def test_oversized_closed_form_graph_exits_2_before_it_is_built(argv, spec, coun
 @pytest.mark.parametrize(
     "argv",
     [
-        ("spectrum", "--graph", "path:5001", "-k", "0"),
-        ("evolve", "--graph", "path:5001", "-k", "0", "--subset", "", "--times", "1"),
-        ("spectrum", "--graph", "path:5001", "-k", "5001"),
-        ("evolve", "--graph", "path:5001", "-k", "5001", "--subset", ",".join(map(str, range(5001))), "--times", "1"),
+        ("spectrum", "--graph", "path:6000", "-k", "0"),
+        ("evolve", "--graph", "path:6000", "-k", "0", "--subset", "", "--times", "1"),
+        ("spectrum", "--graph", "path:6000", "-k", "6000", "--field", "0.5"),
+        ("evolve", "--graph", "path:6000", "-k", "6000", "--subset", ",".join(map(str, range(6000))), "--times", "1"),
     ],
 )
-def test_lift_base_is_guarded_before_allocation(argv, capsys):
-    # Sectors k=0 and k=n have one subset, but their lift route needs the
-    # 5001 x 5001 base adjacency (200 MB), which is sector k=1.
-    code, err, peak = _traced_run(capsys, *argv)
-    assert code == 2
-    assert "C(5001,1)=5001" in err
-    assert peak < 16 << 20, peak
+def test_one_subset_sectors_need_no_base(argv, capsys):
+    # Sectors k=0 and k=n have one subset, of energy B(n-2k), for both
+    # models: no 6000 x 6000 base adjacency (288 MB), which is sector k=1
+    # and above the sector limit, is built for them.
+    for model, route in (("xy", "lift"), ("heis", "dense")):
+        code, err, peak = _traced_run(capsys, *argv, "--model", model)
+        assert code == 0 and err == "", err
+        assert peak < 16 << 20, peak
+        code, out, _ = run(capsys, *argv, "--model", model)
+        if argv[0] == "spectrum":
+            (block,) = json.loads(out)["blocks"]
+            assert (block["route"], block["spectrum"]["values"]) == (route, [0.0 if argv[4] == "0" else -3000.0])
+        else:
+            assert [(row["route"], row["probabilities"]) for row in json.loads(out)] == [(route, [1.0])]
 
 
 def test_evolve_requires_initial_state(capsys):

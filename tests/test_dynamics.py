@@ -9,6 +9,7 @@ from spinwedge import (
     CapacityError,
     Graph,
     ModelSpec,
+    Sides,
     adjacency,
     basis_states,
     block_hamiltonian,
@@ -20,8 +21,6 @@ from spinwedge import (
     erdos_renyi_graph,
     evolve_subset,
     full_hamiltonian,
-    lift_propagate,
-    lift_route,
     path_graph,
     project_full_to_blocks,
     propagate,
@@ -248,17 +247,16 @@ def test_propagate_makes_no_complex_copy_of_the_eigenvectors():
 
 
 def test_lift_propagate_makes_no_complex_copy_of_the_base_eigenvectors():
-    g = path_graph(600)
-    base = eigh(adjacency(g))
-    route = lift_route(build_wedge_graph(g, 1))
+    sides = Sides(path_graph(600), ModelSpec("xy"))
+    side, base = sides(1), sides.base()
     times = np.linspace(0.0, 3.0, 16)
     tracemalloc.start()
     try:
-        out = lift_propagate(g, route, 250, times, base)
+        out, route = side.evolve(1, 250, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < base.vectors.nbytes, (peak, base.vectors.nbytes)
+    assert route == "lift" and peak < base.vectors.nbytes, (peak, base.vectors.nbytes)
     v = base.vectors.astype(complex)
     want = np.array([v @ (np.exp(-1j * t * base.values) * v[250]) for t in times])
     assert np.max(np.abs(out - want)) <= 1e-12
@@ -285,7 +283,7 @@ def test_series_enforces_norm_at_every_time(monkeypatch):
     # Heisenberg takes the dense route, an XY basis state on a path the lift.
     import spinwedge.dynamics as dyn
 
-    for route, model in (("propagate", "heisenberg"), ("lift_propagate", "xy")):
+    for route, model in (("propagate", "heisenberg"), ("subset_minors", "xy")):
         real = getattr(dyn, route)
 
         def leaky(*args, real=real, **kwargs):
@@ -405,3 +403,70 @@ def test_evolve_subset_above_half_matches_its_own_sector(model):
                 series, _ = evolve_subset(g, spec, unrank_subset(r0, g.n, k), times)
                 dense = propagate(dec, np.eye(m)[:, r0], times) * phase
                 assert np.max(np.abs(series - dense)) <= 1e-10, (name, k, r0)
+
+
+# Sectors above n/2 under a field, on each route of the side: lift (cycle:7
+# XY), dense (cycle:6 XY) and su2 for the values (cycle:7 Heisenberg, side 3).
+FAULT_CASES = [("cycle:7", "xy", 5), ("cycle:6", "xy", 4), ("cycle:7", "heis", 4)]
+
+
+def _failing_answers(graph, model, k, capsys):
+    """Which answers for sector k disagree with dense sector k, built from its
+    own wedge power: the spectrum that `spectrum` prints and the amplitudes
+    that `evolve` computes (its probabilities hide the field's phase)."""
+    g, spec, times = cli.parse_graph_source(graph), ModelSpec(model, 0.5), [0.5, 1.0, 5.0]
+    h = block_hamiltonian(g, k, spec, build_wedge_graph(g, k)) + spec.sector_shift(g.n, k) * np.eye(math.comb(g.n, k))
+    dec = eigh(h)
+    assert cli.main(["spectrum", "--graph", graph, "--model", model, "--field", "0.5", "-k", str(k)]) == 0
+    (block,) = json.loads(capsys.readouterr().out)["blocks"]
+    failing = set()
+    if np.max(np.abs(np.array(block["spectrum"]["values"]) - dec.values)) > 1e-9:
+        failing.add("spectrum")
+    series, _ = evolve_subset(g, spec, unrank_subset(1, g.n, k), times)
+    if np.max(np.abs(series - propagate(dec, np.eye(dec.dim)[:, 1], times))) > 1e-10:
+        failing.add("evolve")
+    return failing
+
+
+@pytest.mark.parametrize("graph, model, k", FAULT_CASES)
+def test_relabel_and_shift_are_each_one_method(graph, model, k, monkeypatch, capsys):
+    # Every answer for sector k goes through Side.relabel and Side.shift, so
+    # one fault in either shows in every answer that depends on it.  A
+    # spectrum has no ranks, so no relabelling can change it.
+    import spinwedge.dynamics as dyn
+
+    assert _failing_answers(graph, model, k, capsys) == set()
+    relabel, shift = dyn.Side.relabel, dyn.Side.shift
+    faults = [
+        # Relabel neither the start rank nor the amplitudes, or only one of
+        # them: a second relabelling outside the method would hide a fault.
+        ("relabel", lambda self, k, x: x, {"evolve"}),
+        ("relabel", lambda self, k, x: x if x.ndim == 1 else relabel(self, k, x), {"evolve"}),
+        ("relabel", lambda self, k, x: x if x.ndim > 1 else relabel(self, k, x), {"evolve"}),
+        ("shift", lambda self, k: shift(self, self.h), {"spectrum", "evolve"}),
+    ]
+    for method, fault, failing in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(dyn.Side, method, fault)
+            assert _failing_answers(graph, model, k, capsys) == failing, method
+
+
+def test_sides_are_freed_without_the_cycle_collector():
+    # Nothing a call builds refers back to its Sides, so the sides, their
+    # wedge powers and the base go with the last reference, not at the
+    # collector's next full pass.
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        for model, k in (("xy", 3), ("xy", 2), ("heis", 3)):
+            sides = Sides(cycle_graph(6), ModelSpec(model))
+            side = sides(k)
+            side.values(k)
+            side.evolve(k, 0, [0.5])
+            refs = [weakref.ref(x) for x in (sides, side, side.wedge, side.wedge.hops[0])]
+            del sides, side
+            assert [r() for r in refs] == [None] * len(refs), (model, k)
+    finally:
+        gc.enable()

@@ -15,7 +15,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(spinwedge.__path__, "spinw
 
 # Spectra are sorted float arrays, and evolution starts from a subset and
 # returns one amplitude array; these wrappers, pairings and routes were deleted.
-# The tensor-space oracle is bounded by its work entries, not by n^k.
+# The tensor-space oracle is bounded by its work entries, not by n^k.  Only
+# the reference builder in the tests computes a hop's sign one at a time, and
+# a Side holds its lift route and evolves it.
 DELETED = (
     "Spectrum",
     "SpectrumComparison",
@@ -26,6 +28,9 @@ DELETED = (
     "evolve_block_series",
     "transfer_fidelity",
     "TENSOR_DIM_LIMIT",
+    "hop_sign",
+    "LiftRoute",
+    "lift_propagate",
 )
 
 

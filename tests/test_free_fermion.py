@@ -1,7 +1,6 @@
 """The free-fermion lift route for XY sectors: the switching test, the route
 rule, and agreement of the lift with the dense route."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -16,6 +15,7 @@ import spinwedge.wedge as wedge_mod
 from spinwedge import (
     Graph,
     ModelSpec,
+    Sides,
     WedgeGraph,
     adjacency,
     block_hamiltonian,
@@ -26,7 +26,6 @@ from spinwedge import (
     erdos_renyi_graph,
     evolve_subset,
     full_hamiltonian,
-    lift_route,
     path_graph,
     project_full_to_blocks,
     propagate,
@@ -113,16 +112,18 @@ def _reference_side(g, k):
 
 
 def _route(g, k):
-    """The lift route of sector k: that of its side h = min(k, n-k)."""
-    return lift_route(build_wedge_graph(g, min(k, g.n - k)))
+    """The XY side of sector k, h = min(k, n-k), when it takes the lift
+    route, else None."""
+    side = Sides(g, ModelSpec("xy"))(k)
+    return side if side.route == "lift" else None
 
 
 def _side(route):
-    """The side j of the earlier rule, from the route's h and sigma: h for
+    """The side j of the earlier rule, from the side's h and sigma: h for
     sigma = +1, n-h for sigma = -1, or None without a route."""
     if route is None:
         return None
-    return route.h if route.sigma > 0 else route.n - route.h
+    return route.h if route.switching[1] > 0 else route.graph.n - route.h
 
 
 def _assert_exact_on_hops(w, signs, sigma):
@@ -212,7 +213,7 @@ def test_forest_route_matches_the_union_find_reference():
         assert _side(route) == _reference_side(g, k), (name, k)
         if route is not None:
             assert route.h == min(k, g.n - k)
-            _assert_exact_on_hops(build_wedge_graph(g, route.h), route.signs, route.sigma)
+            _assert_exact_on_hops(build_wedge_graph(g, route.h), *route.switching)
 
 
 def _two_build_rule(g, k):
@@ -229,7 +230,7 @@ def _check_one_wedge_route(g, k):
     assert _side(route) == _two_build_rule(g, k)
     if route is not None:
         w = build_wedge_graph(g, route.h)
-        d, sigma = route.signs, route.sigma
+        d, sigma = route.switching
         assert np.array_equal(d[:, None] * signed_matrix(w) * d, sigma * wedge_adjacency(w))
     return route
 
@@ -330,7 +331,7 @@ def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
     # C(17, 8) = 24310 of them.
     g, times = cycle_graph(17), [0.3, 1.7, 6.0]
     lifted = _route(g, 2)
-    assert (lifted.h, lifted.sigma, _side(lifted)) == (2, -1, 15)
+    assert (lifted.h, lifted.switching[1], _side(lifted)) == (2, -1, 15)
     widths, real = [], dynamics_mod.subset_minors
 
     def recording(x):
@@ -353,15 +354,14 @@ def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
 
 def _lift_answers(monkeypatch, g, k, r0, times, flip):
     """The spectrum that `spectrum` prints and the amplitudes from rank r0
-    that `evolve_subset` returns for XY sector k, each through a lift route
-    whose sigma is flipped when ``flip``."""
+    that `evolve_subset` returns for XY sector k, each through the lift
+    route of its side, with sigma flipped when ``flip``."""
     real = wedge_mod.lift_route
 
-    def route_of(*args):
-        route = real(*args)
-        return dataclasses.replace(route, sigma=-route.sigma) if flip else route
+    def route_of(w):
+        d, sigma = real(w)
+        return (d, -sigma) if flip else (d, sigma)
 
-    monkeypatch.setattr(cli, "lift_route", route_of)
     monkeypatch.setattr(dynamics_mod, "lift_route", route_of)
     (block,) = cli._spectrum_payload(g, "g", ModelSpec("xy"), range(k, k + 1), False)["blocks"]
     amplitudes, route = evolve_subset(g, ModelSpec("xy"), unrank_subset(r0, g.n, k), times)
@@ -376,7 +376,7 @@ def test_negative_sigma_sectors_are_particles_on_minus_a(name, k, monkeypatch):
     # sigma enters only as the signed base sigma A, in both the spectrum and
     # the amplitudes; the same route with sigma flipped misses both.
     g, times = cli.parse_graph_source(name), [0.5, 1.0, 5.0]
-    assert _route(g, k).sigma == -1
+    assert _route(g, k).switching[1] == -1
     dec = eigh(block_hamiltonian(g, k, ModelSpec("xy")))
     r0 = dec.dim // 2
     dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
@@ -464,7 +464,8 @@ def test_handshake_counts_cut_sizes_independently():
 
 
 def test_each_lift_side_is_decided_once(monkeypatch, capsys):
-    # Sectors k and n-k share side min(k, n-k): one parity forest per side.
+    # Sectors k and n-k share side min(k, n-k): one parity forest per side,
+    # and none for side 0, whose one subset has no hop.
     calls, real = [], wedge_mod.switching_signs
 
     def counting(w):
@@ -475,15 +476,22 @@ def test_each_lift_side_is_decided_once(monkeypatch, capsys):
     for name, g in default_corpus()[::3]:
         calls.clear()
         assert run_verification(corpus=[(name, g)], random_states=1).passed
-        assert calls == list(range(g.n // 2 + 1)), name
-    calls.clear()
-    assert cli.main(["spectrum", "--graph", "er:6:0.5:2", "-k", "all"]) == 0
-    assert calls == [0, 1, 2, 3]
+        assert calls == list(range(1, g.n // 2 + 1)), name
+    for argv, decided in (
+        (["spectrum", "--graph", "er:6:0.5:2", "-k", "all"], [1, 2, 3]),
+        (["spectrum", "--graph", "cycle:7", "-k", "all"], [1, 2, 3]),
+        (["evolve", "--graph", "cycle:7", "-k", "5", "--subset", "0,1,2,4,6", "--times", "0.5,2"], [2]),
+        (["evolve", "--graph", "cycle:7", "-k", "7", "--subset", "0,1,2,3,4,5,6", "--times", "0.5,2"], []),
+    ):
+        calls.clear()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls == decided, argv
 
 
 def test_full_corpus_has_one_route_check_per_graph():
     report = run_verification()
     assert report.passed
-    assert len(report.results) == 509
+    assert len(report.results) == 531
     route_checks = [r.subject for r in report.results if r.check == "free_fermion_route"]
     assert route_checks == [name for name, _ in default_corpus()]

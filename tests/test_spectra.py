@@ -254,7 +254,7 @@ def test_wide_minors_keep_levels_within_the_entry_bound():
 
 
 def test_lift_eigenvector_is_the_determinant_on_both_sides():
-    # Above k = d/2 the minors come from the complement columns.
+    # Below and above k = d/2, each amplitude is the minor that LAPACK takes.
     base = eigh(adjacency(erdos_renyi_graph(7, 0.5, 2)))
     for k in range(8):
         sets = subset_table(7, k)

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import spinwedge.dynamics as dynamics_mod
 import spinwedge.spectra as spectra_mod
 from spinwedge import (
     build_wedge_graph,
@@ -174,7 +175,7 @@ def test_spectrum_all_computes_each_side_once(capsys, monkeypatch):
         sizes.append(len(m))
         return real_eigvalsh(m, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "singlet_levels", recording)
+    monkeypatch.setattr(dynamics_mod, "singlet_levels", recording)
     monkeypatch.setattr(np.linalg, "eigvalsh", sized)
     payload = _spectrum(capsys, "--graph", "cycle:8", "--model", "heis", "-k", "all", "--field", "0.5")
     routes = [b["route"] for b in payload["blocks"]]

@@ -84,7 +84,7 @@ def dropping_builder(target_graph, target_k):
 
 
 # sha256 of the "check subject" lines of the default run, one per check.
-CHECK_LIST_DIGEST = "1ac28d6fbcdd58e223cc07a3ed89fce9cc971d8e2716bd2b3229aaded7b40d21"
+CHECK_LIST_DIGEST = "487b4ee58d3e06580bc716b56eefe37264653610bb1958d12de1c9ca22fbff25"
 
 
 def test_default_corpus_composition():
@@ -201,8 +201,29 @@ def test_check_list_is_pinned():
     report = run_verification()
     assert report.passed, report.first_failure
     lines = "\n".join(f"{r.check} {r.subject}" for r in report.results)
-    assert len(report.results) == 509
+    assert len(report.results) == 531
     assert hashlib.sha256(lines.encode()).hexdigest() == CHECK_LIST_DIGEST
+
+
+@pytest.mark.parametrize(
+    "builder, k, alone",
+    [
+        # Above n/2 the lift checks read no signed matrix, the sector and
+        # complement checks are unsigned and the projector oracle stops at
+        # k = 3, so a flipped sign there, or a relabelling that is an
+        # automorphism of the unsigned 5-cycle, shows in xy_particle_hole alone.
+        (corrupting_builder(cycle_graph(5), 4), 4, True),
+        (relabelling_builder(cycle_graph(5), 4), 4, True),
+        (corrupting_builder(cycle_graph(5), 2), 3, False),
+        (relabelling_builder(path_graph(6), 4), 4, False),
+    ],
+)
+def test_xy_particle_hole_fails_on_a_flipped_or_relabelled_wedge(builder, k, alone):
+    corpus = [("cycle:5", cycle_graph(5)), ("path:6", path_graph(6))]
+    assert run_verification(corpus=corpus, random_states=2).passed
+    failed = [r for r in run_verification(corpus=corpus, random_states=2, wedge_builder=builder).results if not r.passed]
+    assert [r.k for r in failed if r.check == "xy_particle_hole"] == [k]
+    assert alone == ({r.check for r in failed} == {"xy_particle_hole"})
 
 
 def test_relabelled_isospectral_sector_fails_sector_vs_full():

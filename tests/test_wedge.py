@@ -20,7 +20,6 @@ from spinwedge import (
     cycle_graph,
     erdos_renyi_graph,
     full_hamiltonian,
-    hop_sign,
     johnson_spectrum,
     path_graph,
     project_full_to_blocks,
@@ -38,6 +37,15 @@ from spinwedge import (
 )
 from spinwedge.spectra import spectrum_gap
 from spinwedge.wedge import _ascending_tuples, _colex_weights, _rising_hops, colex_level
+
+
+def hop_sign(subset, src, dst):
+    """The reference builder's sign of moving occupied src to empty dst with
+    the rest of subset fixed: -1 raised to the number of occupied vertices
+    strictly between src and dst, the parity of the re-sorting permutation."""
+    lo, hi = (src, dst) if src < dst else (dst, src)
+    crossed = sum(1 for x in subset if lo < x < hi)
+    return -1 if crossed & 1 else 1
 
 
 def reference_signed_edges(g, k):

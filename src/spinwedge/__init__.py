@@ -46,6 +46,7 @@ from .wedge import (
 from .spectra import (
     EigenDecomposition,
     complete_graph_spectra,
+    complete_sector_spectrum,
     eigh,
     johnson_spectrum,
     lift_eigenvector,

@@ -38,6 +38,7 @@ __all__ = [
     "path_spectrum",
     "path_eigenvector",
     "xy_path_spectrum",
+    "complete_sector_spectrum",
     "johnson_spectrum",
     "complete_graph_spectra",
     "subset_sums",
@@ -105,20 +106,20 @@ def spectrum_gap(a, b) -> float:
     return float(np.max(np.abs(a - b), initial=0.0))
 
 
-def spectrum_dict(values, tol: float) -> dict:
+def spectrum_dict(values) -> dict:
     """The JSON form of a spectrum: its sorted values, (value, multiplicity)
-    groups and tol.  A value joins the current group when it lies within tol
-    of the group's first value."""
+    groups and the grouping width, ``DEFAULT_TOL``.  A value joins the current
+    group when it lies within that width of the group's first value."""
     # A stable sort does not depend on which sort kernel numpy dispatches, so
     # -0.0 and 0.0 keep their order and the text is the same on every machine.
     values = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
     groups: list[list] = []
     for v in values:
-        if groups and abs(v - groups[-1][0]) <= tol:
+        if groups and abs(v - groups[-1][0]) <= DEFAULT_TOL:
             groups[-1][1] += 1
         else:
             groups.append([v, 1])
-    return {"values": values, "multiplicity_collapsed": groups, "tol": tol}
+    return {"values": values, "multiplicity_collapsed": groups, "tol": DEFAULT_TOL}
 
 
 def path_spectrum(n: int) -> np.ndarray:
@@ -158,46 +159,34 @@ def xy_path_spectrum(n: int, k: int) -> np.ndarray:
     return np.sort(np.array(sums))
 
 
-def _johnson_distinct(n: int, k: int) -> list[tuple[float, int]]:
-    """Distinct Johnson adjacency eigenvalues k(n-k) - j(n+1-j) with multiplicities.
-
-    j runs to min(k, n-k); multiplicity C(n,j) - C(n,j-1) is the standard
-    association-scheme count, validated against dense diagonalization in the
-    test suite rather than trusted.
-    """
-    out = []
-    for j in range(min(k, n - k) + 1):
-        mult = math.comb(n, j) - (math.comb(n, j - 1) if j > 0 else 0)
-        out.append((float(k * (n - k) - j * (n + 1 - j)), mult))
-    return out
-
-
-def johnson_spectrum(n: int, k: int) -> np.ndarray:
-    """Adjacency spectrum of the Johnson graph J(n,k), the wedge power of K_n."""
+def complete_sector_spectrum(n: int, k: int, model: str) -> np.ndarray:
+    """Sector k of the model on K_n, ascending.  For j = 0..min(k, n-k), with
+    the association-scheme multiplicity C(n,j) - C(n,j-1), the Heisenberg
+    level is the Johnson laplacian value j(n+1-j) and the XY level the
+    Johnson adjacency value k(n-k) - j(n+1-j).  Checked against dense
+    diagonalization in the test suite rather than trusted."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")
+    is_xy = ModelSpec(model).is_xy
     values: list[float] = []
-    for v, mult in _johnson_distinct(n, k):
-        values.extend([v] * mult)
+    for j in range(min(k, n - k) + 1):
+        level = j * (n + 1 - j)
+        mult = math.comb(n, j) - (math.comb(n, j - 1) if j > 0 else 0)
+        values.extend([float(k * (n - k) - level if is_xy else level)] * mult)
     assert len(values) == math.comb(n, k)
     return np.sort(np.array(values))
 
 
-def complete_graph_spectra(n: int, model: str) -> np.ndarray:
-    """Full 2^n spin spectrum on the complete graph, assembled per sector.
+def johnson_spectrum(n: int, k: int) -> np.ndarray:
+    """Adjacency spectrum of the Johnson graph J(n,k), the wedge power of K_n."""
+    return complete_sector_spectrum(n, k, "xy")
 
-    XY sectors contribute Johnson adjacency values; Heisenberg sectors the
-    Johnson laplacian values k(n-k) minus those, that is j(n+1-j).
-    """
+
+def complete_graph_spectra(n: int, model: str) -> np.ndarray:
+    """Full 2^n spin spectrum on the complete graph, the union of its sectors."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    is_xy = ModelSpec(model).is_xy
-    values: list[float] = []
-    for k in range(n + 1):
-        for v, mult in _johnson_distinct(n, k):
-            values.extend([v if is_xy else k * (n - k) - v] * mult)
-    assert len(values) == 2**n
-    return np.sort(np.array(values))
+    return np.sort(np.concatenate([complete_sector_spectrum(n, k, model) for k in range(n + 1)]))
 
 
 def subset_sums(values, k: int) -> np.ndarray:

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinwedge import cli, graph_to_json, path_graph
+import spinwedge.dynamics as dynamics_mod
+from spinwedge import ModelSpec, Sides, cli, graph_to_json, path_graph
+from spinwedge.spectra import DEFAULT_TOL
 
 
 def run(capsys, *argv):
@@ -100,12 +102,66 @@ def test_closed_form_path_6_3(capsys):
 
 
 def test_closed_form_check_reports_the_size_of_a_mismatch(capsys, monkeypatch):
-    johnson_spectrum = cli.johnson_spectrum
-    monkeypatch.setattr(cli, "johnson_spectrum", lambda n, k: johnson_spectrum(n, k) + 0.5)
+    closed = cli.complete_sector_spectrum
+    monkeypatch.setattr(cli, "complete_sector_spectrum", lambda n, k, model: closed(n, k, model) + 0.5)
     code, out, _ = run(capsys, "closed-form", "complete", "--n", "4", "-k", "2", "--check")
-    assert code == 0
+    assert code == 1
     check = json.loads(out)["cross_check"]
     assert check["equal"] is False and check["max_gap"] == pytest.approx(0.5, abs=1e-9)
+
+
+# A fault in each route that --check reads: (family, n, model, k, the route,
+# the dynamics function to break, its broken form, the error it injects).
+ROUTE_FAULTS = [
+    ("complete", 7, "heis", 3, "su2", "singlet_levels", lambda real: lambda w: real(w) + 1e-6, 1e-6),
+    ("path", 6, "xy", 3, "lift", "subset_sums", lambda real: lambda values, k: real(values, k) + 1e-6, 1e-6),
+    ("complete", 6, "xy", 2, "dense", "block_hamiltonian", lambda real: lambda *a: real(*a) + 0.5 * np.eye(15), 0.5),
+]
+
+
+@pytest.mark.parametrize("family,n,model,k,route,name,fault,error", ROUTE_FAULTS, ids=[f[4] for f in ROUTE_FAULTS])
+def test_closed_form_check_fails_on_a_fault_in_the_route_it_reads(
+    family, n, model, k, route, name, fault, error, capsys, monkeypatch
+):
+    assert Sides(cli.parse_graph_source(f"{family}:{n}"), ModelSpec(model))(k).route == route
+    argv = ("closed-form", family, "--n", str(n), "--model", model, "-k", str(k), "--check")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["cross_check"]["equal"] is True
+    monkeypatch.setattr(dynamics_mod, name, fault(getattr(dynamics_mod, name)))
+    code, out, _ = run(capsys, *argv)
+    check = json.loads(out)["cross_check"]
+    assert code == 1 and check["equal"] is False
+    assert check["max_gap"] == pytest.approx(error, rel=1e-3)
+
+
+def test_closed_form_check_takes_the_su2_route_where_it_pays(capsys, monkeypatch):
+    levels, rows = [], []
+    real_levels, real_eigvalsh = dynamics_mod.singlet_levels, np.linalg.eigvalsh
+
+    def recording(w):
+        levels.append(w.k)
+        return real_levels(w)
+
+    def sized(m, *args, **kwargs):
+        rows.append(len(m))
+        return real_eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics_mod, "singlet_levels", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", sized)
+    code, out, _ = run(capsys, "closed-form", "complete", "--n", "10", "--model", "heis", "-k", "all", "--check")
+    check = json.loads(out)["cross_check"]
+    assert code == 0 and check["equal"] is True and check["max_gap"] <= DEFAULT_TOL
+    # Sides 4 and 5 share the singlet levels of each side j; C(10,4) = 210 and
+    # C(10,5) = 252 are never solved dense, and dense side 3 has 120 rows.
+    assert sorted(levels) == [0, 1, 2, 3, 4, 5]
+    assert max(rows) == 120
+
+
+def test_closed_form_check_holds_su2_at_the_largest_listed_condition_number(capsys):
+    # B^T B of side (14, 6) has condition number 1.2e6, the largest in the README.
+    code, out, _ = run(capsys, "closed-form", "complete", "--n", "14", "--model", "heis", "-k", "6", "--check")
+    check = json.loads(out)["cross_check"]
+    assert code == 0 and check["equal"] is True and check["max_gap"] <= DEFAULT_TOL
 
 
 def test_closed_form_complete_heis_distinct(capsys):
@@ -138,7 +194,7 @@ def test_closed_form_guards_every_sector_before_any_work(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("closed form evaluated before the capacity guard")
 
-    for name in ("xy_path_spectrum", "johnson_spectrum"):
+    for name in ("xy_path_spectrum", "complete_sector_spectrum"):
         monkeypatch.setattr(cli, name, forbidden)
     code, _, err = run(capsys, "closed-form", "path", "--n", "24", "-k", "12")
     assert code == 2 and "k=12" in err and "C(24,12)=2704156" in err

@@ -13,6 +13,7 @@ from spinwedge import (
     build_wedge_graph,
     complete_graph,
     complete_graph_spectra,
+    complete_sector_spectrum,
     eigh,
     erdos_renyi_graph,
     full_hamiltonian,
@@ -28,6 +29,7 @@ from spinwedge import (
     subset_sums,
     subset_table,
     wedge_adjacency,
+    wedge_laplacian,
     xy_path_spectrum,
 )
 from spinwedge.spectra import LIFT_NORM_TOL
@@ -125,7 +127,7 @@ def test_xy_path_6_3_matches_dense():
 
 
 def test_johnson_4_2_octahedron():
-    groups = spectrum_dict(johnson_spectrum(4, 2), 1e-9)["multiplicity_collapsed"]
+    groups = spectrum_dict(johnson_spectrum(4, 2))["multiplicity_collapsed"]
     assert groups == [[-2.0, 2], [0.0, 3], [4.0, 1]]
 
 
@@ -141,8 +143,10 @@ def test_johnson_k0():
 def test_johnson_matches_dense_all_k(n):
     g = complete_graph(n)
     for k in range(n + 1):
-        dense = np.linalg.eigvalsh(wedge_adjacency(build_wedge_graph(g, k)))
-        assert spectrum_gap(johnson_spectrum(n, k), dense) <= 1e-9, (n, k)
+        w = build_wedge_graph(g, k)
+        assert spectrum_gap(johnson_spectrum(n, k), np.linalg.eigvalsh(wedge_adjacency(w))) <= 1e-9, (n, k)
+        heis = complete_sector_spectrum(n, k, "heis")
+        assert spectrum_gap(heis, np.linalg.eigvalsh(wedge_laplacian(w))) <= 1e-9, (n, k)
 
 
 def test_complete_2_xy():
@@ -151,7 +155,7 @@ def test_complete_2_xy():
 
 def test_complete_3_heis_value_set():
     spec = complete_graph_spectra(3, "heisenberg")
-    assert {v for v, _ in spectrum_dict(spec, 1e-9)["multiplicity_collapsed"]} <= {0.0, 3.0, 4.0}
+    assert {v for v, _ in spectrum_dict(spec)["multiplicity_collapsed"]} <= {0.0, 3.0, 4.0}
     assert len(spec) == 8
 
 
@@ -302,14 +306,15 @@ def test_spectrum_gap_reports_the_largest_pair_gap():
 
 
 def test_spectrum_collapse_and_json():
-    s = spectrum_dict(np.array([2.0, 1.0 + 1e-12, 1.0]), 1e-9)
+    s = spectrum_dict(np.array([2.0, 1.0 + 1e-12, 1.0]))
     data = json.loads(json.dumps(s))
     assert data["tol"] == 1e-9
     assert data["values"] == [1.0, 1.0 + 1e-12, 2.0]
     assert data["multiplicity_collapsed"] == [[1.0, 2], [2.0, 1]]
     # A value joins a group within tol of the group's first value, not of its
-    # last: 1.0, 1.6 and 2.2 at tol 1 make two groups.
-    assert spectrum_dict([1.0, 1.6, 2.2], 1.0)["multiplicity_collapsed"] == [[1.0, 2], [2.2, 1]]
+    # last: 1.0, 1.0 + 6e-10 and 1.0 + 1.2e-9 at tol 1e-9 make two groups.
+    groups = spectrum_dict([1.0, 1.0 + 6e-10, 1.0 + 1.2e-9])["multiplicity_collapsed"]
+    assert groups == [[1.0, 2], [1.0000000012, 1]]
 
 
 def test_lift_k4_k2_value_2_is_pair_sum():

@@ -14,22 +14,18 @@ from .graphs import (
     Graph,
     adjacency,
     complete_graph,
-    connected_components,
     cycle_graph,
-    degree_matrix,
     erdos_renyi_graph,
     export_dot,
     graph_from_edge_list,
     graph_from_json,
     graph_to_json,
-    laplacian,
     path_graph,
 )
 from .wedge import (
     WedgeGraph,
     alt_delta_oracle,
     build_wedge_graph,
-    lift_route,
     rank_subset,
     sector_dimension,
     signed_matrix,
@@ -48,7 +44,6 @@ from .spectra import (
     complete_graph_spectra,
     complete_sector_spectrum,
     eigh,
-    johnson_spectrum,
     lift_eigenvector,
     path_eigenvector,
     path_spectrum,

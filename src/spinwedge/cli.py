@@ -289,8 +289,8 @@ def _at_least(low: int, text: str) -> int:
     return value
 
 
-def _add_common(p, graph_required=True):
-    p.add_argument("--graph", required=graph_required, help="family spec like path:6 or a JSON file path")
+def _add_common(p):
+    p.add_argument("--graph", required=True, help="family spec like path:6 or a JSON file path")
     p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
 
 

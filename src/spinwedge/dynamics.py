@@ -19,7 +19,7 @@ import numpy as np
 from .graphs import Graph, adjacency
 from .spectra import EigenDecomposition, UNITARITY_TOL, eigh, singlet_levels, su2_pays, subset_minors, subset_sums
 from .spins import ModelSpec, block_hamiltonian
-from .wedge import build_wedge_graph, lift_route, rank_subset, sector_dimension, subset_table
+from .wedge import build_wedge_graph, rank_subset, sector_dimension, subset_table, switching_signs
 
 __all__ = [
     "propagate",
@@ -85,9 +85,11 @@ class Side:
     """Side h = min(k, n-k) of one graph and model, for sectors h and n-h.
 
     It decides the route of :meth:`values`, ``route``, once.  "lift": an XY
-    side with the switching (D, sigma) of :func:`spinwedge.wedge.lift_route`
-    is the h-particle problem of the signed base sigma A (side 0, one
-    subset, needs no base).  "su2": a Heisenberg side where
+    side with a switching D . C_h . D = sigma * A_h from
+    :func:`spinwedge.wedge.switching_signs` is, as C_h(-A) = -C_h(A), the
+    h-particle problem of the signed base sigma A (side 0, one subset,
+    switches with D = [1] and sigma = 1 and needs no base).  "su2": a
+    Heisenberg side where
     :func:`spinwedge.spectra.su2_pays` is the union of the singlet levels of
     the sides j = 0..h.  "dense": one eigensolve of the side matrix.
     :meth:`evolve` takes the lift route where there is one, else the dense."""
@@ -95,7 +97,7 @@ class Side:
     def __init__(self, sides: Sides, h: int):
         self.graph, self.spec, self.h, self.wedge = sides.graph, sides.spec, h, sides.wedge(h)
         self._base_values, self._base, self._levels = sides.base_values, sides.base, sides.levels
-        self.switching = lift_route(self.wedge) if self.spec.is_xy else None
+        self.switching = switching_signs(self.wedge) if self.spec.is_xy else None
         su2 = not self.spec.is_xy and su2_pays(self.graph.n, h)
         self.route = "lift" if self.switching is not None else "su2" if su2 else "dense"
 

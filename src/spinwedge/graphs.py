@@ -25,11 +25,8 @@ __all__ = [
     "complete_graph",
     "erdos_renyi_graph",
     "adjacency",
-    "degree_matrix",
-    "laplacian",
     "parity_forest",
     "component_count",
-    "connected_components",
     "export_dot",
     "graph_to_json",
     "graph_from_json",
@@ -84,17 +81,6 @@ class Graph:
                 raise ValueError(f"duplicate edge {a}")
         object.__setattr__(self, "edges", tuple(canon))
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def degrees(self) -> list[int]:
-        d = [0] * self.n
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
-
 
 def graph_from_edge_list(n: int, pairs) -> Graph:
     """Canonical graph from a possibly unsorted, repeated edge list."""
@@ -138,15 +124,6 @@ def adjacency(g: Graph) -> np.ndarray:
     return a
 
 
-def degree_matrix(g: Graph) -> np.ndarray:
-    return np.diag(np.asarray(g.degrees(), dtype=float))
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial laplacian D - A; rows sum to zero."""
-    return degree_matrix(g) - adjacency(g)
-
-
 def parity_forest(n: int, a: np.ndarray, b: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Root and parity of every vertex in a spanning forest of the edges (a, b).
 
@@ -180,12 +157,6 @@ def component_count(n: int, a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(roots == np.arange(n)))
 
 
-def connected_components(g: Graph) -> int:
-    """Number of connected components of g."""
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    return component_count(g.n, ends[:, 0], ends[:, 1])
-
-
 def _dot_id(name: str) -> str:
     if name.isdigit() or (name.isidentifier() and name.isascii()):
         return name
@@ -193,12 +164,13 @@ def _dot_id(name: str) -> str:
     return f'"{escaped}"'
 
 
-def export_dot(g: Graph, vertex_names: list[str] | None = None,
+def export_dot(g: Graph, names: list[str] | None = None,
                edge_labels: dict[tuple[int, int], str] | None = None) -> str:
     """Undirected graphviz source. Names are quoted when not plain ids."""
-    if vertex_names is not None and len(vertex_names) != g.n:
-        raise ValueError(f"expected {g.n} vertex names, got {len(vertex_names)}")
-    names = vertex_names if vertex_names is not None else [str(v) for v in range(g.n)]
+    if names is None:
+        names = [str(v) for v in range(g.n)]
+    elif len(names) != g.n:
+        raise ValueError(f"expected {g.n} vertex names, got {len(names)}")
     used = set()
     lines = ["graph {"]
     for u, v in g.edges:

@@ -13,7 +13,8 @@ Numerical tolerances (the single place they are defined):
 * ``ORTHONORMALITY_TOL`` (1e-10): deviation of eigenvector Gram matrix
   from the identity.
 * ``LIFT_NORM_TOL`` (1e-12): norm defect allowed for lifted eigenvectors.
-* ``UNITARITY_TOL`` (1e-10): norm drift allowed per evolution step.
+* ``UNITARITY_TOL`` (1e-10): norm drift allowed at each requested time of
+  an evolution; no evolution takes time steps.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "path_eigenvector",
     "xy_path_spectrum",
     "complete_sector_spectrum",
-    "johnson_spectrum",
     "complete_graph_spectra",
     "subset_sums",
     "subset_minors",
@@ -175,11 +175,6 @@ def complete_sector_spectrum(n: int, k: int, model: str) -> np.ndarray:
         values.extend([float(k * (n - k) - level if is_xy else level)] * mult)
     assert len(values) == math.comb(n, k)
     return np.sort(np.array(values))
-
-
-def johnson_spectrum(n: int, k: int) -> np.ndarray:
-    """Adjacency spectrum of the Johnson graph J(n,k), the wedge power of K_n."""
-    return complete_sector_spectrum(n, k, "xy")
 
 
 def complete_graph_spectra(n: int, model: str) -> np.ndarray:

@@ -38,8 +38,8 @@ from .spectra import (
     EigenDecomposition,
     UNITARITY_TOL,
     complete_graph_spectra,
+    complete_sector_spectrum,
     eigh,
-    johnson_spectrum,
     lift_eigenvector,
     path_eigenvector,
     path_spectrum,
@@ -62,6 +62,7 @@ from .wedge import (
     signed_matrix,
     subset_table,
     wedge_adjacency,
+    wedge_degrees,
 )
 
 __all__ = [
@@ -197,9 +198,9 @@ def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
 
     w1 = wedges.get(1)
     if w1 is not None:
-        same = w1.skeleton() == g and bool(np.all(w1.hops[2] == 1))
+        a, b, s = w1.hops
+        same = w1.num_vertices == g.n and tuple(zip(a.tolist(), b.tolist())) == g.edges and bool(np.all(s == 1))
         results.append(_result("wedge_k1_identity", name, 0.0 if same else 1.0, 0.0, k=1))
-
 
     if name.startswith("path:"):
         neg_counts = {k: int(np.count_nonzero(w.hops[2] < 0)) for k, w in wedges.items()}
@@ -207,12 +208,7 @@ def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
         first_bad = next((k for k, c in neg_counts.items() if c), None)
         results.append(_result("path_all_positive_signs", name, float(neg), 0.0, k=first_bad))
     if name.startswith("complete:"):
-        worst = 0.0
-        for k, w in wedges.items():
-            want = k * (g.n - k)
-            d = wedge_adjacency(w).sum(axis=1)
-            if d.size and (d != want).any():
-                worst = 1.0
+        worst = float(any(np.any(wedge_degrees(w) != k * (g.n - k)) for k, w in wedges.items()))
         results.append(_result("johnson_regular_degree", name, worst, 0.0))
     return results
 
@@ -537,7 +533,7 @@ def check_johnson_family(n: int, builder=None) -> list[CheckResult]:
     worst, bad_k = 0.0, None
     for k in range(n + 1):
         vals = np.linalg.eigvalsh(wedge_adjacency(builder(g, k)))
-        err = spectrum_gap(johnson_spectrum(n, k), vals)
+        err = spectrum_gap(complete_sector_spectrum(n, k, "xy"), vals)
         if err > worst:
             worst, bad_k = err, k
     results = [_result("johnson_formula", name, worst, DEFAULT_TOL, k=bad_k)]

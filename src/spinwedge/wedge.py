@@ -35,7 +35,6 @@ __all__ = [
     "subset_table",
     "build_wedge_graph",
     "switching_signs",
-    "lift_route",
     "signed_matrix",
     "wedge_adjacency",
     "wedge_degrees",
@@ -185,19 +184,6 @@ class WedgeGraph:
         """The hops as (a, b, sign) tuples, for export."""
         return tuple(zip(*(x.tolist() for x in self.hops)))
 
-    def skeleton(self) -> Graph:
-        """Unsigned graph on the subset ranks."""
-        a, b, _ = self.hops
-        return Graph(self.num_vertices, tuple(zip(a.tolist(), b.tolist())))
-
-    def vertex_names(self) -> list[str]:
-        return [subset_name(row) for row in subset_table(self.base.n, self.k).tolist()]
-
-    def negative_edges(self) -> list[tuple[int, int]]:
-        a, b, s = self.hops
-        negative = s < 0
-        return list(zip(a[negative].tolist(), b[negative].tolist()))
-
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _colex_weights(n: int, k: int) -> np.ndarray:
@@ -285,17 +271,6 @@ def switching_signs(w: WedgeGraph) -> tuple[np.ndarray, int] | None:
     if not np.any((off ^ (off >> 1)) & 1):
         return 1 - 2 * ((parity ^ (parity >> 1)) & 1).astype(np.int64), -1
     return None
-
-
-def lift_route(w: WedgeGraph) -> tuple[np.ndarray, int] | None:
-    """The switching (D, sigma) that puts XY side h = w.k on the lift route,
-    or None.  As C_h(-A) = -C_h(A), D . C_h . D = sigma * A_h makes side h
-    the h-particle problem of the signed base sigma A.  Side 0, one subset
-    and no hop, switches with D = [1] and sigma = 1, without a
-    :func:`switching_signs` forest."""
-    if w.num_vertices == 1:
-        return np.ones(1, dtype=np.int64), 1
-    return switching_signs(w)
 
 
 def _hop_matrix(w: WedgeGraph, values) -> np.ndarray:
@@ -403,17 +378,19 @@ def alt_delta_oracle(g: Graph, k: int) -> np.ndarray:
 
 def wedge_to_json(w: WedgeGraph) -> str:
     """Graph JSON on subset ranks plus a "signs" map for the negative edges."""
-    signs = {f"{a}-{b}": -1 for a, b in w.negative_edges()}
+    edges = w.signed_edges
     return json.dumps(
         {
             "n": w.num_vertices,
-            "edges": [[a, b] for a, b, _ in w.signed_edges],
-            "signs": signs,
+            "edges": [[a, b] for a, b, _ in edges],
+            "signs": {f"{a}-{b}": -1 for a, b, s in edges if s < 0},
         }
     )
 
 
 def wedge_to_dot(w: WedgeGraph) -> str:
     """DOT drawing with concatenated-label vertex names and -1 edge labels."""
-    labels = {(a, b): "-1" for a, b in w.negative_edges()}
-    return export_dot(w.skeleton(), w.vertex_names(), edge_labels=labels)
+    edges = w.signed_edges
+    names = [subset_name(row) for row in subset_table(w.base.n, w.k).tolist()]
+    labels = {(a, b): "-1" for a, b, s in edges if s < 0}
+    return export_dot(Graph(w.num_vertices, tuple((a, b) for a, b, _ in edges)), names, edge_labels=labels)

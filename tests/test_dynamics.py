@@ -367,18 +367,17 @@ def test_sectors_above_half_are_answered_from_their_side(argv, built, sizes, mon
 def test_evolve_chain_op_builds_and_solves_once(monkeypatch, capsys):
     # The benchmark's evolve_chain op: XY on path:12 at k = 4 <= n/2, side 4.
     import spinwedge.dynamics as dyn
-    import spinwedge.wedge as wedge_mod
 
     builds, solves = _record_builds_and_solves(monkeypatch)
     counts = {"switching_signs": 0, "subset_minors": 0}
-    for mod, name in ((wedge_mod, "switching_signs"), (dyn, "subset_minors")):
-        real = getattr(mod, name)
+    for name in counts:
+        real = getattr(dyn, name)
 
         def counting(*args, real=real, name=name):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(mod, name, counting)
+        monkeypatch.setattr(dyn, name, counting)
     times = ",".join(str(0.5 * i) for i in range(1, 17))
     argv = ["evolve", "--graph", "path:12", "-k", "4", "--subset", "1,4,7,9", "--times", times]
     assert cli.main(argv) == 0

@@ -17,7 +17,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(spinwedge.__path__, "spinw
 # returns one amplitude array; these wrappers, pairings and routes were deleted.
 # The tensor-space oracle is bounded by its work entries, not by n^k.  Only
 # the reference builder in the tests computes a hop's sign one at a time, and
-# a Side holds its lift route and evolves it.
+# a Side holds its lift route and evolves it.  The last five restated another
+# name: switching_signs, complete_sector_spectrum(n, k, "xy"),
+# component_count, and the laplacian and degrees of wedge power 1.
 DELETED = (
     "Spectrum",
     "SpectrumComparison",
@@ -31,6 +33,11 @@ DELETED = (
     "hop_sign",
     "LiftRoute",
     "lift_propagate",
+    "lift_route",
+    "johnson_spectrum",
+    "connected_components",
+    "laplacian",
+    "degree_matrix",
 )
 
 
@@ -58,3 +65,12 @@ def test_deleted_names_are_gone(name):
         module = importlib.import_module(module_name)
         assert not hasattr(module, name), module_name
         assert name not in getattr(module, "__all__", []), module_name
+
+
+def test_wedge_and_graph_views_are_gone():
+    # signed_edges is the one export view of a wedge power; len(g.edges)
+    # counts a graph's edges and wedge power 1 gives its degrees.
+    for name in ("skeleton", "vertex_names", "negative_edges"):
+        assert not hasattr(spinwedge.WedgeGraph, name), name
+    for name in ("degrees", "num_edges"):
+        assert not hasattr(spinwedge.Graph, name), name

@@ -180,6 +180,18 @@ def test_switching_signs_rejects_a_frustrated_wedge():
     assert sigma == 1 and np.array_equal(d, np.ones(w.num_vertices, dtype=np.int64))
 
 
+def test_switching_signs_on_one_subset_or_hop_free_sides():
+    # Sides 0 and n have one subset and no hop, and every side of an edgeless
+    # graph has no hop: each switches with D all ones and sigma = 1.
+    edgeless = Graph(4, ())
+    cases = [(g, k) for _, g in default_corpus() + [("edgeless:4", edgeless)] for k in (0, g.n)]
+    for g, k in cases + [(edgeless, 1)]:
+        w = build_wedge_graph(g, k)
+        d, sigma = switching_signs(w)
+        assert sigma == 1 and d.dtype == np.int64, (g, k)
+        assert np.array_equal(d, np.ones(w.num_vertices, dtype=np.int64)), (g, k)
+
+
 def test_a_hub_hooked_by_every_hop_keeps_one_hops_parity():
     # Every hop of this star meets the hub, the largest rank, so the first
     # forest round hooks the hub from all of them at once.  The signs
@@ -356,13 +368,13 @@ def _lift_answers(monkeypatch, g, k, r0, times, flip):
     """The spectrum that `spectrum` prints and the amplitudes from rank r0
     that `evolve_subset` returns for XY sector k, each through the lift
     route of its side, with sigma flipped when ``flip``."""
-    real = wedge_mod.lift_route
+    real = wedge_mod.switching_signs
 
     def route_of(w):
         d, sigma = real(w)
         return (d, -sigma) if flip else (d, sigma)
 
-    monkeypatch.setattr(dynamics_mod, "lift_route", route_of)
+    monkeypatch.setattr(dynamics_mod, "switching_signs", route_of)
     (block,) = cli._spectrum_payload(g, "g", ModelSpec("xy"), range(k, k + 1), False)["blocks"]
     amplitudes, route = evolve_subset(g, ModelSpec("xy"), unrank_subset(r0, g.n, k), times)
     assert block["route"] == route == "lift"
@@ -412,7 +424,7 @@ def test_verify_check_fails_on_a_false_switching(monkeypatch):
     wedges = {k: build_wedge_graph(g, k) for k in range(7)}
     sectors, base = verify_mod.sector_decompositions(g, wedges), eigh(adjacency(g))
     assert check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES).passed
-    monkeypatch.setattr(wedge_mod, "switching_signs", all_ones)
+    monkeypatch.setattr(dynamics_mod, "switching_signs", all_ones)
     result = check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES)
     assert not result.passed and result.k == 2
 
@@ -465,23 +477,23 @@ def test_handshake_counts_cut_sizes_independently():
 
 def test_each_lift_side_is_decided_once(monkeypatch, capsys):
     # Sectors k and n-k share side min(k, n-k): one parity forest per side,
-    # and none for side 0, whose one subset has no hop.
+    # side 0 included.
     calls, real = [], wedge_mod.switching_signs
 
     def counting(w):
         calls.append(w.k)
         return real(w)
 
-    monkeypatch.setattr(wedge_mod, "switching_signs", counting)
+    monkeypatch.setattr(dynamics_mod, "switching_signs", counting)
     for name, g in default_corpus()[::3]:
         calls.clear()
         assert run_verification(corpus=[(name, g)], random_states=1).passed
-        assert calls == list(range(1, g.n // 2 + 1)), name
+        assert calls == list(range(g.n // 2 + 1)), name
     for argv, decided in (
-        (["spectrum", "--graph", "er:6:0.5:2", "-k", "all"], [1, 2, 3]),
-        (["spectrum", "--graph", "cycle:7", "-k", "all"], [1, 2, 3]),
+        (["spectrum", "--graph", "er:6:0.5:2", "-k", "all"], [0, 1, 2, 3]),
+        (["spectrum", "--graph", "cycle:7", "-k", "all"], [0, 1, 2, 3]),
         (["evolve", "--graph", "cycle:7", "-k", "5", "--subset", "0,1,2,4,6", "--times", "0.5,2"], [2]),
-        (["evolve", "--graph", "cycle:7", "-k", "7", "--subset", "0,1,2,3,4,5,6", "--times", "0.5,2"], []),
+        (["evolve", "--graph", "cycle:7", "-k", "7", "--subset", "0,1,2,3,4,5,6", "--times", "0.5,2"], [0]),
     ):
         calls.clear()
         assert cli.main(argv) == 0

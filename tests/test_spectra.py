@@ -17,7 +17,6 @@ from spinwedge import (
     eigh,
     erdos_renyi_graph,
     full_hamiltonian,
-    johnson_spectrum,
     lift_eigenvector,
     path_eigenvector,
     path_graph,
@@ -127,16 +126,16 @@ def test_xy_path_6_3_matches_dense():
 
 
 def test_johnson_4_2_octahedron():
-    groups = spectrum_dict(johnson_spectrum(4, 2))["multiplicity_collapsed"]
+    groups = spectrum_dict(complete_sector_spectrum(4, 2, "xy"))["multiplicity_collapsed"]
     assert groups == [[-2.0, 2], [0.0, 3], [4.0, 1]]
 
 
 def test_johnson_3_1_is_k3():
-    assert johnson_spectrum(3, 1).tolist() == [-1.0, -1.0, 2.0]
+    assert complete_sector_spectrum(3, 1, "xy").tolist() == [-1.0, -1.0, 2.0]
 
 
 def test_johnson_k0():
-    assert johnson_spectrum(5, 0).tolist() == [0.0]
+    assert complete_sector_spectrum(5, 0, "xy").tolist() == [0.0]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -144,7 +143,7 @@ def test_johnson_matches_dense_all_k(n):
     g = complete_graph(n)
     for k in range(n + 1):
         w = build_wedge_graph(g, k)
-        assert spectrum_gap(johnson_spectrum(n, k), np.linalg.eigvalsh(wedge_adjacency(w))) <= 1e-9, (n, k)
+        assert spectrum_gap(complete_sector_spectrum(n, k, "xy"), np.linalg.eigvalsh(wedge_adjacency(w))) <= 1e-9, (n, k)
         heis = complete_sector_spectrum(n, k, "heis")
         assert spectrum_gap(heis, np.linalg.eigvalsh(wedge_laplacian(w))) <= 1e-9, (n, k)
 

@@ -24,6 +24,7 @@ from spinwedge.verify import (
     check_johnson_family,
     check_named_isomorphisms,
     check_path_closed_form,
+    check_structure,
     default_corpus,
     run_verification,
     sector_decompositions,
@@ -184,6 +185,24 @@ def test_named_isomorphism_fails_on_a_dropped_hop():
     # Any relabelling of K_4 is K_4 again; only a missing hop shows.
     by_check = {r.check: r for r in check_named_isomorphisms(dropping_builder(complete_graph(4), 3))}
     assert not by_check["named_isomorphism_k3"].passed and by_check["named_isomorphism_k5"].passed
+
+
+def _structure_checks(name, g, builder):
+    return {r.check: r for r in check_structure(name, g, {k: builder(g, k) for k in range(g.n + 1)})}
+
+
+@pytest.mark.parametrize("fault", [relabelling_builder, corrupting_builder])
+def test_wedge_k1_identity_fails_on_a_relabelled_or_flipped_first_power(fault):
+    g = path_graph(5)
+    assert _structure_checks("path:5", g, build_wedge_graph)["wedge_k1_identity"].passed
+    r = _structure_checks("path:5", g, fault(g, 1))["wedge_k1_identity"]
+    assert not r.passed and r.k == 1
+
+
+def test_johnson_regular_degree_fails_on_a_dropped_hop():
+    g = complete_graph(5)
+    assert _structure_checks("complete:5", g, build_wedge_graph)["johnson_regular_degree"].passed
+    assert not _structure_checks("complete:5", g, dropping_builder(g, 2))["johnson_regular_degree"].passed
 
 
 def test_default_run_lines_up_its_columns():

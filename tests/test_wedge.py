@@ -17,10 +17,10 @@ from spinwedge import (
     basis_states,
     build_wedge_graph,
     complete_graph,
+    complete_sector_spectrum,
     cycle_graph,
     erdos_renyi_graph,
     full_hamiltonian,
-    johnson_spectrum,
     path_graph,
     project_full_to_blocks,
     rank_subset,
@@ -98,7 +98,7 @@ def test_k4_k2_signs_frozen():
     # one other occupied vertex.  {0,1}->{1,2}, {0,1}->{1,3}, {0,2}->{2,3},
     # {1,2}->{2,3}, i.e. ranks (0,2), (0,4), (1,5), (2,5).
     w = build_wedge_graph(complete_graph(4), 2)
-    assert w.negative_edges() == [(0, 2), (0, 4), (1, 5), (2, 5)]
+    assert [(a, b) for a, b, s in w.signed_edges if s < 0] == [(0, 2), (0, 4), (1, 5), (2, 5)]
 
 
 def test_k4_sign_example_02_to_23():
@@ -137,7 +137,7 @@ def test_path_signs_all_positive():
     g = path_graph(6)
     for k in range(7):
         w = build_wedge_graph(g, k)
-        assert w.negative_edges() == []
+        assert np.all(w.hops[2] == 1)
         assert np.array_equal(signed_matrix(w), wedge_adjacency(w))
 
 
@@ -147,14 +147,15 @@ def test_signed_matrix_shape_and_pattern():
     assert np.array_equal(c, c.T)
     assert np.all(np.diag(c) == 0)
     assert set(np.unique(c)) <= {-1.0, 0.0, 1.0}
-    assert np.array_equal(np.abs(c) != 0, adjacency(w.skeleton()) != 0)
+    pattern = adjacency(Graph(w.num_vertices, tuple((a, b) for a, b, _ in w.signed_edges)))
+    assert np.array_equal(np.abs(c) != 0, pattern != 0)
 
 
 @pytest.mark.parametrize("g", [path_graph(4), complete_graph(4), cycle_graph(5)])
 def test_wedge_k1_reproduces_graph(g):
     w = build_wedge_graph(g, 1)
-    assert w.skeleton() == g
-    assert all(s == 1 for _, _, s in w.signed_edges)
+    assert w.num_vertices == g.n
+    assert w.signed_edges == tuple((a, b, 1) for a, b in g.edges)
 
 
 @pytest.mark.parametrize("g", [path_graph(5), complete_graph(4)])
@@ -251,8 +252,8 @@ def test_wedge_dot_p6_k2():
     assert w.num_vertices == 15
     assert "01 -- 02;" in text
     # every subset name appears
-    for name in w.vertex_names():
-        assert name in text
+    for row in subset_table(6, 2).tolist():
+        assert subset_name(row) in text
 
 
 def test_wedge_dot_marks_negative_edges():
@@ -331,7 +332,7 @@ def test_path90_k2_matches_closed_form():
 def test_complete70_k2_matches_johnson():
     w = build_wedge_graph(complete_graph(70), 2)
     vals = np.linalg.eigvalsh(wedge_adjacency(w))
-    gap = spectrum_gap(johnson_spectrum(70, 2), vals)
+    gap = spectrum_gap(complete_sector_spectrum(70, 2, "xy"), vals)
     assert gap <= 1e-9, gap
 
 

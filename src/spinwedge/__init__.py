@@ -17,7 +17,6 @@ from .graphs import (
     cycle_graph,
     erdos_renyi_graph,
     export_dot,
-    graph_from_edge_list,
     graph_from_json,
     graph_to_json,
     path_graph,
@@ -32,7 +31,6 @@ from .wedge import (
     subset_name,
     subset_table,
     switching_signs,
-    unrank_subset,
     wedge_adjacency,
     wedge_degrees,
     wedge_laplacian,

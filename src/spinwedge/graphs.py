@@ -19,7 +19,6 @@ __all__ = [
     "CapacityError",
     "check_graph_size",
     "Graph",
-    "graph_from_edge_list",
     "path_graph",
     "cycle_graph",
     "complete_graph",
@@ -80,11 +79,6 @@ class Graph:
             if a == b:
                 raise ValueError(f"duplicate edge {a}")
         object.__setattr__(self, "edges", tuple(canon))
-
-
-def graph_from_edge_list(n: int, pairs) -> Graph:
-    """Canonical graph from a possibly unsorted, repeated edge list."""
-    return Graph(n, tuple({(min(u, v), max(u, v)) for u, v in pairs}))
 
 
 def path_graph(n: int) -> Graph:
@@ -199,6 +193,7 @@ def _is_json_int(x) -> bool:
 def graph_from_json(text: str) -> Graph:
     """Parse the canonical JSON graph format.
 
+    An edge listed more than once, in either orientation, is kept once.
     Malformed JSON propagates json.JSONDecodeError (carries line/column);
     schema violations raise ValueError, and sizes over GRAPH_SIZE_LIMIT CapacityError.
     """
@@ -213,9 +208,9 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError('"edges" must be a list of [u, v] pairs')
     check_graph_size(f'JSON with "n": {n}', n, "vertices")
     check_graph_size(f'JSON with "n": {n}', len(edges), "edge entries")
-    pairs = []
+    pairs = set()
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(_is_json_int(x) for x in e)):
             raise ValueError(f"bad edge entry {e!r}")
-        pairs.append((e[0], e[1]))
-    return graph_from_edge_list(n, pairs)
+        pairs.add((min(e), max(e)))
+    return Graph(n, tuple(pairs))

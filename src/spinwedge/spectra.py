@@ -68,10 +68,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
 
 def eigh(m: np.ndarray) -> EigenDecomposition:
     """Diagonalize a real symmetric matrix, enforcing the residual contract.
@@ -146,7 +142,8 @@ def path_eigenvector(n: int, j: int) -> np.ndarray:
 
 
 def xy_path_spectrum(n: int, k: int) -> np.ndarray:
-    """k-excitation XY spectrum on the path: sums of k distinct path eigenvalues.
+    """k-excitation XY spectrum on the path: sums of k distinct eigenvalues of
+    :func:`path_spectrum`.
 
     One value per strictly increasing index set, each an exact ``fsum``;
     C(n,k) values total, sorted.  k=0 is the empty sum {0}.  It is the oracle
@@ -154,7 +151,7 @@ def xy_path_spectrum(n: int, k: int) -> np.ndarray:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")
-    single = [-2.0 * math.cos(math.pi * (j + 1) / (n + 1)) for j in range(n)]
+    single = path_spectrum(n).tolist()
     sums = [math.fsum(single[j] for j in combo) for combo in itertools.combinations(range(n), k)]
     return np.sort(np.array(sums))
 
@@ -241,7 +238,7 @@ def lift_eigenvector(base: EigenDecomposition, index_sets) -> EigenDecomposition
     sets = np.asarray(index_sets, dtype=np.intp)
     if sets.ndim != 2:
         raise ValueError(f"expected a sequence of index sets of one size, got shape {sets.shape}")
-    d = base.dim
+    d = len(base.values)
     bad = np.flatnonzero(np.any(np.diff(sets, axis=1) <= 0, axis=1))
     if bad.size:
         raise ValueError(

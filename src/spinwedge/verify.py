@@ -327,8 +327,8 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, b
         exact = np.array_equal(d[:, None] * signed_matrix(side.wedge) * d, sigma * wedge_adjacency(side.wedge))
         dec = sectors[("xy", h)].dec
         gap = spectrum_gap(side.values(h), dec.values)
-        r0 = dec.dim // 2
-        dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
+        r0 = len(dec.values) // 2
+        dense = propagate(dec, np.eye(len(dec.values))[:, r0], times)
         lifted_amps, _ = side.evolve(h, r0, times)
         formula = _determinant_formula(g, side, r0, times, base)
         amp_err = float(max(np.max(np.abs(lifted_amps - dense)), np.max(np.abs(lifted_amps - formula))))
@@ -502,11 +502,11 @@ def check_path_closed_form(n: int, builder=None) -> list[CheckResult]:
     name = f"path:{n}"
     g = path_graph(n)
     a = adjacency(g)
-    spec_err = spectrum_gap(path_spectrum(n), np.linalg.eigvalsh(a))
+    values = path_spectrum(n)
+    spec_err = spectrum_gap(values, np.linalg.eigvalsh(a))
     vec_err = 0.0
-    for j in range(n):
+    for j, lam in enumerate(values):
         v = path_eigenvector(n, j)
-        lam = -2.0 * math.cos(math.pi * (j + 1) / (n + 1))
         vec_err = max(vec_err, float(np.linalg.norm(a @ v - lam * v)))
     sum_err, bad_k = 0.0, None
     for k in range(n + 1):

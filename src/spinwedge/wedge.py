@@ -30,7 +30,6 @@ __all__ = [
     "WedgeGraph",
     "sector_dimension",
     "rank_subset",
-    "unrank_subset",
     "subset_name",
     "subset_table",
     "build_wedge_graph",
@@ -70,25 +69,6 @@ def rank_subset(elements, n: int) -> int:
             raise ValueError(f"subset {elems} is not strictly increasing")
         prev = e
     return sum(math.comb(int(e), i + 1) for i, e in enumerate(elems))
-
-
-def unrank_subset(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank_subset`: the rank-th k-subset in colex order."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    total = math.comb(n, k)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range [0, {total}) for C({n},{k})")
-    out = [0] * k
-    r = rank
-    e = n - 1
-    for i in range(k, 0, -1):
-        while math.comb(e, i) > r:
-            e -= 1
-        out[i - 1] = e
-        r -= math.comb(e, i)
-        e -= 1
-    return tuple(out)
 
 
 def subset_name(elements) -> str:

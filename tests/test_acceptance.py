@@ -34,7 +34,7 @@ from spinwedge import (
     signed_matrix,
     spectrum_gap,
     subset_sums,
-    unrank_subset,
+    subset_table,
     wedge_adjacency,
     wedge_laplacian,
     xy_path_spectrum,
@@ -196,14 +196,14 @@ def test_criterion_07_structural_isomorphisms(corpus, wedges):
     for name, g in corpus:
         for k in range(g.n // 2 + 1):
             complement = [
-                rank_subset(sorted(set(range(g.n)) - set(unrank_subset(r, g.n, k))), g.n)
+                rank_subset(sorted(set(range(g.n)) - set(subset_table(g.n, k)[r])), g.n)
                 for r in range(math.comb(g.n, k))
             ]
             target = [(a, b) for a, b, _ in wedges[name][g.n - k].signed_edges]
             if _mapped_edges(wedges[name][k], complement) != target:
                 bad.append(f"{name} k={k}")
     for g, label in ((path_graph(6), "wedge^5 path:6"), (complete_graph(4), "wedge^3 complete:4")):
-        left_out = [(set(range(g.n)) - set(unrank_subset(r, g.n, g.n - 1))).pop() for r in range(g.n)]
+        left_out = [(set(range(g.n)) - set(subset_table(g.n, g.n - 1)[r])).pop() for r in range(g.n)]
         if _mapped_edges(build_wedge_graph(g, g.n - 1), left_out) != list(g.edges):
             bad.append(label)
     _report(7, not bad, f"complement isomorphisms on full corpus plus the two named equivalences {bad or ''}")

@@ -25,7 +25,7 @@ from spinwedge import (
     project_full_to_blocks,
     propagate,
     rank_subset,
-    unrank_subset,
+    subset_table,
 )
 from spinwedge.spins import FULL_SPIN_LIMIT
 from spinwedge.verify import default_corpus
@@ -61,7 +61,7 @@ def _evolve_full(g, spec, states, times):
 
 def test_t0_is_identity():
     g = path_graph(4)
-    out = _evolve(g, ModelSpec("xy"), unrank_subset(3, 4, 2), 0.0)
+    out = _evolve(g, ModelSpec("xy"), subset_table(4, 2)[3], 0.0)
     assert np.allclose(out, _basis_state(6, 3), atol=1e-12)
     full = _basis_state(16, 5)
     assert np.allclose(_evolve_full(g, ModelSpec("xy"), full, 0.0), full, atol=1e-12)
@@ -144,7 +144,7 @@ def test_unitarity_and_energy_conservation():
 
 def test_field_changes_only_global_phase():
     g = path_graph(5)
-    subset = unrank_subset(4, 5, 2)
+    subset = subset_table(5, 2)[4]
     t = 1.3
     plain = _evolve(g, ModelSpec("xy"), subset, t)
     shifted = _evolve(g, ModelSpec("xy", 0.8), subset, t)
@@ -273,7 +273,7 @@ def test_propagate_rejects_bad_times():
 def test_series_matches_single_time_evolution():
     g = complete_graph(5)
     spec = ModelSpec("xy", -0.2)
-    subset = unrank_subset(7, 5, 2)
+    subset = subset_table(5, 2)[7]
     series, _ = evolve_subset(g, spec, subset, [0.3, 1.1, 4.0])
     for t, out in zip([0.3, 1.1, 4.0], series):
         assert np.linalg.norm(out - _evolve(g, spec, subset, t)) <= 1e-12
@@ -399,7 +399,7 @@ def test_evolve_subset_above_half_matches_its_own_sector(model):
             dec = eigh(block_hamiltonian(g, k, spec, build_wedge_graph(g, k)))
             phase = np.exp(-1j * spec.sector_shift(g.n, k) * np.array(times))[:, None]
             for r0 in sorted({0, 1 % m, m // 2, m - 1}):
-                series, _ = evolve_subset(g, spec, unrank_subset(r0, g.n, k), times)
+                series, _ = evolve_subset(g, spec, subset_table(g.n, k)[r0], times)
                 dense = propagate(dec, np.eye(m)[:, r0], times) * phase
                 assert np.max(np.abs(series - dense)) <= 1e-10, (name, k, r0)
 
@@ -421,8 +421,8 @@ def _failing_answers(graph, model, k, capsys):
     failing = set()
     if np.max(np.abs(np.array(block["spectrum"]["values"]) - dec.values)) > 1e-9:
         failing.add("spectrum")
-    series, _ = evolve_subset(g, spec, unrank_subset(1, g.n, k), times)
-    if np.max(np.abs(series - propagate(dec, np.eye(dec.dim)[:, 1], times))) > 1e-10:
+    series, _ = evolve_subset(g, spec, subset_table(g.n, k)[1], times)
+    if np.max(np.abs(series - propagate(dec, np.eye(len(dec.values))[:, 1], times))) > 1e-10:
         failing.add("evolve")
     return failing
 

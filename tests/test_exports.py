@@ -17,9 +17,11 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(spinwedge.__path__, "spinw
 # returns one amplitude array; these wrappers, pairings and routes were deleted.
 # The tensor-space oracle is bounded by its work entries, not by n^k.  Only
 # the reference builder in the tests computes a hop's sign one at a time, and
-# a Side holds its lift route and evolves it.  The last five restated another
+# a Side holds its lift route and evolves it.  The next five restated another
 # name: switching_signs, complete_sector_spectrum(n, k, "xy"),
-# component_count, and the laplacian and degrees of wedge power 1.
+# component_count, and the laplacian and degrees of wedge power 1.  The
+# rank-r k-subset is row r of subset_table, and Graph builds a graph from its
+# edges.
 DELETED = (
     "Spectrum",
     "SpectrumComparison",
@@ -38,6 +40,8 @@ DELETED = (
     "connected_components",
     "laplacian",
     "degree_matrix",
+    "unrank_subset",
+    "graph_from_edge_list",
 )
 
 
@@ -74,3 +78,8 @@ def test_wedge_and_graph_views_are_gone():
         assert not hasattr(spinwedge.WedgeGraph, name), name
     for name in ("degrees", "num_edges"):
         assert not hasattr(spinwedge.Graph, name), name
+
+
+def test_eigen_decomposition_has_no_dim():
+    # len(values) is its dimension.
+    assert not hasattr(spinwedge.EigenDecomposition, "dim")

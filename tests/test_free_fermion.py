@@ -33,8 +33,8 @@ from spinwedge import (
     signed_matrix,
     spectrum_gap,
     subset_sums,
+    subset_table,
     switching_signs,
-    unrank_subset,
     wedge_adjacency,
 )
 from spinwedge.spectra import DEFAULT_TOL
@@ -288,7 +288,7 @@ def test_lift_and_dense_routes_agree_on_the_corpus():
             for r0 in sorted({0, m // 2, m - 1}):
                 start = np.zeros(m)
                 start[r0] = 1.0
-                series, route = evolve_subset(g, spec, unrank_subset(r0, g.n, k), [0.5, 1.0, 5.0])
+                series, route = evolve_subset(g, spec, subset_table(g.n, k)[r0], [0.5, 1.0, 5.0])
                 dense = propagate(dec, start, [0.5, 1.0, 5.0])
                 assert route == "lift"
                 assert np.max(np.abs(series - dense)) <= 1e-10, (name, k, b, r0)
@@ -310,7 +310,7 @@ def test_spectrum_routes_agree(name, capsys):
 
 
 def test_heisenberg_states_take_the_dense_route():
-    _, route = evolve_subset(path_graph(5), ModelSpec("heisenberg"), unrank_subset(3, 5, 2), [0.7])
+    _, route = evolve_subset(path_graph(5), ModelSpec("heisenberg"), subset_table(5, 2)[3], [0.7])
     assert route == "dense"
 
 
@@ -376,7 +376,7 @@ def _lift_answers(monkeypatch, g, k, r0, times, flip):
 
     monkeypatch.setattr(dynamics_mod, "switching_signs", route_of)
     (block,) = cli._spectrum_payload(g, "g", ModelSpec("xy"), range(k, k + 1), False)["blocks"]
-    amplitudes, route = evolve_subset(g, ModelSpec("xy"), unrank_subset(r0, g.n, k), times)
+    amplitudes, route = evolve_subset(g, ModelSpec("xy"), subset_table(g.n, k)[r0], times)
     assert block["route"] == route == "lift"
     return block["spectrum"]["values"], amplitudes
 
@@ -390,8 +390,8 @@ def test_negative_sigma_sectors_are_particles_on_minus_a(name, k, monkeypatch):
     g, times = cli.parse_graph_source(name), [0.5, 1.0, 5.0]
     assert _route(g, k).switching[1] == -1
     dec = eigh(block_hamiltonian(g, k, ModelSpec("xy")))
-    r0 = dec.dim // 2
-    dense = propagate(dec, np.eye(dec.dim)[:, r0], times)
+    r0 = len(dec.values) // 2
+    dense = propagate(dec, np.eye(len(dec.values))[:, r0], times)
     for flip in (False, True):
         values, amplitudes = _lift_answers(monkeypatch, g, k, r0, times, flip)
         errors = (spectrum_gap(values, dec.values), float(np.max(np.abs(amplitudes - dense))))

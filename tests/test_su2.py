@@ -163,6 +163,16 @@ def test_spectrum_su2_route_on_a_random_14_vertex_graph(k, capsys):
     assert spectrum_gap(block["spectrum"]["values"], dense) <= DEFAULT_TOL
 
 
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_closed_form_check_keeps_the_su2_accuracy_on_k14(k, capsys):
+    # max_gap is 6.5e-11 at k = 5, and 2.1e-10 at k = 6 and 7 from side 6,
+    # where B^T B has condition number 1.2e6.  An error 2.4 times the worst
+    # of these fails here while it still passes DEFAULT_TOL.
+    assert cli.main(["closed-form", "complete", "--n", "14", "--model", "heis", "-k", str(k), "--check"]) == 0
+    check = json.loads(capsys.readouterr().out)["cross_check"]
+    assert check["equal"] and check["max_gap"] <= 5e-10, check
+
+
 def test_spectrum_all_computes_each_side_once(capsys, monkeypatch):
     sides, sizes, real = [], [], spectra_mod.singlet_levels
     real_eigvalsh = np.linalg.eigvalsh

@@ -27,7 +27,6 @@ from spinwedge import (
     signed_matrix,
     subset_name,
     subset_table,
-    unrank_subset,
     wedge_adjacency,
     wedge_degrees,
     wedge_laplacian,
@@ -81,7 +80,7 @@ def test_p3_k2_structure():
     # Ranks: 0={0,1}, 1={0,2}, 2={1,2}; hops 1->2 and 0->1, both positive.
     assert w.signed_edges == ((0, 1, 1), (1, 2, 1))
     # S -> the vertex S leaves out carries the hops onto the edges of P_3.
-    left_out = [({0, 1, 2} - set(unrank_subset(r, 3, 2))).pop() for r in range(3)]
+    left_out = [({0, 1, 2} - set(subset_table(3, 2)[r])).pop() for r in range(3)]
     assert left_out == [2, 1, 0]
     assert mapped_edges(w, left_out) == list(path_graph(3).edges)
 
@@ -189,7 +188,7 @@ def test_complement_isomorphism_small():
     g = cycle_graph(5)
     w2 = build_wedge_graph(g, 2)
     w3 = build_wedge_graph(g, 3)
-    complement = [rank_subset(sorted(set(range(5)) - set(unrank_subset(r, 5, 2))), 5) for r in range(10)]
+    complement = [rank_subset(sorted(set(range(5)) - set(subset_table(5, 2)[r])), 5) for r in range(10)]
     assert mapped_edges(w2, complement) == [(a, b) for a, b, _ in w3.signed_edges]
 
 
@@ -312,7 +311,7 @@ def test_subset_table_rows_are_colex_ranks(n, k):
     table = subset_table(n, k)
     assert table.shape == (math.comb(n, k), k)
     for r in (0, len(table) // 2, len(table) - 1):
-        assert tuple(table[r]) == unrank_subset(r, n, k)
+        assert rank_subset(table[r], n) == r
     masks = [sum(1 << int(v) for v in row) for row in table]
     assert masks == sorted(masks) and len(set(masks)) == len(masks)
 

@@ -72,7 +72,7 @@ def parse_graph_source(text: str) -> Graph:
 def _parse_k(text: str, n: int, allow_all: bool) -> range:
     if text == "all":
         if not allow_all:
-            raise ValueError('k="all" is only valid for spectrum and verify')
+            raise ValueError('k="all" is only valid for spectrum and closed-form')
         return range(n + 1)
     try:
         k = int(text)

@@ -118,7 +118,7 @@ class Side:
             return subset_sums(self.switching[1] * self._base_values(), self.h) if self.h else np.zeros(1)
         if self.route == "su2":
             return np.sort(np.concatenate([self._levels(j) for j in range(self.h + 1)]))
-        return np.linalg.eigvalsh(block_hamiltonian(self.graph, self.h, self.spec, self.wedge))
+        return np.linalg.eigvalsh(block_hamiltonian(self.wedge, self.spec))
 
     def values(self, k: int) -> np.ndarray:
         """The spectrum of sector k, ascending."""
@@ -152,7 +152,7 @@ class Side:
         else:
             state = np.zeros(m)
             state[start] = 1.0
-            dec = eigh(block_hamiltonian(self.graph, self.h, self.spec, self.wedge))
+            dec = eigh(block_hamiltonian(self.wedge, self.spec))
             amplitudes, route = propagate(dec, state, t), "dense"
         return self.relabel(k, amplitudes) * np.exp(-1j * self.shift(k) * t)[:, None], route
 
@@ -162,8 +162,8 @@ def evolve_subset(g: Graph, spec: ModelSpec, subset, times) -> tuple[np.ndarray,
     :meth:`Side.evolve` of sector k = len(subset); every row of the
     amplitudes passes a norm check.  A general state x of sector k takes the
     dense route of ``side = Sides(g, spec)(k)``:
-    ``side.relabel(k, propagate(eigh(block_hamiltonian(g, side.h, spec,
-    side.wedge)), side.relabel(k, x), times))`` times exp(-i side.shift(k) t).
+    ``side.relabel(k, propagate(eigh(block_hamiltonian(side.wedge, spec)),
+    side.relabel(k, x), times))`` times exp(-i side.shift(k) t).
     """
     k = len(subset)
     sector_dimension(g.n, k)

@@ -28,7 +28,7 @@ from .wedge import (
     TABLE_CACHE_SIZE,
     WedgeGraph,
     _colex_weights,
-    build_wedge_graph,
+    build_wedge_graph,  # not used here; perfbench's traced-run test reads spinwedge.spins.build_wedge_graph
     colex_level,
     sector_dimension,
     subset_table,
@@ -157,18 +157,14 @@ def full_hamiltonian(g: Graph, spec: ModelSpec) -> np.ndarray:
     return h
 
 
-def block_hamiltonian(g: Graph, k: int, spec: ModelSpec, wedge: WedgeGraph | None = None) -> np.ndarray:
-    """The k-excitation sector: wedge adjacency (XY) or laplacian (Heisenberg).
+def block_hamiltonian(w: WedgeGraph, spec: ModelSpec) -> np.ndarray:
+    """Sector k = w.k of the graph w.base, from its wedge power ``w``: the
+    wedge adjacency (XY) or laplacian (Heisenberg).
 
     The field is not in the matrix: with a field, the sector hamiltonian is
-    this plus ``spec.sector_shift(g.n, k)`` times the identity.  ``wedge`` is
-    the prebuilt k-th wedge power of g; it is built when omitted.
+    this plus ``spec.sector_shift(w.base.n, w.k)`` times the identity.
     """
-    if wedge is None:
-        wedge = build_wedge_graph(g, k)
-    elif wedge.k != k or wedge.base != g:
-        raise ValueError(f"wedge power k={wedge.k} does not belong to sector k={k} of this graph")
-    return wedge_adjacency(wedge) if spec.is_xy else wedge_laplacian(wedge)
+    return wedge_adjacency(w) if spec.is_xy else wedge_laplacian(w)
 
 
 def project_full_to_blocks(h: np.ndarray) -> list[np.ndarray]:

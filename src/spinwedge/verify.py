@@ -155,6 +155,17 @@ def _result(check, subject, err, tol, k=None, note="") -> CheckResult:
     return CheckResult(check, subject, float(err), tol, bool(err <= tol), k, note)
 
 
+def _worst(check, subject, tol, errors, note="") -> CheckResult:
+    """The result of the largest error among the (k, error) pairs ``errors``,
+    naming the first k that reaches it: error 0.0 and no k when none is
+    positive.  The one rule for the sector a check that reduces over k names."""
+    worst, bad_k = 0.0, None
+    for k, err in errors:
+        if err > worst:
+            worst, bad_k = err, k
+    return _result(check, subject, worst, tol, k=bad_k, note=note)
+
+
 class Operator(NamedTuple):
     """A dense hamiltonian and its eigendecomposition, built once and shared."""
 
@@ -172,7 +183,7 @@ def sector_decompositions(g: Graph, wedges: dict) -> dict:
     Built once per graph from the shared ``wedges`` and passed as ``sectors``
     to every check that reads a sector operator.
     """
-    return {(m.model, k): _operator(block_hamiltonian(g, k, m, w)) for m in _MODELS for k, w in wedges.items()}
+    return {(m.model, k): _operator(block_hamiltonian(w, m)) for m in _MODELS for k, w in wedges.items()}
 
 
 def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
@@ -187,14 +198,9 @@ def check_structure(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
     bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n)) & 1
     cuts = sum((bits[:, u] ^ bits[:, v] for u, v in g.edges), np.zeros(1 << g.n, dtype=np.int64))
     cut_sums = np.bincount(bits.sum(axis=1), weights=cuts, minlength=g.n + 1)
-    results = []
-    worst = 0.0
-    bad_k = None
-    for k, w in wedges.items():
-        if w.num_vertices != math.comb(g.n, k) or 2 * len(w.hops[0]) != cut_sums[k]:
-            worst = max(worst, 1.0)
-            bad_k = k
-    results.append(_result("wedge_dimensions", name, worst, 0.0, k=bad_k))
+    bad = ((k, float(w.num_vertices != math.comb(g.n, k) or 2 * len(w.hops[0]) != cut_sums[k]))
+           for k, w in wedges.items())
+    results = [_worst("wedge_dimensions", name, 0.0, bad)]
 
     w1 = wedges.get(1)
     if w1 is not None:
@@ -236,43 +242,37 @@ def check_sector_spectra(name: str, g: Graph, model: ModelSpec, sectors: dict, f
     ]
 
 
-def check_signed_oracle(name: str, g: Graph, wedges: dict) -> CheckResult | None:
-    """Combinatorial signed matrix against the literal projector construction;
-    an oracle that refuses its own result fails the check with its message."""
+def check_signed_oracle(name: str, g: Graph, wedges: dict) -> list[CheckResult]:
+    """Combinatorial signed matrix against the literal projector construction,
+    for graphs up to ORACLE_MAX_N spins (none above); an oracle that refuses
+    its own result fails the check with its message."""
     if g.n > ORACLE_MAX_N:
-        return None
-    worst, bad_k = 0.0, None
+        return []
+    diffs = []
     for k in range(min(g.n, ORACLE_MAX_K) + 1):
         try:
             oracle = alt_delta_oracle(g, k)
         except RuntimeError as exc:
-            return _result("signed_vs_projector_oracle", name, math.inf, 0.0, k=k, note=str(exc))
-        diff = np.max(np.abs(signed_matrix(wedges[k]) - oracle)) if wedges[k].num_vertices else 0.0
-        if diff > worst:
-            worst, bad_k = float(diff), k
-    return _result("signed_vs_projector_oracle", name, worst, 0.0, k=bad_k)
+            return [_result("signed_vs_projector_oracle", name, math.inf, 0.0, k=k, note=str(exc))]
+        diffs.append((k, np.max(np.abs(signed_matrix(wedges[k]) - oracle)) if wedges[k].num_vertices else 0.0))
+    return [_worst("signed_vs_projector_oracle", name, 0.0, diffs)]
 
 
 def check_lift(name: str, g: Graph, wedges: dict, base) -> list[CheckResult]:
     """Sum-lift of base eigenvalues and determinant eigenvectors against the
     signed matrix of every side k <= n/2 (the powers above are certified by
     xy_particle_hole); ``base`` is the eigh of g's adjacency."""
-    worst_gap, gap_k = 0.0, None
-    worst_res, res_k = 0.0, None
+    gaps, residuals = [], []
     for k in range(g.n // 2 + 1):
         c = signed_matrix(wedges[k])
-        gap = spectrum_gap(subset_sums(base.values, k), np.linalg.eigvalsh(c))
-        if gap > worst_gap:
-            worst_gap, gap_k = gap, k
+        gaps.append((k, spectrum_gap(subset_sums(base.values, k), np.linalg.eigvalsh(c))))
         lifted = lift_eigenvector(base, subset_table(g.n, k))
-        res = float(np.max(np.linalg.norm(c @ lifted.vectors - lifted.vectors * lifted.values, axis=0)))
-        if res > worst_res:
-            worst_res, res_k = res, k
+        residuals.append((k, np.max(np.linalg.norm(c @ lifted.vectors - lifted.vectors * lifted.values, axis=0))))
     c_equals_a = not any(np.any(w.hops[2] < 0) for w in wedges.values())
     return [
-        _result("lift_spectrum_vs_signed", name, worst_gap, DEFAULT_TOL, k=gap_k),
-        _result("lift_eigenvector_residual", name, worst_res, DEFAULT_TOL, k=res_k,
-                note=f"signed equals unsigned: {'yes' if c_equals_a else 'no'}"),
+        _worst("lift_spectrum_vs_signed", name, DEFAULT_TOL, gaps),
+        _worst("lift_eigenvector_residual", name, DEFAULT_TOL, residuals,
+               note=f"signed equals unsigned: {'yes' if c_equals_a else 'no'}"),
     ]
 
 
@@ -313,14 +313,13 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, b
     every side of a path, must lift.
     """
     sides = Sides(g, ModelSpec("xy"), wedges)
-    worst, bad_h = 0.0, None
-    lifted, unrouted = [], []
+    errors, lifted, unrouted = [], [], []
     for h in range(g.n // 2 + 1):
         side = sides(h)
         if side.switching is None:
             if name.startswith("path:") or h <= 1:
                 unrouted.append(h)
-                worst, bad_h = math.inf, h
+                errors.append((h, math.inf))
             continue
         lifted.append(h)
         d, sigma = side.switching
@@ -332,28 +331,23 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, b
         lifted_amps, _ = side.evolve(h, r0, times)
         formula = _determinant_formula(g, side, r0, times, base)
         amp_err = float(max(np.max(np.abs(lifted_amps - dense)), np.max(np.abs(lifted_amps - formula))))
-        err = max(gap, amp_err) if exact else math.inf
-        if err > worst:
-            worst, bad_h = err, h
+        errors.append((h, max(gap, amp_err) if exact else math.inf))
     note = f"lift h={lifted}" + (f"; must lift but dense: h={unrouted}" if unrouted else "")
-    return _result("free_fermion_route", name, worst, DEFAULT_TOL, k=bad_h, note=note)
+    return _worst("free_fermion_route", name, DEFAULT_TOL, errors, note=note)
 
 
 def check_heis_psd_kernel(name: str, g: Graph, wedges: dict, sectors: dict) -> CheckResult:
     """Heisenberg sectors are positive semidefinite with one zero mode per
     connected component of the wedge power; their eigenvalues come from
     ``sectors`` (see :func:`sector_decompositions`)."""
-    worst = 0.0
-    bad_k = None
+    errors = []
     for k, w in wedges.items():
         vals = sectors[("heisenberg", k)].dec.values
         neg = max(0.0, float(-vals.min())) if vals.size else 0.0
         zeros = int(np.sum(np.abs(vals) <= DEFAULT_TOL))
         comps = component_count(w.num_vertices, *w.hops[:2])
-        err = neg if zeros == comps else math.inf
-        if err > worst:
-            worst, bad_k = err, k
-    return _result("heis_psd_kernel", name, worst, DEFAULT_TOL, k=bad_k)
+        errors.append((k, neg if zeros == comps else math.inf))
+    return _worst("heis_psd_kernel", name, DEFAULT_TOL, errors)
 
 
 def _unflip(n: int, k: int) -> np.ndarray:
@@ -386,13 +380,9 @@ def check_heis_su2_levels(name: str, g: Graph, wedges: dict, sectors: dict) -> C
         if np.any(_unflip(g.n, j) @ basis):
             return _result("heis_su2_levels", name, math.inf, DEFAULT_TOL, k=j, note=f"W B != 0 on side j={j}")
     levels = [singlet_levels(wedges[j]) for j in range(g.n // 2 + 1)]
-    worst, bad_k = 0.0, None
-    for k in range(g.n + 1):
-        union = np.concatenate(levels[: min(k, g.n - k) + 1])
-        gap = spectrum_gap(union, sectors[("heisenberg", k)].dec.values)
-        if gap > worst:
-            worst, bad_k = gap, k
-    return _result("heis_su2_levels", name, worst, DEFAULT_TOL, k=bad_k)
+    gaps = ((k, spectrum_gap(np.concatenate(levels[: min(k, g.n - k) + 1]), sectors[("heisenberg", k)].dec.values))
+            for k in range(g.n + 1))
+    return _worst("heis_su2_levels", name, DEFAULT_TOL, gaps)
 
 
 def check_field_shift(name: str, g: Graph, fulls: dict) -> CheckResult:
@@ -458,8 +448,6 @@ def check_dynamics(
     conserves the excitation number, so the rows of sector k of the result
     are the evolution of sector k's state.
     """
-    worst = 0.0
-    bad_k = None
     worst_norm = 0.0
     worst_energy = 0.0
     starts = np.zeros((1 << g.n, n_states), dtype=complex)
@@ -479,26 +467,21 @@ def check_dynamics(
         et = np.real(np.sum(np.conj(zb) * (h @ zb), axis=1))
         worst_energy = max(worst_energy, float(np.max(np.abs(et - e0), initial=0.0)))
     evolved = propagate(full.dec, starts, times)
-    for k, idx, zb in blocks:
-        dev = float(np.max(np.linalg.norm(zb - evolved[:, idx], axis=1), initial=0.0))
-        if dev > worst:
-            worst, bad_k = dev, k
+    devs = ((k, np.max(np.linalg.norm(zb - evolved[:, idx], axis=1), initial=0.0)) for k, idx, zb in blocks)
     return [
-        _result(f"dynamics_block_vs_full_{model.model}", name, worst, DEFAULT_TOL, k=bad_k),
+        _worst(f"dynamics_block_vs_full_{model.model}", name, DEFAULT_TOL, devs),
         _result(f"dynamics_unitarity_{model.model}", name, worst_norm, UNITARITY_TOL),
         _result(f"dynamics_energy_{model.model}", name, worst_energy, DEFAULT_TOL),
     ]
 
 
-def check_path_closed_form(n: int, builder=None) -> list[CheckResult]:
+def check_path_closed_form(n: int) -> list[CheckResult]:
     """Cosine spectrum, sine eigenvectors and their sector sums on the path.
 
     Like every family oracle here, it builds the wedge powers of the
-    canonical graph itself, through ``builder``: it does not depend on which
-    graph a corpus entry of the same name holds, nor on the wedges that the
-    per-graph checks share.
+    canonical graph itself: it does not depend on which graph a corpus entry
+    of the same name holds, nor on the wedges that the per-graph checks share.
     """
-    builder = builder or build_wedge_graph
     name = f"path:{n}"
     g = path_graph(n)
     a = adjacency(g)
@@ -508,61 +491,55 @@ def check_path_closed_form(n: int, builder=None) -> list[CheckResult]:
     for j, lam in enumerate(values):
         v = path_eigenvector(n, j)
         vec_err = max(vec_err, float(np.linalg.norm(a @ v - lam * v)))
-    sum_err, bad_k = 0.0, None
+    sums = []
     for k in range(n + 1):
-        vals = np.linalg.eigvalsh(wedge_adjacency(builder(g, k)))
-        err = spectrum_gap(xy_path_spectrum(n, k), vals)
-        if err > sum_err:
-            sum_err, bad_k = err, k
+        vals = np.linalg.eigvalsh(wedge_adjacency(build_wedge_graph(g, k)))
+        sums.append((k, spectrum_gap(xy_path_spectrum(n, k), vals)))
     return [
         _result("path_cosine_spectrum", name, spec_err, DEFAULT_TOL),
         _result("path_sine_eigenvectors", name, vec_err, DEFAULT_TOL),
-        _result("path_sector_sums", name, sum_err, DEFAULT_TOL, k=bad_k),
+        _worst("path_sector_sums", name, DEFAULT_TOL, sums),
     ]
 
 
-def check_johnson_family(n: int, builder=None) -> list[CheckResult]:
+def check_johnson_family(n: int) -> list[CheckResult]:
     """Johnson closed form per sector, and the full spectrum of each model on
     K_n, multiplicities included, against its closed form.
 
     The wedge powers are built as in :func:`check_path_closed_form`.
     """
-    builder = builder or build_wedge_graph
     name = f"complete:{n}"
     g = complete_graph(n)
-    worst, bad_k = 0.0, None
+    gaps = []
     for k in range(n + 1):
-        vals = np.linalg.eigvalsh(wedge_adjacency(builder(g, k)))
-        err = spectrum_gap(complete_sector_spectrum(n, k, "xy"), vals)
-        if err > worst:
-            worst, bad_k = err, k
-    results = [_result("johnson_formula", name, worst, DEFAULT_TOL, k=bad_k)]
+        vals = np.linalg.eigvalsh(wedge_adjacency(build_wedge_graph(g, k)))
+        gaps.append((k, spectrum_gap(complete_sector_spectrum(n, k, "xy"), vals)))
+    results = [_worst("johnson_formula", name, DEFAULT_TOL, gaps)]
     for model in _MODELS:
         err = spectrum_gap(complete_graph_spectra(n, model.model), np.linalg.eigvalsh(full_hamiltonian(g, model)))
         results.append(_result(f"complete_spectrum_{model.model}", name, err, DEFAULT_TOL))
     return results
 
 
-def check_named_isomorphisms(builder=None) -> list[CheckResult]:
+def check_named_isomorphisms() -> list[CheckResult]:
     """The two specific equivalences: the 5th power of the 6-path is the
     6-path, the 3rd power of K_4 is K_4, both under S -> the vertex that S
     leaves out, hop by hop."""
-    builder = builder or build_wedge_graph
     out = []
     for label, g, k in (("path:6", path_graph(6), 5), ("complete:4", complete_graph(4), 3)):
         left_out = ((1 << g.n) - 1) ^ basis_states(g.n, k)
         image = np.searchsorted(1 << np.arange(g.n), left_out)
         lo, hi = np.array(g.edges).T
-        ok = _carries_hops(builder(g, k), image, lo, hi, g.n)
+        ok = _carries_hops(build_wedge_graph(g, k), image, lo, hi, g.n)
         out.append(_result(f"named_isomorphism_k{k}", label, 0.0 if ok else 1.0, 0.0, k=k))
     return out
 
 
-def _graph_checks(index, name, g, seed, n_states, builder) -> list[CheckResult]:
+def _graph_checks(index, name, g, seed, n_states) -> list[CheckResult]:
     """Every check of one corpus graph.  Its wedge powers, field-free sector
     operators, base eigh and field-free full hamiltonians are built here once
     each and shared by the checks; a full eigh is made one model at a time."""
-    wedges = {k: builder(g, k) for k in range(g.n + 1)}
+    wedges = {k: build_wedge_graph(g, k) for k in range(g.n + 1)}
     sectors = sector_decompositions(g, wedges)
     base = eigh(adjacency(g))
     fulls = {model: full_hamiltonian(g, model) for model in _MODELS}
@@ -572,9 +549,7 @@ def _graph_checks(index, name, g, seed, n_states, builder) -> list[CheckResult]:
     results += check_lift(name, g, wedges, base)
     results.append(check_xy_particle_hole(name, g, wedges))
     results.append(check_free_fermion_route(name, g, wedges, sectors, base, DYNAMICS_TIMES))
-    oracle = check_signed_oracle(name, g, wedges)
-    if oracle is not None:
-        results.append(oracle)
+    results += check_signed_oracle(name, g, wedges)
     results.append(check_heis_psd_kernel(name, g, wedges, sectors))
     results.append(check_heis_su2_intertwining(name, g, sectors))
     results.append(check_heis_su2_levels(name, g, wedges, sectors))
@@ -587,9 +562,9 @@ def _graph_checks(index, name, g, seed, n_states, builder) -> list[CheckResult]:
         del full  # one model's 2^n eigendecomposition at a time
     family = name.split(":", 1)[0]
     if family == "path":
-        results += check_path_closed_form(g.n, builder)
+        results += check_path_closed_form(g.n)
     elif family == "complete":
-        results += check_johnson_family(g.n, builder)
+        results += check_johnson_family(g.n)
     return results
 
 
@@ -597,19 +572,19 @@ def run_verification(
     seed: int = 0,
     random_states: int = 20,
     corpus: list[tuple[str, Graph]] | None = None,
-    wedge_builder=None,
 ) -> VerificationReport:
     """Run every check over the corpus; deterministic for fixed arguments.
 
     Each graph's wedge powers, sector operators and full hamiltonians are
     built once and shared by all its checks; the path and Johnson family
-    oracles build the wedge powers of their canonical graph themselves.
+    oracles and the named isomorphisms build the wedge powers of their
+    canonical graphs themselves.  Every wedge power is built through this
+    module's name ``build_wedge_graph``, so replacing
+    ``spinwedge.verify.build_wedge_graph`` injects a fault into every check.
     Raises CapacityError, before anything is built, for a graph above
-    VERIFY_SPIN_LIMIT spins.  ``wedge_builder`` substitutes every
-    construction (fault-injection hook for testing the suite itself).
+    VERIFY_SPIN_LIMIT spins.
     """
     start = time.monotonic()
-    builder = wedge_builder if wedge_builder is not None else build_wedge_graph
     entries = corpus if corpus is not None else default_corpus()
     for name, g in entries:
         if g.n > VERIFY_SPIN_LIMIT:
@@ -619,7 +594,7 @@ def run_verification(
             )
     results = [
         r for i, (name, g) in enumerate(entries)
-        for r in _graph_checks(i, name, g, seed, random_states, builder)
+        for r in _graph_checks(i, name, g, seed, random_states)
     ]
-    results += check_named_isomorphisms(builder)
+    results += check_named_isomorphisms()
     return VerificationReport(results, time.monotonic() - start)

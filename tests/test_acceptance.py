@@ -216,13 +216,13 @@ def test_criterion_08_magnetic_field_shift(corpus):
     worst, entry_err = 0.0, 0.0
     for name, g in corpus:
         for model in ("xy", "heisenberg"):
-            decs = [eigh(block_hamiltonian(g, k, ModelSpec(model))) for k in range(g.n + 1)]
+            decs = [eigh(block_hamiltonian(build_wedge_graph(g, k), ModelSpec(model))) for k in range(g.n + 1)]
             for b in FIELD_VALUES:
                 spec = ModelSpec(model, b)
                 for k, hb in enumerate(project_full_to_blocks(full_hamiltonian(g, spec))):
                     shift = spec.sector_shift(g.n, k)
                     assert shift == b * (g.n - 2 * k)
-                    h0 = block_hamiltonian(g, k, ModelSpec(model))
+                    h0 = block_hamiltonian(build_wedge_graph(g, k), ModelSpec(model))
                     entry_err = max(entry_err, float(np.max(np.abs(hb - (h0 + shift * np.eye(len(h0)))))))
                     dec0 = decs[k]
                     worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(hb) - (dec0.values + shift)))))

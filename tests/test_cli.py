@@ -53,6 +53,13 @@ def test_wedge_k_all_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,rest", [("wedge", ()), ("evolve", ("--subset", "0", "--times", "1"))])
+def test_k_all_error_names_the_commands_that_take_it(command, rest, capsys):
+    code, out, err = run(capsys, command, "--graph", "path:3", "-k", "all", *rest)
+    assert code == 2 and out == ""
+    assert err == 'error: k="all" is only valid for spectrum and closed-form\n'
+
+
 def test_spectrum_path3_k1(capsys):
     code, out, _ = run(capsys, "spectrum", "--graph", "path:3", "--model", "xy", "-k", "1")
     assert code == 0

@@ -46,7 +46,7 @@ def _propagate_sector(g, spec, k, state, times):
     """A general sector state's route: one diagonalization of the field-free
     sector, then the field's phase."""
     phase = np.exp(-1j * spec.sector_shift(g.n, k) * np.asarray(times, dtype=float))
-    return propagate(eigh(block_hamiltonian(g, k, spec)), state, times) * phase[..., None]
+    return propagate(eigh(block_hamiltonian(build_wedge_graph(g, k), spec)), state, times) * phase[..., None]
 
 
 def _transfer(g, spec, from_vertex, to_vertex, times):
@@ -216,7 +216,7 @@ def test_transfer_vertex_range_check():
 
 
 def test_propagate_batch_matches_single_calls():
-    dec = eigh(block_hamiltonian(cycle_graph(6), 3, ModelSpec("heisenberg")))
+    dec = eigh(block_hamiltonian(build_wedge_graph(cycle_graph(6), 3), ModelSpec("heisenberg")))
     rng = np.random.default_rng(5)
     states = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
     times = np.array([0.0, 0.4, 2.5])
@@ -230,7 +230,7 @@ def test_propagate_batch_matches_single_calls():
 
 
 def test_propagate_makes_no_complex_copy_of_the_eigenvectors():
-    dec = eigh(block_hamiltonian(erdos_renyi_graph(12, 0.3, 0), 6, ModelSpec("heisenberg")))
+    dec = eigh(block_hamiltonian(build_wedge_graph(erdos_renyi_graph(12, 0.3, 0), 6), ModelSpec("heisenberg")))
     rng = np.random.default_rng(2)
     times = np.linspace(0.0, 3.0, 8)
     for states in (rng.normal(size=924) + 1j * rng.normal(size=924), rng.normal(size=(924, 5)) + 0j):
@@ -263,7 +263,7 @@ def test_lift_propagate_makes_no_complex_copy_of_the_base_eigenvectors():
 
 
 def test_propagate_rejects_bad_times():
-    dec = eigh(block_hamiltonian(path_graph(3), 1, ModelSpec("xy")))
+    dec = eigh(block_hamiltonian(build_wedge_graph(path_graph(3), 1), ModelSpec("xy")))
     with pytest.raises(ValueError):
         propagate(dec, _basis_state(3, 0), [0.5, math.inf])
     with pytest.raises(ValueError):
@@ -396,7 +396,7 @@ def test_evolve_subset_above_half_matches_its_own_sector(model):
         for k in range(g.n // 2 + 1, g.n + 1):
             m = math.comb(g.n, k)
             spec = ModelSpec(model, 0.3)
-            dec = eigh(block_hamiltonian(g, k, spec, build_wedge_graph(g, k)))
+            dec = eigh(block_hamiltonian(build_wedge_graph(g, k), spec))
             phase = np.exp(-1j * spec.sector_shift(g.n, k) * np.array(times))[:, None]
             for r0 in sorted({0, 1 % m, m // 2, m - 1}):
                 series, _ = evolve_subset(g, spec, subset_table(g.n, k)[r0], times)
@@ -414,7 +414,7 @@ def _failing_answers(graph, model, k, capsys):
     own wedge power: the spectrum that `spectrum` prints and the amplitudes
     that `evolve` computes (its probabilities hide the field's phase)."""
     g, spec, times = cli.parse_graph_source(graph), ModelSpec(model, 0.5), [0.5, 1.0, 5.0]
-    h = block_hamiltonian(g, k, spec, build_wedge_graph(g, k)) + spec.sector_shift(g.n, k) * np.eye(math.comb(g.n, k))
+    h = block_hamiltonian(build_wedge_graph(g, k), spec) + spec.sector_shift(g.n, k) * np.eye(math.comb(g.n, k))
     dec = eigh(h)
     assert cli.main(["spectrum", "--graph", graph, "--model", model, "--field", "0.5", "-k", str(k)]) == 0
     (block,) = json.loads(capsys.readouterr().out)["blocks"]

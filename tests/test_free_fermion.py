@@ -359,7 +359,7 @@ def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
     start = np.zeros(m)
     start[rank_subset((3, 11), 17)] = 1.0
     series, route = evolve_subset(g, spec, (3, 11), times)
-    dense = propagate(eigh(block_hamiltonian(g, 2, spec) + 0.4 * (17 - 4) * np.eye(m)), start, times)
+    dense = propagate(eigh(block_hamiltonian(build_wedge_graph(g, 2), spec) + 0.4 * (17 - 4) * np.eye(m)), start, times)
     assert route == "lift"
     assert np.max(np.abs(series - dense)) <= 1e-10
 
@@ -389,7 +389,7 @@ def test_negative_sigma_sectors_are_particles_on_minus_a(name, k, monkeypatch):
     # the amplitudes; the same route with sigma flipped misses both.
     g, times = cli.parse_graph_source(name), [0.5, 1.0, 5.0]
     assert _route(g, k).switching[1] == -1
-    dec = eigh(block_hamiltonian(g, k, ModelSpec("xy")))
+    dec = eigh(block_hamiltonian(build_wedge_graph(g, k), ModelSpec("xy")))
     r0 = len(dec.values) // 2
     dense = propagate(dec, np.eye(len(dec.values))[:, r0], times)
     for flip in (False, True):
@@ -429,14 +429,14 @@ def test_verify_check_fails_on_a_false_switching(monkeypatch):
     assert not result.passed and result.k == 2
 
 
-def _flipping_builder(flips):
-    """Flip the sign of the hop (a, b) of path:5's wedge power k, for each
-    (k, a, b) in ``flips``."""
+def _flipping_builder(flips, target=path_graph(5)):
+    """Flip the sign of the hop (a, b) of the wedge power k of ``target``,
+    for each (k, a, b) in ``flips``."""
 
     def build(g, k):
         w = build_wedge_graph(g, k)
         a, b, s = w.hops
-        if g != path_graph(5):
+        if g != target:
             return w
         flipped = np.array([(k, x, y) in flips for x, y in zip(a.tolist(), b.tolist())], dtype=bool)
         return WedgeGraph(w.base, w.k, w.num_vertices, (a, b, np.where(flipped, -s, s)))
@@ -444,22 +444,36 @@ def _flipping_builder(flips):
     return build
 
 
-def test_verify_check_fails_when_a_path_sector_is_not_lifted():
+def test_verify_check_fails_when_a_path_sector_is_not_lifted(monkeypatch):
     # {0,2}-{1,2} at k=2 and {1,3,4}-{0,3,4} at k=3 each lie on a 4-cycle of
     # hops.  Sectors 2 and 3 of path:5 are both answered from side 2, the
     # only one the check routes, so a flip on side 3 is never consulted, and
     # one on side 2 unroutes it.
     corpus = [("path:5", path_graph(5))]
-    side3 = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(3, 7, 8)}))
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", _flipping_builder({(3, 7, 8)}))
+    side3 = run_verification(corpus=corpus, random_states=2)
     by_check = {r.check: r for r in side3.results}
     assert by_check["free_fermion_route"].passed
-    side2 = run_verification(corpus=corpus, random_states=2, wedge_builder=_flipping_builder({(2, 1, 2)}))
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", _flipping_builder({(2, 1, 2)}))
+    side2 = run_verification(corpus=corpus, random_states=2)
     by_check = {r.check: r for r in side2.results}
     result = by_check["free_fermion_route"]
     assert not result.passed and result.k == 2 and "must lift but dense: h=[2]" in result.note
 
 
-def test_handshake_counts_cut_sizes_independently():
+def test_free_fermion_route_names_the_first_unlifted_side():
+    # Ranks 1-2 ({0,2}-{1,2}) at k=2 and 7-8 ({1,3,4}-{0,3,4}) at k=3 each
+    # lie on a 4-cycle of hops, so one flip unroutes each side; the check
+    # names the smaller side and lists both.
+    g = path_graph(6)
+    build = _flipping_builder({(2, 1, 2), (3, 7, 8)}, target=g)
+    wedges = {k: build(g, k) for k in range(g.n + 1)}
+    sectors, base = verify_mod.sector_decompositions(g, wedges), eigh(adjacency(g))
+    result = check_free_fermion_route("path:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES)
+    assert not result.passed and result.k == 2 and "must lift but dense: h=[2, 3]" in result.note
+
+
+def test_handshake_counts_cut_sizes_independently(monkeypatch):
     g = cycle_graph(5)
 
     def dropping(graph, k):
@@ -468,9 +482,11 @@ def test_handshake_counts_cut_sizes_independently():
             return WedgeGraph(w.base, w.k, w.num_vertices, tuple(x[1:] for x in w.hops))
         return w
 
-    report = run_verification(corpus=[("cycle:5", g)], random_states=2, wedge_builder=dropping)
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", dropping)
+    report = run_verification(corpus=[("cycle:5", g)], random_states=2)
     by_check = {r.check: r for r in report.results}
     assert not by_check["wedge_dimensions"].passed and by_check["wedge_dimensions"].k == 2
+    monkeypatch.undo()
     clean = run_verification(corpus=[("cycle:5", g)], random_states=2)
     assert {r.check: r for r in clean.results}["wedge_dimensions"].passed
 

@@ -99,12 +99,13 @@ def test_block_dims_p4():
 
 
 def test_block_xy_p6_k1_is_adjacency():
-    assert np.array_equal(block_hamiltonian(path_graph(6), 1, ModelSpec("xy")), adjacency(path_graph(6)))
+    g = path_graph(6)
+    assert np.array_equal(block_hamiltonian(build_wedge_graph(g, 1), ModelSpec("xy")), adjacency(g))
 
 
 def test_block_k4_k2_heis_eigenvalues():
     # Octahedron laplacian: degree 4 minus adjacency {4,0,0,0,-2,-2}.
-    vals = np.linalg.eigvalsh(block_hamiltonian(complete_graph(4), 2, ModelSpec("heisenberg")))
+    vals = np.linalg.eigvalsh(block_hamiltonian(build_wedge_graph(complete_graph(4), 2), ModelSpec("heisenberg")))
     assert np.allclose(vals, [0.0, 4.0, 4.0, 4.0, 6.0, 6.0], atol=1e-12)
 
 
@@ -112,7 +113,7 @@ def test_block_k4_k2_heis_eigenvalues():
 def test_block_vacuum_is_field_energy(model):
     g, spec = cycle_graph(5), ModelSpec(model, 0.3)
     vacuum = project_full_to_blocks(full_hamiltonian(g, spec))[0]
-    assert block_hamiltonian(g, 0, spec).shape == vacuum.shape == (1, 1)
+    assert block_hamiltonian(build_wedge_graph(g, 0), spec).shape == vacuum.shape == (1, 1)
     assert vacuum[0, 0] == spec.sector_shift(5, 0) == pytest.approx(0.3 * 5)
 
 
@@ -123,26 +124,15 @@ def test_block_field_shift_identity():
     for model in ("xy", "heisenberg"):
         spec = ModelSpec(model, -1.3)
         for k, hb in enumerate(project_full_to_blocks(full_hamiltonian(g, spec))):
-            h0 = block_hamiltonian(g, k, spec)
-            assert np.array_equal(h0, block_hamiltonian(g, k, ModelSpec(model)))
+            h0 = block_hamiltonian(build_wedge_graph(g, k), spec)
+            assert np.array_equal(h0, block_hamiltonian(build_wedge_graph(g, k), ModelSpec(model)))
             assert spec.sector_shift(5, k) == pytest.approx(-1.3 * (5 - 2 * k))
             assert np.array_equal(hb, h0 + spec.sector_shift(5, k) * np.eye(len(h0)))
 
 
 def test_block_out_of_range_k():
     with pytest.raises(ValueError):
-        block_hamiltonian(path_graph(3), 4, ModelSpec("xy"))
-
-
-def test_prebuilt_wedge_must_match_graph_and_k():
-    g = path_graph(5)
-    w = build_wedge_graph(g, 2)
-    spec = ModelSpec("heisenberg", 0.4)
-    assert np.array_equal(block_hamiltonian(g, 2, spec, w), block_hamiltonian(g, 2, spec))
-    with pytest.raises(ValueError):
-        block_hamiltonian(g, 3, spec, w)
-    with pytest.raises(ValueError):
-        block_hamiltonian(cycle_graph(5), 2, spec, w)
+        block_hamiltonian(build_wedge_graph(path_graph(3), 4), ModelSpec("xy"))
 
 
 @pytest.mark.parametrize("model", ["xy", "heisenberg"])

@@ -110,12 +110,9 @@ def test_small_corpus_passes():
         (erdos_renyi_graph(5, 0.5, 0), 3),
     ],
 )
-def test_single_sign_corruption_is_detected(target, k):
-    report = run_verification(
-        corpus=SMALL_CORPUS,
-        random_states=2,
-        wedge_builder=corrupting_builder(target, k),
-    )
+def test_single_sign_corruption_is_detected(target, k, monkeypatch):
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", corrupting_builder(target, k))
+    report = run_verification(corpus=SMALL_CORPUS, random_states=2)
     assert not report.passed
     failing = {r.check for r in report.results if not r.passed}
     # The lift residual check covers every graph; the projector oracle also
@@ -123,12 +120,9 @@ def test_single_sign_corruption_is_detected(target, k):
     assert failing & {"lift_eigenvector_residual", "signed_vs_projector_oracle", "lift_spectrum_vs_signed"}
 
 
-def test_first_failure_names_graph_k_and_check():
-    report = run_verification(
-        corpus=SMALL_CORPUS,
-        random_states=2,
-        wedge_builder=corrupting_builder(path_graph(4), 2),
-    )
+def test_first_failure_names_graph_k_and_check(monkeypatch):
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", corrupting_builder(path_graph(4), 2))
+    report = run_verification(corpus=SMALL_CORPUS, random_states=2)
     f = report.first_failure
     assert f is not None
     assert f.subject == "path:4"
@@ -175,15 +169,17 @@ def test_complement_map_sees_relabelled_powers(g, k, bad_k):
     assert r.passed == (bad_k is None) and r.k == bad_k
 
 
-def test_named_isomorphisms_follow_the_left_out_vertex():
+def test_named_isomorphisms_follow_the_left_out_vertex(monkeypatch):
     assert all(r.passed for r in check_named_isomorphisms())
-    by_check = {r.check: r for r in check_named_isomorphisms(relabelling_builder(path_graph(6), 5))}
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", relabelling_builder(path_graph(6), 5))
+    by_check = {r.check: r for r in check_named_isomorphisms()}
     assert not by_check["named_isomorphism_k5"].passed and by_check["named_isomorphism_k3"].passed
 
 
-def test_named_isomorphism_fails_on_a_dropped_hop():
+def test_named_isomorphism_fails_on_a_dropped_hop(monkeypatch):
     # Any relabelling of K_4 is K_4 again; only a missing hop shows.
-    by_check = {r.check: r for r in check_named_isomorphisms(dropping_builder(complete_graph(4), 3))}
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", dropping_builder(complete_graph(4), 3))
+    by_check = {r.check: r for r in check_named_isomorphisms()}
     assert not by_check["named_isomorphism_k3"].passed and by_check["named_isomorphism_k5"].passed
 
 
@@ -197,6 +193,13 @@ def test_wedge_k1_identity_fails_on_a_relabelled_or_flipped_first_power(fault):
     assert _structure_checks("path:5", g, build_wedge_graph)["wedge_k1_identity"].passed
     r = _structure_checks("path:5", g, fault(g, 1))["wedge_k1_identity"]
     assert not r.passed and r.k == 1
+
+
+def test_wedge_dimensions_names_the_first_failing_k():
+    g = cycle_graph(5)
+    drop = {k: dropping_builder(g, k) for k in (2, 3)}
+    r = _structure_checks("cycle:5", g, lambda g, k: drop.get(k, build_wedge_graph)(g, k))
+    assert not r["wedge_dimensions"].passed and r["wedge_dimensions"].k == 2
 
 
 def test_johnson_regular_degree_fails_on_a_dropped_hop():
@@ -237,17 +240,19 @@ def test_check_list_is_pinned():
         (relabelling_builder(path_graph(6), 4), 4, False),
     ],
 )
-def test_xy_particle_hole_fails_on_a_flipped_or_relabelled_wedge(builder, k, alone):
+def test_xy_particle_hole_fails_on_a_flipped_or_relabelled_wedge(builder, k, alone, monkeypatch):
     corpus = [("cycle:5", cycle_graph(5)), ("path:6", path_graph(6))]
     assert run_verification(corpus=corpus, random_states=2).passed
-    failed = [r for r in run_verification(corpus=corpus, random_states=2, wedge_builder=builder).results if not r.passed]
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", builder)
+    failed = [r for r in run_verification(corpus=corpus, random_states=2).results if not r.passed]
     assert [r.k for r in failed if r.check == "xy_particle_hole"] == [k]
     assert alone == ({r.check for r in failed} == {"xy_particle_hole"})
 
 
-def test_relabelled_isospectral_sector_fails_sector_vs_full():
+def test_relabelled_isospectral_sector_fails_sector_vs_full(monkeypatch):
     target = cycle_graph(4)
-    report = run_verification(corpus=SMALL_CORPUS, random_states=2, wedge_builder=relabelling_builder(target, 2))
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", relabelling_builder(target, 2))
+    report = run_verification(corpus=SMALL_CORPUS, random_states=2)
     by_check = {(r.check, r.subject): r for r in report.results}
     for model in ("xy", "heisenberg"):
         r = by_check[(f"sector_vs_full_{model}", "cycle:4")]
@@ -258,6 +263,7 @@ def test_relabelled_isospectral_sector_fails_sector_vs_full():
         # sector still shows.
         r = by_check[(f"dynamics_block_vs_full_{model}", "cycle:4")]
         assert not r.passed and r.k == 2
+    monkeypatch.undo()
     assert len(report.results) == len(run_verification(corpus=SMALL_CORPUS, random_states=2).results)
 
 
@@ -297,16 +303,13 @@ def test_complete_ground_energy_checked_for_every_n(n, monkeypatch):
 
 
 def test_each_wedge_power_built_once_per_graph(monkeypatch):
-    import spinwedge.spins as spins_mod
-
     builds = Counter()
 
     def counting(g, k):
         builds[(g, k)] += 1
         return build_wedge_graph(g, k)
 
-    for module in (verify_mod, spins_mod):
-        monkeypatch.setattr(module, "build_wedge_graph", counting)
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", counting)
     g = cycle_graph(5)
     report = run_verification(corpus=[("cycle:5", g)], random_states=2)
     assert report.passed
@@ -330,9 +333,9 @@ def test_each_operator_built_once_per_graph(monkeypatch):
     sectors, fulls, solves = Counter(), Counter(), Counter()
     real_block, real_full, real_eigh = verify_mod.block_hamiltonian, verify_mod.full_hamiltonian, verify_mod.eigh
 
-    def counting_block(g, k, spec, wedge=None):
-        sectors[(spec, k)] += 1
-        return real_block(g, k, spec, wedge)
+    def counting_block(w, spec):
+        sectors[(spec, w.k)] += 1
+        return real_block(w, spec)
 
     def counting_full(g, spec):
         fulls[spec] += 1
@@ -442,7 +445,7 @@ def test_a_refusing_projector_oracle_fails_its_check(monkeypatch, capsys):
     assert "first failure: (complete:4, k=0, signed_vs_projector_oracle)" in out
 
 
-def test_intertwining_fails_on_a_relabelled_wedge():
+def test_intertwining_fails_on_a_relabelled_wedge(monkeypatch):
     # The relabelled power is isospectral, but its laplacian no longer
     # commutes with the ladder operator read off the bitmasks.
     g = cycle_graph(4)
@@ -451,7 +454,8 @@ def test_intertwining_fails_on_a_relabelled_wedge():
         sectors = sector_decompositions(g, {k: builder(g, k) for k in range(5)})
         r = check_heis_su2_intertwining("cycle:4", g, sectors)
         assert r.passed == passed and r.k == (None if passed else 2)
-    report = run_verification(corpus=SMALL_CORPUS, random_states=2, wedge_builder=relabel)
+    monkeypatch.setattr(verify_mod, "build_wedge_graph", relabel)
+    report = run_verification(corpus=SMALL_CORPUS, random_states=2)
     by_check = {(r.check, r.subject): r for r in report.results}
     assert not by_check[("heis_su2_intertwining", "cycle:4")].passed
     assert by_check[("heis_su2_intertwining", "path:4")].passed

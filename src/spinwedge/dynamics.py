@@ -12,6 +12,7 @@ are relabelled and the field is added.
 from __future__ import annotations
 
 import functools
+import math
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .graphs import Graph, adjacency
 from .spectra import EigenDecomposition, UNITARITY_TOL, eigh, singlet_levels, su2_pays, subset_minors, subset_sums
 from .spins import ModelSpec, block_hamiltonian
-from .wedge import build_wedge_graph, rank_subset, sector_dimension, subset_table, switching_signs
+from .wedge import WedgeGraph, build_wedge_graph, rank_subset, sector_dimension, subset_table
 
 __all__ = [
     "propagate",
@@ -62,12 +63,12 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 class Sides:
     """The sides of one graph and model, for one call: ``sides(k)`` is the
     :class:`Side` of sector k, built on first use and kept.  They share the
-    wedge powers (``wedges``, a mapping from h, or each built once), the
-    n x n base eigensolve and the singlet levels of each side j.  No part
-    refers back to a Sides, so reference counting frees a call's arrays."""
+    wedge powers (each built once, where a side needs one), the n x n base
+    eigensolve and the singlet levels of each side j.  No part refers back
+    to a Sides, so reference counting frees a call's arrays."""
 
-    def __init__(self, g: Graph, spec: ModelSpec, wedges=None):
-        wedge = functools.cache(functools.partial(build_wedge_graph, g)) if wedges is None else wedges.__getitem__
+    def __init__(self, g: Graph, spec: ModelSpec):
+        wedge = functools.cache(functools.partial(build_wedge_graph, g))
         self.graph, self.spec, self.wedge = g, spec, wedge
         self.base_values = functools.cache(lambda: np.linalg.eigvalsh(adjacency(g)))
         self.base = functools.cache(lambda: eigh(adjacency(g)))
@@ -81,25 +82,90 @@ class Sides:
         return self._built[h]
 
 
+def _walk_order(g: Graph) -> tuple[np.ndarray, bool] | None:
+    """pos[v], the index of vertex v in a walk of g, and whether g is one
+    cycle through every vertex; None when g is neither that nor a linear
+    forest.  Each path is walked from an end, one after another, an isolated
+    vertex as a one-vertex path; the cycle is walked from vertex 0."""
+    neighbours: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    if any(len(x) > 2 for x in neighbours):
+        return None
+    cycle = g.n > 0 and all(len(x) == 2 for x in neighbours)
+    pos, walked = np.full(g.n, -1, dtype=np.int64), 0
+    for start in [0] if cycle else [v for v in range(g.n) if len(neighbours[v]) < 2]:
+        prev, v = -1, start
+        while pos[v] < 0:
+            pos[v], walked = walked, walked + 1
+            ahead = [w for w in neighbours[v] if w != prev]
+            if not ahead:
+                break
+            prev, v = v, ahead[0]
+    # A vertex left unwalked lies on a cycle beside other vertices.
+    return (pos, cycle) if walked == g.n else None
+
+
+def _switching(g: Graph, h: int) -> tuple[np.ndarray, int] | None:
+    """(D, sigma) with D . C_h . D = sigma * A_h on XY side h of g, from the
+    shape of g alone, or None where no such switching exists.
+
+    Side h <= 1 switches on every graph with D = 1 and sigma = +1.  Above,
+    particles that cannot pass each other are free fermions: on a linear
+    forest, with sigma = +1, and on one cycle through all n vertices, with
+    sigma = +1 for odd h and -1 for even h with odd n (Lieb, Schultz &
+    Mattis, Ann. Phys. 16 (1961) 407).  D[S] is (-1)^inv(S), inv(S) the
+    pairs u < v of S with pos(u) > pos(v) in :func:`_walk_order`, times
+    (-1)^(sum of pos over S) for sigma = -1.  The check free_fermion_route
+    of :mod:`spinwedge.verify` holds this rule to a parity forest over the
+    hops of the wedge.
+    """
+    if h <= 1:
+        return np.ones(math.comb(g.n, h), dtype=np.int64), 1
+    walk = _walk_order(g)
+    if walk is None:
+        return None
+    pos, cycle = walk
+    sigma = -1 if cycle and h % 2 == 0 else 1
+    if sigma < 0 and g.n % 2 == 0:
+        return None
+    p = pos[subset_table(g.n, h)]
+    parity = np.count_nonzero(np.triu(p[:, :, None] > p[:, None, :]), axis=(1, 2))
+    if sigma < 0:
+        parity += p.sum(axis=1)
+    return 1 - 2 * (parity & 1), sigma
+
+
 class Side:
     """Side h = min(k, n-k) of one graph and model, for sectors h and n-h.
 
     It decides the route of :meth:`values`, ``route``, once.  "lift": an XY
-    side with a switching D . C_h . D = sigma * A_h from
-    :func:`spinwedge.wedge.switching_signs` is, as C_h(-A) = -C_h(A), the
-    h-particle problem of the signed base sigma A (side 0, one subset,
+    side with a switching D . C_h . D = sigma * A_h, which
+    :func:`_switching` reads off the base graph, is, as C_h(-A) = -C_h(A),
+    the h-particle problem of the signed base sigma A (side 0, one subset,
     switches with D = [1] and sigma = 1 and needs no base).  "su2": a
     Heisenberg side where
     :func:`spinwedge.spectra.su2_pays` is the union of the singlet levels of
     the sides j = 0..h.  "dense": one eigensolve of the side matrix.
-    :meth:`evolve` takes the lift route where there is one, else the dense."""
+    :meth:`evolve` takes the lift route where there is one, else the dense.
+    No route but the dense reads :attr:`wedge`, built on first use."""
 
     def __init__(self, sides: Sides, h: int):
-        self.graph, self.spec, self.h, self.wedge = sides.graph, sides.spec, h, sides.wedge(h)
-        self._base_values, self._base, self._levels = sides.base_values, sides.base, sides.levels
-        self.switching = switching_signs(self.wedge) if self.spec.is_xy else None
+        self.graph, self.spec, self.h = sides.graph, sides.spec, h
+        # The sector guard; as C(n,h) >= n for 1 <= h <= n-1, it also bounds the base.
+        sector_dimension(self.graph.n, h)
+        self._wedge, self._base_values, self._base = sides.wedge, sides.base_values, sides.base
+        self._levels = sides.levels
+        self.switching = _switching(self.graph, h) if self.spec.is_xy else None
         su2 = not self.spec.is_xy and su2_pays(self.graph.n, h)
         self.route = "lift" if self.switching is not None else "su2" if su2 else "dense"
+
+    @property
+    def wedge(self) -> WedgeGraph:
+        """Wedge power h, built on first use and shared with the other sides
+        of the call."""
+        return self._wedge(self.h)
 
     def shift(self, k: int) -> float:
         """The field energy B(n-2k) that every answer for sector k adds."""
@@ -140,7 +206,7 @@ class Side:
     def evolve(self, k: int, r0: int, times) -> tuple[np.ndarray, str]:
         """The (len(times), C(n,k)) amplitudes of the basis state of rank
         ``r0`` in sector k, and the route ("lift" or "dense") taken."""
-        m = self.wedge.num_vertices
+        m = math.comb(self.graph.n, self.h)
         if not 0 <= r0 < m:
             raise ValueError(f"start rank {r0} out of range for sector k={k} of dimension {m}")
         t = np.asarray(times, dtype=float)

@@ -61,6 +61,7 @@ from .wedge import (
     build_wedge_graph,
     signed_matrix,
     subset_table,
+    switching_signs,
     wedge_adjacency,
     wedge_degrees,
 )
@@ -302,28 +303,31 @@ def _determinant_formula(g: Graph, side, start_rank: int, times, base) -> np.nda
 
 
 def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, base, times) -> CheckResult:
-    """Every XY side h = 0..n//2 of :class:`Sides` on ``wedges`` that takes
-    the lift route, against the dense route.
+    """Every XY side h = 0..n//2 of :class:`Sides`, whose lift is decided from
+    the shape of g, against :func:`switching_signs` of ``wedges[h]``, the
+    parity forest over its hops, and against the dense route.
 
-    For each: D . C_h . D == sigma A_h exactly, and its values and its
-    amplitudes from one basis state at ``times`` equal the dense sector h in
-    ``sectors`` and the determinant formula on ``base``, the eigh of g's
-    adjacency A.  Sector n-h is side h relabelled, which sector_vs_full,
-    complement_isomorphism and xy_particle_hole certify.  Sides 0 and 1, and
-    every side of a path, must lift.
+    The side lifts exactly where the forest switches, with the same sigma.
+    Where it lifts: its D . C_h . D == sigma A_h on ``wedges[h]`` exactly, and
+    its values and its amplitudes from one basis state at ``times`` equal the
+    dense sector h in ``sectors`` and the determinant formula on ``base``,
+    the eigh of g's adjacency A.  Sector n-h is side h relabelled, which
+    sector_vs_full, complement_isomorphism and xy_particle_hole certify.
     """
-    sides = Sides(g, ModelSpec("xy"), wedges)
-    errors, lifted, unrouted = [], [], []
+    sides = Sides(g, ModelSpec("xy"))
+    errors, lifted, differ = [], [], []
     for h in range(g.n // 2 + 1):
-        side = sides(h)
-        if side.switching is None:
-            if name.startswith("path:") or h <= 1:
-                unrouted.append(h)
-                errors.append((h, math.inf))
+        side, w = sides(h), wedges[h]
+        rule, forest = (None if s is None else s[1] for s in (side.switching, switching_signs(w)))
+        if rule != forest:
+            differ.append(h)
+            errors.append((h, math.inf))
+            continue
+        if rule is None:
             continue
         lifted.append(h)
         d, sigma = side.switching
-        exact = np.array_equal(d[:, None] * signed_matrix(side.wedge) * d, sigma * wedge_adjacency(side.wedge))
+        exact = np.array_equal(d[:, None] * signed_matrix(w) * d, sigma * wedge_adjacency(w))
         dec = sectors[("xy", h)].dec
         gap = spectrum_gap(side.values(h), dec.values)
         r0 = len(dec.values) // 2
@@ -332,7 +336,7 @@ def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, b
         formula = _determinant_formula(g, side, r0, times, base)
         amp_err = float(max(np.max(np.abs(lifted_amps - dense)), np.max(np.abs(lifted_amps - formula))))
         errors.append((h, max(gap, amp_err) if exact else math.inf))
-    note = f"lift h={lifted}" + (f"; must lift but dense: h={unrouted}" if unrouted else "")
+    note = f"lift h={lifted}" + (f"; lift differs from the parity forest: h={differ}" if differ else "")
     return _worst("free_fermion_route", name, DEFAULT_TOL, errors, note=note)
 
 

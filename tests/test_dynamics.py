@@ -341,21 +341,25 @@ def _record_builds_and_solves(monkeypatch):
 @pytest.mark.parametrize(
     "argv, built, sizes",
     [
-        # Every side of cycle:7 lifts: one base eigensolve serves them all.
-        (["spectrum", "--graph", "cycle:7", "-k", "all"], [0, 1, 2, 3], [7]),
+        # Every side of cycle:7 lifts: one base eigensolve serves them all,
+        # and no wedge power is built.
+        (["spectrum", "--graph", "cycle:7", "-k", "all"], [], [7]),
         # Side 2 of cycle:6 is dense, the others lift; sectors 4-6 read sides 2-0.
-        (["spectrum", "--graph", "cycle:6", "-k", "all"], [0, 1, 2, 3], [6, 15]),
+        (["spectrum", "--graph", "cycle:6", "-k", "all"], [2], [6, 15]),
         # Dense Heisenberg sides 0-2, then side 3 from singlet blocks 0..3.
         (["spectrum", "--graph", "er:6:0.5:2", "--model", "heis", "-k", "all"], [0, 1, 2, 3], [1, 6, 15, 1, 5, 9, 5]),
-        (["evolve", "--graph", "path:7", "-k", "5", "--subset", "0,1,2,4,6"], [2], [7]),
+        (["evolve", "--graph", "path:7", "-k", "5", "--subset", "0,1,2,4,6"], [], [7]),
         (["evolve", "--graph", "cycle:6", "-k", "4", "--subset", "0,1,3,4"], [2], [15]),
         (["evolve", "--graph", "cycle:6", "--model", "heis", "-k", "4", "--subset", "0,1,3,4"], [2], [15]),
         (["evolve", "--graph", "path:7", "--model", "heis", "-k", "6", "--subset", "0,1,2,3,4,6"], [1], [7]),
+        # Sides 0-6 of cycle:13 lift, the even ones with sigma = -1.
+        (["spectrum", "--graph", "cycle:13", "-k", "all"], [], [13]),
     ],
 )
 def test_sectors_above_half_are_answered_from_their_side(argv, built, sizes, monkeypatch, capsys):
     # Sectors k and n-k are one graph: no wedge power above n/2 is built,
-    # and each side is built and diagonalized once.
+    # each side is diagonalized once, and only a side that does not lift
+    # builds its wedge power, once.
     builds, solves = _record_builds_and_solves(monkeypatch)
     times = ["--times", "0.5,2"] if argv[0] == "evolve" else []
     assert cli.main(argv + times) == 0
@@ -366,25 +370,28 @@ def test_sectors_above_half_are_answered_from_their_side(argv, built, sizes, mon
 
 def test_evolve_chain_op_builds_and_solves_once(monkeypatch, capsys):
     # The benchmark's evolve_chain op: XY on path:12 at k = 4 <= n/2, side 4.
+    # The lift is read off the path itself: no wedge power, and no parity
+    # forest, the search that switching_signs runs over a wedge's hops.
     import spinwedge.dynamics as dyn
+    import spinwedge.wedge as wedge_mod
 
     builds, solves = _record_builds_and_solves(monkeypatch)
-    counts = {"switching_signs": 0, "subset_minors": 0}
-    for name in counts:
-        real = getattr(dyn, name)
+    counts = {"parity_forest": 0, "subset_minors": 0}
+    for mod, name in ((wedge_mod, "parity_forest"), (dyn, "subset_minors")):
+        real = getattr(mod, name)
 
         def counting(*args, real=real, name=name):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(dyn, name, counting)
+        monkeypatch.setattr(mod, name, counting)
     times = ",".join(str(0.5 * i) for i in range(1, 17))
     argv = ["evolve", "--graph", "path:12", "-k", "4", "--subset", "1,4,7,9", "--times", times]
     assert cli.main(argv) == 0
     assert {row["route"] for row in json.loads(capsys.readouterr().out)} == {"lift"}
-    assert builds == [4]
+    assert builds == []
     assert [m.shape for m in solves] == [(12, 12)] and np.array_equal(solves[0], adjacency(path_graph(12)))
-    assert counts == {"switching_signs": 1, "subset_minors": 1}
+    assert counts == {"parity_forest": 0, "subset_minors": 1}
 
 
 @pytest.mark.parametrize("model", ["xy", "heisenberg"])

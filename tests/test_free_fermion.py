@@ -21,6 +21,7 @@ from spinwedge import (
     block_hamiltonian,
     build_wedge_graph,
     cli,
+    complete_graph,
     cycle_graph,
     eigh,
     erdos_renyi_graph,
@@ -368,13 +369,13 @@ def _lift_answers(monkeypatch, g, k, r0, times, flip):
     """The spectrum that `spectrum` prints and the amplitudes from rank r0
     that `evolve_subset` returns for XY sector k, each through the lift
     route of its side, with sigma flipped when ``flip``."""
-    real = wedge_mod.switching_signs
+    real = dynamics_mod._switching
 
-    def route_of(w):
-        d, sigma = real(w)
+    def route_of(g, h):
+        d, sigma = real(g, h)
         return (d, -sigma) if flip else (d, sigma)
 
-    monkeypatch.setattr(dynamics_mod, "switching_signs", route_of)
+    monkeypatch.setattr(dynamics_mod, "_switching", route_of)
     (block,) = cli._spectrum_payload(g, "g", ModelSpec("xy"), range(k, k + 1), False)["blocks"]
     amplitudes, route = evolve_subset(g, ModelSpec("xy"), subset_table(g.n, k)[r0], times)
     assert block["route"] == route == "lift"
@@ -413,18 +414,18 @@ def test_no_lapack_determinant_in_evolve_or_check_lift(monkeypatch, capsys):
 
 
 def test_verify_check_fails_on_a_false_switching(monkeypatch):
-    real = wedge_mod.switching_signs
+    real = dynamics_mod._switching
     g = cycle_graph(6)
 
-    def all_ones(w):
-        if w.base == g and w.k == 2:
-            return np.ones(w.num_vertices, dtype=np.int64), 1
-        return real(w)
+    def all_ones(base, h):
+        if base == g and h == 2:
+            return np.ones(math.comb(g.n, h), dtype=np.int64), 1
+        return real(base, h)
 
     wedges = {k: build_wedge_graph(g, k) for k in range(7)}
     sectors, base = verify_mod.sector_decompositions(g, wedges), eigh(adjacency(g))
     assert check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES).passed
-    monkeypatch.setattr(dynamics_mod, "switching_signs", all_ones)
+    monkeypatch.setattr(dynamics_mod, "_switching", all_ones)
     result = check_free_fermion_route("cycle:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES)
     assert not result.passed and result.k == 2
 
@@ -447,8 +448,9 @@ def _flipping_builder(flips, target=path_graph(5)):
 def test_verify_check_fails_when_a_path_sector_is_not_lifted(monkeypatch):
     # {0,2}-{1,2} at k=2 and {1,3,4}-{0,3,4} at k=3 each lie on a 4-cycle of
     # hops.  Sectors 2 and 3 of path:5 are both answered from side 2, the
-    # only one the check routes, so a flip on side 3 is never consulted, and
-    # one on side 2 unroutes it.
+    # only one the check consults, so a flip on side 3 is never seen, and
+    # one on side 2 leaves its wedge without a switching while the path
+    # still lifts.
     corpus = [("path:5", path_graph(5))]
     monkeypatch.setattr(verify_mod, "build_wedge_graph", _flipping_builder({(3, 7, 8)}))
     side3 = run_verification(corpus=corpus, random_states=2)
@@ -458,19 +460,20 @@ def test_verify_check_fails_when_a_path_sector_is_not_lifted(monkeypatch):
     side2 = run_verification(corpus=corpus, random_states=2)
     by_check = {r.check: r for r in side2.results}
     result = by_check["free_fermion_route"]
-    assert not result.passed and result.k == 2 and "must lift but dense: h=[2]" in result.note
+    assert not result.passed and result.k == 2 and "lift differs from the parity forest: h=[2]" in result.note
 
 
 def test_free_fermion_route_names_the_first_unlifted_side():
     # Ranks 1-2 ({0,2}-{1,2}) at k=2 and 7-8 ({1,3,4}-{0,3,4}) at k=3 each
-    # lie on a 4-cycle of hops, so one flip unroutes each side; the check
-    # names the smaller side and lists both.
+    # lie on a 4-cycle of hops, so one flip leaves each wedge without a
+    # switching, while both sides lift; the check names the smaller side
+    # and lists both.
     g = path_graph(6)
     build = _flipping_builder({(2, 1, 2), (3, 7, 8)}, target=g)
     wedges = {k: build(g, k) for k in range(g.n + 1)}
     sectors, base = verify_mod.sector_decompositions(g, wedges), eigh(adjacency(g))
     result = check_free_fermion_route("path:6", g, wedges, sectors, base, verify_mod.DYNAMICS_TIMES)
-    assert not result.passed and result.k == 2 and "must lift but dense: h=[2, 3]" in result.note
+    assert not result.passed and result.k == 2 and "lift differs from the parity forest: h=[2, 3]" in result.note
 
 
 def test_handshake_counts_cut_sizes_independently(monkeypatch):
@@ -492,15 +495,15 @@ def test_handshake_counts_cut_sizes_independently(monkeypatch):
 
 
 def test_each_lift_side_is_decided_once(monkeypatch, capsys):
-    # Sectors k and n-k share side min(k, n-k): one parity forest per side,
-    # side 0 included.
-    calls, real = [], wedge_mod.switching_signs
+    # Sectors k and n-k share side min(k, n-k): one decision from the base
+    # graph per side, side 0 included.
+    calls, real = [], dynamics_mod._switching
 
-    def counting(w):
-        calls.append(w.k)
-        return real(w)
+    def counting(g, h):
+        calls.append(h)
+        return real(g, h)
 
-    monkeypatch.setattr(dynamics_mod, "switching_signs", counting)
+    monkeypatch.setattr(dynamics_mod, "_switching", counting)
     for name, g in default_corpus()[::3]:
         calls.clear()
         assert run_verification(corpus=[(name, g)], random_states=1).passed
@@ -523,3 +526,98 @@ def test_full_corpus_has_one_route_check_per_graph():
     assert len(report.results) == 531
     route_checks = [r.subject for r in report.results if r.check == "free_fermion_route"]
     assert route_checks == [name for name, _ in default_corpus()]
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def _paths_and_cycles(sizes):
+    """The disjoint union of a path ("p", m) or cycle ("c", m) per entry."""
+    edges, offset = [], 0
+    for shape, m in sizes:
+        edges += [(offset + i, offset + (i + 1) % m) for i in range(m if shape == "c" else m - 1)]
+        offset += m
+    return Graph(offset, tuple(edges))
+
+
+def _shape_rule_inputs(seed=5):
+    """Randomly relabelled paths, cycles and unions of paths and cycles, and
+    G(n, 0.4) graphs with a vertex of degree 3 or more, all with n <= 11."""
+    rng = random.Random(seed)
+    graphs = [_relabelled(path_graph(n), rng) for n in range(2, 12)]
+    graphs += [_relabelled(cycle_graph(n), rng) for n in range(3, 12)]
+    while len(graphs) < 700:
+        left, sizes = rng.randint(2, 11), []
+        while left:
+            m = rng.randint(3, left) if left >= 3 and rng.random() < 0.3 else rng.randint(1, left)
+            sizes.append(("c" if m >= 3 and rng.random() < 0.5 else "p", m))
+            left -= m
+        graphs.append(_relabelled(_paths_and_cycles(sizes), rng))
+    while len(graphs) < 900:
+        n = rng.randint(4, 9)
+        g = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4))
+        if np.bincount(np.ravel(g.edges).astype(np.int64), minlength=n).max() >= 3:
+            graphs.append(g)
+    return graphs
+
+
+def test_shape_rule_matches_the_parity_forest():
+    # Every corpus path and cycle is labelled in walk order, where no subset
+    # has an inversion; relabelled ones test the inversion count of D.
+    pairs = lifted = 0
+    for g in _shape_rule_inputs():
+        sides = Sides(g, ModelSpec("xy"))
+        for h in range(g.n // 2 + 1):
+            if math.comb(g.n, h) > wedge_mod.BLOCK_DIM_LIMIT:
+                continue
+            w, rule = build_wedge_graph(g, h), sides(h).switching
+            forest = switching_signs(w)
+            pairs += 1
+            assert (rule is None) == (forest is None), (g, h)
+            if rule is not None:
+                lifted += h >= 2
+                d, sigma = rule
+                assert sigma == forest[1], (g, h)
+                c, a = signed_matrix(w).astype(np.int64), wedge_adjacency(w).astype(np.int64)
+                assert np.array_equal(d[:, None] * c * d, sigma * a), (g, h)
+    assert pairs > 3000 and lifted > 600
+
+
+def _overlifted(real, g, h):
+    """Call complete:4 at h = 2 lifted."""
+    if g == complete_graph(4) and h == 2:
+        return np.ones(math.comb(g.n, h), dtype=np.int64), 1
+    return real(g, h)
+
+
+def _no_position_term(real, g, h):
+    """Drop the (-1)^(sum of pos over S) factor of a sigma = -1 side."""
+    result = real(g, h)
+    if result is None or result[1] > 0:
+        return result
+    pos, _ = dynamics_mod._walk_order(g)
+    return result[0] * (1 - 2 * (pos[subset_table(g.n, h)].sum(axis=1) & 1)), -1
+
+
+def _underlifted(real, g, h):
+    """Call path:6 at h = 3 dense."""
+    return None if g == path_graph(6) and h == 3 else real(g, h)
+
+
+@pytest.mark.parametrize(
+    "graph, fault, h",
+    [("complete:4", _overlifted, 2), ("cycle:5", _no_position_term, 2), ("path:6", _underlifted, 3)],
+)
+def test_verify_fails_on_a_faulty_shape_rule(graph, fault, h, monkeypatch, capsys):
+    argv = ["verify", "--graph", graph, "--random-states", "1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    real = dynamics_mod._switching
+    monkeypatch.setattr(dynamics_mod, "_switching", lambda g, j: fault(real, g, j))
+    assert cli.main(argv) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].split()[1:3] == ["free_fermion_route", graph], failed
+    assert f"k={h}" in failed[0].split()

@@ -140,6 +140,40 @@ def test_path_closed_form_standalone():
     assert all(r.passed for r in results)
 
 
+def _moved_level(values):
+    values = np.array(values, dtype=float)
+    values[-1] += 0.1
+    return values
+
+
+def _flipped_entry(vector):
+    vector = np.array(vector)
+    vector[0] = -vector[0]
+    return vector
+
+
+FAMILY_FAULTS = [
+    ("path_cosine_spectrum", "path_spectrum", lambda real, n: _moved_level(real(n)), None),
+    ("path_sine_eigenvectors", "path_eigenvector", lambda real, n, j: _flipped_entry(real(n, j)), None),
+    ("path_sector_sums", "xy_path_spectrum",
+     lambda real, n, k: _moved_level(real(n, k)) if k == 2 else real(n, k), 2),
+    ("johnson_formula", "complete_sector_spectrum",
+     lambda real, n, k, model: _moved_level(real(n, k, model)) if k == 2 else real(n, k, model), 2),
+]
+
+
+@pytest.mark.parametrize("check, name, fault, k", FAMILY_FAULTS, ids=[case[0] for case in FAMILY_FAULTS])
+def test_family_check_fails_on_a_faulty_closed_form(check, name, fault, k, monkeypatch):
+    # Each family check fails on a fault of the closed form that it reads by
+    # its name in the verify module, and names the faulty sector.
+    family = check_johnson_family if check == "johnson_formula" else check_path_closed_form
+    assert all(r.passed for r in family(5))
+    real = getattr(verify_mod, name)
+    monkeypatch.setattr(verify_mod, name, lambda *args: fault(real, *args))
+    r = {r.check: r for r in family(5)}[check]
+    assert not r.passed and r.k == k, r
+
+
 def test_complement_isomorphism_check():
     g = cycle_graph(5)
     wedges = {k: build_wedge_graph(g, k) for k in range(6)}

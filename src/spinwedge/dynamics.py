@@ -63,15 +63,16 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 class Sides:
     """The sides of one graph and model, for one call: ``sides(k)`` is the
     :class:`Side` of sector k, built on first use and kept.  They share the
-    wedge powers (each built once, where a side needs one), the n x n base
-    eigensolve and the singlet levels of each side j.  No part refers back
-    to a Sides, so reference counting frees a call's arrays."""
+    wedge powers (each built once, where a side needs one), the n x n
+    eigensolve of each signed base and the singlet levels of each side j.
+    No part refers back to a Sides, so reference counting frees a call's
+    arrays."""
 
     def __init__(self, g: Graph, spec: ModelSpec):
         wedge = functools.cache(functools.partial(build_wedge_graph, g))
         self.graph, self.spec, self.wedge = g, spec, wedge
-        self.base_values = functools.cache(lambda: np.linalg.eigvalsh(adjacency(g)))
-        self.base = functools.cache(lambda: eigh(adjacency(g)))
+        self.base_values = functools.cache(lambda twist: np.linalg.eigvalsh(adjacency(g, twist)))
+        self.base = functools.cache(lambda twist: eigh(adjacency(g, twist)))
         self.levels = functools.cache(lambda j: singlet_levels(wedge(j)))
         self._built: dict[int, Side] = {}
 
@@ -107,44 +108,40 @@ def _walk_order(g: Graph) -> tuple[np.ndarray, bool] | None:
     return (pos, cycle) if walked == g.n else None
 
 
-def _switching(g: Graph, h: int) -> tuple[np.ndarray, int] | None:
-    """(D, sigma) with D . C_h . D = sigma * A_h on XY side h of g, from the
-    shape of g alone, or None where no such switching exists.
+def _switching(g: Graph, h: int) -> tuple[np.ndarray, tuple[int, int] | None] | None:
+    """(D, twist) with D . C_h(B) . D = A_h on XY side h of g, from the shape
+    of g alone, or None where no such switching exists.  B is the adjacency
+    A with the edge ``twist`` negated, or A for twist None.
 
-    Side h <= 1 switches on every graph with D = 1 and sigma = +1.  Above,
-    particles that cannot pass each other are free fermions: on a linear
-    forest, with sigma = +1, and on one cycle through all n vertices, with
-    sigma = +1 for odd h and -1 for even h with odd n (Lieb, Schultz &
-    Mattis, Ann. Phys. 16 (1961) 407).  D[S] is (-1)^inv(S), inv(S) the
-    pairs u < v of S with pos(u) > pos(v) in :func:`_walk_order`, times
-    (-1)^(sum of pos over S) for sigma = -1.  The check free_fermion_route
-    of :mod:`spinwedge.verify` holds this rule to a parity forest over the
-    hops of the wedge.
+    Side h <= 1 lifts on A with D = 1 on every graph.  Above, particles that
+    cannot pass each other are free fermions (Lieb, Schultz & Mattis, Ann.
+    Phys. 16 (1961) 407): a linear forest lifts on A, one cycle through all n
+    vertices on A with the edge between walk positions 0 and n-1 of sign
+    (-1)^(h-1), as a particle crossing it passes the other h-1.  D[S] is
+    (-1)^inv(S), inv(S) the pairs u < v of S with pos(u) > pos(v) in
+    :func:`_walk_order`.  The check free_fermion_route of
+    :mod:`spinwedge.verify` holds this rule to a parity forest over the hops
+    of the wedge.
     """
     if h <= 1:
-        return np.ones(math.comb(g.n, h), dtype=np.int64), 1
+        return np.ones(math.comb(g.n, h), dtype=np.int64), None
     walk = _walk_order(g)
     if walk is None:
         return None
     pos, cycle = walk
-    sigma = -1 if cycle and h % 2 == 0 else 1
-    if sigma < 0 and g.n % 2 == 0:
-        return None
     p = pos[subset_table(g.n, h)]
     parity = np.count_nonzero(np.triu(p[:, :, None] > p[:, None, :]), axis=(1, 2))
-    if sigma < 0:
-        parity += p.sum(axis=1)
-    return 1 - 2 * (parity & 1), sigma
+    twist = (int(np.argmin(pos)), int(np.argmax(pos))) if cycle and h % 2 == 0 else None
+    return 1 - 2 * (parity & 1), twist
 
 
 class Side:
     """Side h = min(k, n-k) of one graph and model, for sectors h and n-h.
 
     It decides the route of :meth:`values`, ``route``, once.  "lift": an XY
-    side with a switching D . C_h . D = sigma * A_h, which
-    :func:`_switching` reads off the base graph, is, as C_h(-A) = -C_h(A),
-    the h-particle problem of the signed base sigma A (side 0, one subset,
-    switches with D = [1] and sigma = 1 and needs no base).  "su2": a
+    side with a switching D . C_h(B) . D = A_h, which :func:`_switching`
+    reads off the base graph, is the h-particle problem of the signed base B
+    (side 0, one subset, switches with D = [1] and needs no base).  "su2": a
     Heisenberg side where
     :func:`spinwedge.spectra.su2_pays` is the union of the singlet levels of
     the sides j = 0..h.  "dense": one eigensolve of the side matrix.
@@ -181,7 +178,7 @@ class Side:
     def _values(self) -> np.ndarray:
         """The field-free values of the side, ascending."""
         if self.route == "lift":  # side 0 is the empty sum, with no base
-            return subset_sums(self.switching[1] * self._base_values(), self.h) if self.h else np.zeros(1)
+            return subset_sums(self._base_values(self.switching[1]), self.h) if self.h else np.zeros(1)
         if self.route == "su2":
             return np.sort(np.concatenate([self._levels(j) for j in range(self.h + 1)]))
         return np.linalg.eigvalsh(block_hamiltonian(self.wedge, self.spec))
@@ -192,16 +189,14 @@ class Side:
 
     def _lift_propagate(self, start: int, t: np.ndarray) -> np.ndarray:
         """Column S0 = ``start`` of exp(-i t A_h) for every t: D[S] D[S0]
-        det exp(-i sigma A t)[S, S0], by one :func:`subset_minors` call."""
+        det exp(-i B t)[S, S0], by one :func:`subset_minors` call on the h
+        columns S0 of exp(-i B t) that :func:`propagate` gives."""
         if self.h == 0:
             return np.ones((t.size, 1), dtype=complex)
-        signs, sigma = self.switching
-        base = self._base()
-        phases = np.exp(-1j * sigma * np.multiply.outer(t, base.values))
-        # exp(-i sigma A t)[:, S0] for every t
-        rows = subset_table(self.graph.n, self.h)
-        columns = _real_matmul(base.vectors, phases[:, :, None] * base.vectors[rows[start]].T)
-        return subset_minors(columns) * (signs * signs[start])
+        signs, twist = self.switching
+        units = np.zeros((self.graph.n, self.h))
+        units[subset_table(self.graph.n, self.h)[start], np.arange(self.h)] = 1.0
+        return subset_minors(propagate(self._base(twist), units, t)) * (signs * signs[start])
 
     def evolve(self, k: int, r0: int, times) -> tuple[np.ndarray, str]:
         """The (len(times), C(n,k)) amplitudes of the basis state of rank

@@ -109,12 +109,14 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    """{0,1} adjacency matrix with zero diagonal."""
+def adjacency(g: Graph, twist: tuple[int, int] | None = None) -> np.ndarray:
+    """{0,1} adjacency matrix with zero diagonal, and -1 on the edge ``twist``."""
     a = np.zeros((g.n, g.n))
     for u, v in g.edges:
         a[u, v] = 1.0
         a[v, u] = 1.0
+    if twist is not None:
+        a[twist, twist[::-1]] = -1.0
     return a
 
 

@@ -198,8 +198,7 @@ def subset_minors(x) -> np.ndarray:
     minors of the first c columns from those of the first c-1, so level c
     holds C(n, c) minors of c terms each, and the whole stack shares each
     level's index tables: the cached :func:`spinwedge.wedge.colex_level`,
-    which :func:`subset_table` reads too.  The lift route passes columns of
-    exp(-i sigma A t), so sigma never enters here.  No level is wider than
+    which :func:`subset_table` reads too.  No level is wider than
     C(n, min(j, n/2)), which is guarded like a sector.  Levels 0..j stay in
     the cache, so a call with j > n/2 keeps levels wider than n/2, but it
     runs only while C(n, n/2) <= BLOCK_DIM_LIMIT, that is n <= 14, and no

@@ -57,6 +57,7 @@ from .spins import (
     singlet_basis,
 )
 from .wedge import (
+    WedgeGraph,
     alt_delta_oracle,
     build_wedge_graph,
     signed_matrix,
@@ -139,7 +140,8 @@ class VerificationReport:
 
 
 def default_corpus() -> list[tuple[str, Graph]]:
-    """Paths n=2..8, cycles 3..7, complete graphs 2..6, five seeded G(6, 1/2)."""
+    """Paths n=2..8, cycles 3..7, complete graphs 2..6, five seeded G(6, 1/2),
+    and path:7 and cycle:6 relabelled out of walk order, where D has inversions."""
     entries: list[tuple[str, Graph]] = []
     for n in range(2, 9):
         entries.append((f"path:{n}", path_graph(n)))
@@ -149,6 +151,9 @@ def default_corpus() -> list[tuple[str, Graph]]:
         entries.append((f"complete:{n}", complete_graph(n)))
     for s in range(5):
         entries.append((f"er:6:0.5:{s}", erdos_renyi_graph(6, 0.5, s)))
+    relabelled = (("path:7", path_graph(7), (3, 0, 5, 1, 6, 2, 4)), ("cycle:6", cycle_graph(6), (2, 5, 0, 3, 1, 4)))
+    for label, g, perm in relabelled:
+        entries.append((f"perm:{label}", Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))))
     return entries
 
 
@@ -290,52 +295,54 @@ def check_xy_particle_hole(name: str, g: Graph, wedges: dict) -> CheckResult:
     return _result("xy_particle_hole", name, 0.0, 0.0)
 
 
-def _determinant_formula(g: Graph, side, start_rank: int, times, base) -> np.ndarray:
+def _determinant_formula(side, start_rank: int, times, base) -> np.ndarray:
     """exp(-i t A_h)[S, S0] on XY side h = side.h as the lift states it: D[S]
-    D[S0] det exp(-i sigma A t)[S, S0] by LAPACK determinants, with (D, sigma)
-    the side's switching.  The reference for the minors kernel."""
-    signs, sigma = side.switching
+    D[S0] det exp(-i B t)[S, S0] by LAPACK determinants, ``base`` the eigh of
+    the side's signed base B.  The reference for the minors kernel."""
+    signs = side.switching[0]
     t = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * sigma * np.multiply.outer(t, base.values))
-    u1 = base.vectors @ (phases[:, :, None] * base.vectors.T)
-    rows = subset_table(g.n, side.h)
+    u1 = base.vectors @ (np.exp(-1j * np.multiply.outer(t, base.values))[:, :, None] * base.vectors.T)
+    rows = subset_table(side.graph.n, side.h)
     return np.linalg.det(u1[:, rows[:, :, None], rows[start_rank]]) * (signs * signs[start_rank])
 
 
 def check_free_fermion_route(name: str, g: Graph, wedges: dict, sectors: dict, base, times) -> CheckResult:
     """Every XY side h = 0..n//2 of :class:`Sides`, whose lift is decided from
-    the shape of g, against :func:`switching_signs` of ``wedges[h]``, the
-    parity forest over its hops, and against the dense route.
+    the shape of g, against :func:`switching_signs`, the parity forest over
+    the hops of ``wedges[h]``, and against the dense route.
 
-    The side lifts exactly where the forest switches, with the same sigma.
-    Where it lifts: its D . C_h . D == sigma A_h on ``wedges[h]`` exactly, and
+    The hops that move a particle along the side's twist edge, found by the
+    xor of their bitmasks, change sign, which makes C_h(B) of its signed base
+    B.  The side lifts exactly where the forest of those signs switches.
+    Where it lifts: D[a] D[b] equals the sign of every hop (a, b) exactly, and
     its values and its amplitudes from one basis state at ``times`` equal the
-    dense sector h in ``sectors`` and the determinant formula on ``base``,
-    the eigh of g's adjacency A.  Sector n-h is side h relabelled, which
-    sector_vs_full, complement_isomorphism and xy_particle_hole certify.
+    dense sector h in ``sectors`` and the determinant formula on the eigh of
+    B, ``base`` for A.  Sector n-h is side h relabelled, which sector_vs_full,
+    complement_isomorphism and xy_particle_hole certify.
     """
     sides = Sides(g, ModelSpec("xy"))
-    errors, lifted, differ = [], [], []
+    bases, errors, lifted, differ = {None: base}, [], [], []
     for h in range(g.n // 2 + 1):
         side, w = sides(h), wedges[h]
-        rule, forest = (None if s is None else s[1] for s in (side.switching, switching_signs(w)))
-        if rule != forest:
+        (a, b, s), (d, twist) = w.hops, side.switching or (None, None)
+        if twist is not None:
+            masks = basis_states(g.n, h)
+            s = np.where((masks[a] ^ masks[b]) == (1 << twist[0]) | (1 << twist[1]), -s, s)
+        if (d is None) != (switching_signs(WedgeGraph(w.base, h, w.num_vertices, (a, b, s))) is None):
             differ.append(h)
             errors.append((h, math.inf))
-            continue
-        if rule is None:
-            continue
-        lifted.append(h)
-        d, sigma = side.switching
-        exact = np.array_equal(d[:, None] * signed_matrix(w) * d, sigma * wedge_adjacency(w))
-        dec = sectors[("xy", h)].dec
-        gap = spectrum_gap(side.values(h), dec.values)
-        r0 = len(dec.values) // 2
-        dense = propagate(dec, np.eye(len(dec.values))[:, r0], times)
-        lifted_amps, _ = side.evolve(h, r0, times)
-        formula = _determinant_formula(g, side, r0, times, base)
-        amp_err = float(max(np.max(np.abs(lifted_amps - dense)), np.max(np.abs(lifted_amps - formula))))
-        errors.append((h, max(gap, amp_err) if exact else math.inf))
+        elif d is not None:
+            lifted.append(h)
+            if twist not in bases:
+                bases[twist] = eigh(adjacency(g, twist))
+            dec = sectors[("xy", h)].dec
+            gap = spectrum_gap(side.values(h), dec.values)
+            r0 = len(dec.values) // 2
+            dense = propagate(dec, np.eye(len(dec.values))[:, r0], times)
+            lifted_amps, _ = side.evolve(h, r0, times)
+            formula = _determinant_formula(side, r0, times, bases[twist])
+            amp_err = float(max(np.max(np.abs(lifted_amps - dense)), np.max(np.abs(lifted_amps - formula))))
+            errors.append((h, max(gap, amp_err) if np.array_equal(d[a] * d[b], s) else math.inf))
     note = f"lift h={lifted}" + (f"; lift differs from the parity forest: h={differ}" if differ else "")
     return _worst("free_fermion_route", name, DEFAULT_TOL, errors, note=note)
 

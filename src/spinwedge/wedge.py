@@ -233,24 +233,21 @@ def build_wedge_graph(g: Graph, k: int) -> WedgeGraph:
     return WedgeGraph(g, k, m, (a[order], b[order], signs[order]))
 
 
-def switching_signs(w: WedgeGraph) -> tuple[np.ndarray, int] | None:
-    """The +-1 vector D and the sign sigma with D . C . D = sigma * A, C the
-    signed matrix and A the adjacency, or None; sigma is +1 without hops.
+def switching_signs(w: WedgeGraph) -> np.ndarray | None:
+    """The +-1 vector D with D . C . D = A, C the signed matrix and A the
+    adjacency, or None; D is all ones without hops.
 
     One :func:`spinwedge.graphs.parity_forest` over the hops, labelled
-    2 | [sign < 0], gives each rank two bits to its root: the hop signs and
-    the length of its tree path.  D from bit 0 makes every tree hop +A, D
-    from bit 0 xor bit 1 makes it -A; a check of every hop decides which.
+    [sign < 0], gives each rank the parity of the negative hops on its tree
+    path to its root.  D from it makes every tree hop +A; a check of every
+    hop decides whether the others are.
     """
     a, b, s = w.hops
-    labels = np.where(s < 0, 3, 2).astype(np.uint8)
-    _, parity = parity_forest(w.num_vertices, a, b, labels)
-    off = parity[a] ^ parity[b] ^ labels
-    if not np.any(off & 1):
-        return 1 - 2 * (parity & 1).astype(np.int64), 1
-    if not np.any((off ^ (off >> 1)) & 1):
-        return 1 - 2 * ((parity ^ (parity >> 1)) & 1).astype(np.int64), -1
-    return None
+    negative = (s < 0).astype(np.uint8)
+    _, parity = parity_forest(w.num_vertices, a, b, negative)
+    if np.any(parity[a] ^ parity[b] ^ negative):
+        return None
+    return 1 - 2 * parity.astype(np.int64)
 
 
 def _hop_matrix(w: WedgeGraph, values) -> np.ndarray:

@@ -568,7 +568,10 @@ def test_spectrum_blocks_name_their_route(capsys):
     code, out, _ = run(capsys, "spectrum", "--graph", "cycle:6", "-k", "all")
     assert code == 0
     routes = [b["route"] for b in json.loads(out)["blocks"]]
-    assert routes == ["lift", "lift", "dense", "lift", "dense", "lift", "lift"]
+    assert routes == ["lift"] * 7
+    code, out, _ = run(capsys, "spectrum", "--graph", "complete:4", "-k", "all")
+    routes = [b["route"] for b in json.loads(out)["blocks"]]
+    assert routes == ["lift", "lift", "dense", "lift", "lift"]
     code, out, _ = run(capsys, "spectrum", "--graph", "cycle:6", "-k", "all", "--model", "heis")
     routes = [b["route"] for b in json.loads(out)["blocks"]]
     assert routes == ["dense", "dense", "dense", "su2", "dense", "dense", "dense"]
@@ -580,6 +583,8 @@ def test_spectrum_blocks_name_their_route(capsys):
 def test_evolve_rows_name_their_route(capsys):
     argv = ["evolve", "--graph", "cycle:6", "-k", "2", "--subset", "0,3", "--times", "0.5,2"]
     code, out, _ = run(capsys, *argv)
+    assert code == 0 and [row["route"] for row in json.loads(out)] == ["lift", "lift"]
+    code, out, _ = run(capsys, "evolve", "--graph", "complete:4", *argv[3:])
     assert code == 0 and [row["route"] for row in json.loads(out)] == ["dense", "dense"]
     code, out, _ = run(capsys, *argv[:4], "3", "--subset", "0,2,4", "--times", "0.5,2")
     assert code == 0 and [row["route"] for row in json.loads(out)] == ["lift", "lift"]

@@ -155,12 +155,18 @@ def test_field_changes_only_global_phase():
 
 @pytest.mark.parametrize(
     "g, model, subset",
-    [(path_graph(5), "xy", (1, 3)), (cycle_graph(6), "xy", (0, 2)), (complete_graph(5), "heisenberg", (0, 3))],
-    ids=["path5-lift", "cycle6-dense", "complete5-heisenberg"],
+    [
+        (path_graph(5), "xy", (1, 3)),
+        (cycle_graph(6), "xy", (0, 2)),
+        (Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4))), "xy", (1, 3)),
+        (complete_graph(5), "heisenberg", (0, 3)),
+    ],
+    ids=["path5-lift", "cycle6-twisted-lift", "star5-dense", "complete5-heisenberg"],
 )
 def test_field_evolution_matches_the_full_oracle(g, model, subset):
-    # path:5 takes the lift, cycle:6 k=2 and every Heisenberg sector the
-    # dense route; either way the field phase comes from sector_shift.
+    # path:5 takes the lift, cycle:6 k=2 the lift on its twisted base, and the
+    # star's XY side 2 and every Heisenberg sector the dense route; on every
+    # route the field phase comes from sector_shift.
     spec, times = ModelSpec(model, 0.7), [0.4, 1.3, 3.0]
     series, _ = evolve_subset(g, spec, subset, times)
     states = basis_states(g.n, len(subset))
@@ -248,7 +254,7 @@ def test_propagate_makes_no_complex_copy_of_the_eigenvectors():
 
 def test_lift_propagate_makes_no_complex_copy_of_the_base_eigenvectors():
     sides = Sides(path_graph(600), ModelSpec("xy"))
-    side, base = sides(1), sides.base()
+    side, base = sides(1), sides.base(None)
     times = np.linspace(0.0, 3.0, 16)
     tracemalloc.start()
     try:
@@ -341,19 +347,19 @@ def _record_builds_and_solves(monkeypatch):
 @pytest.mark.parametrize(
     "argv, built, sizes",
     [
-        # Every side of cycle:7 lifts: one base eigensolve serves them all,
-        # and no wedge power is built.
-        (["spectrum", "--graph", "cycle:7", "-k", "all"], [], [7]),
-        # Side 2 of cycle:6 is dense, the others lift; sectors 4-6 read sides 2-0.
-        (["spectrum", "--graph", "cycle:6", "-k", "all"], [2], [6, 15]),
+        # Every side of cycle:7 lifts, and no wedge power is built: one
+        # eigensolve of A serves sides 1 and 3, one of A_tau serves side 2.
+        (["spectrum", "--graph", "cycle:7", "-k", "all"], [], [7, 7]),
+        # Every side of cycle:6 lifts too; sectors 4-6 read sides 2-0.
+        (["spectrum", "--graph", "cycle:6", "-k", "all"], [], [6, 6]),
         # Dense Heisenberg sides 0-2, then side 3 from singlet blocks 0..3.
         (["spectrum", "--graph", "er:6:0.5:2", "--model", "heis", "-k", "all"], [0, 1, 2, 3], [1, 6, 15, 1, 5, 9, 5]),
         (["evolve", "--graph", "path:7", "-k", "5", "--subset", "0,1,2,4,6"], [], [7]),
-        (["evolve", "--graph", "cycle:6", "-k", "4", "--subset", "0,1,3,4"], [2], [15]),
+        (["evolve", "--graph", "cycle:6", "-k", "4", "--subset", "0,1,3,4"], [], [6]),
         (["evolve", "--graph", "cycle:6", "--model", "heis", "-k", "4", "--subset", "0,1,3,4"], [2], [15]),
         (["evolve", "--graph", "path:7", "--model", "heis", "-k", "6", "--subset", "0,1,2,3,4,6"], [1], [7]),
-        # Sides 0-6 of cycle:13 lift, the even ones with sigma = -1.
-        (["spectrum", "--graph", "cycle:13", "-k", "all"], [], [13]),
+        # Sides 0-6 of cycle:13 lift, the even ones on the twisted base.
+        (["spectrum", "--graph", "cycle:13", "-k", "all"], [], [13, 13]),
     ],
 )
 def test_sectors_above_half_are_answered_from_their_side(argv, built, sizes, monkeypatch, capsys):
@@ -412,8 +418,9 @@ def test_evolve_subset_above_half_matches_its_own_sector(model):
 
 
 # Sectors above n/2 under a field, on each route of the side: lift (cycle:7
-# XY), dense (cycle:6 XY) and su2 for the values (cycle:7 Heisenberg, side 3).
-FAULT_CASES = [("cycle:7", "xy", 5), ("cycle:6", "xy", 4), ("cycle:7", "heis", 4)]
+# XY), lift on the twisted base (cycle:6 XY), dense (er:6:0.5:2 XY) and su2
+# for the values (cycle:7 Heisenberg, side 3).
+FAULT_CASES = [("cycle:7", "xy", 5), ("cycle:6", "xy", 4), ("er:6:0.5:2", "xy", 4), ("cycle:7", "heis", 4)]
 
 
 def _failing_answers(graph, model, k, capsys):

@@ -1,5 +1,5 @@
 """The free-fermion lift route for XY sectors: the switching test, the route
-rule, and agreement of the lift with the dense route."""
+rule on its signed base, and agreement of the lift with the dense route."""
 
 import itertools
 import json
@@ -53,23 +53,22 @@ def _spectrum_cap_graphs(seed, n=14, p=0.3, graphs=24):
     ]
 
 
-def _switches_by_search(w, sigma):
-    """Whether some +-1 vector switches the signed matrix to sigma times the
-    adjacency, by trying them all (the first entry fixed, as -D works when D
-    does)."""
+def _switches_by_search(w):
+    """Whether some +-1 vector switches the signed matrix to the adjacency,
+    by trying them all (the first entry fixed, as -D works when D does)."""
     c, a = signed_matrix(w), wedge_adjacency(w)
     m = w.num_vertices
     for rest in itertools.product((1, -1), repeat=m - 1):
         d = np.array((1,) + rest)
-        if np.array_equal(d[:, None] * c * d, sigma * a):
+        if np.array_equal(d[:, None] * c * d, a):
             return True
     return False
 
 
-def _union_find_signs(w, target):
+def _union_find_signs(w):
     """Reference switching test: a sequential parity union-find with path
-    compression over the hops.  The +-1 vector D with D[a] * sign * D[b] =
-    target on every hop, or None at the first contradicting hop."""
+    compression over the hops.  The +-1 vector D with D[a] * sign * D[b] = 1
+    on every hop, or None at the first contradicting hop."""
     a, b, s = w.hops
     parent = list(range(w.num_vertices))
     odd = [0] * w.num_vertices  # parity of each vertex relative to its parent
@@ -86,7 +85,7 @@ def _union_find_signs(w, target):
             parent[y] = x
         return x
 
-    for u, v, differ in zip(a.tolist(), b.tolist(), (s != target).tolist()):
+    for u, v, differ in zip(a.tolist(), b.tolist(), (s < 0).tolist()):
         ru, rv = find(u), find(v)
         flip = odd[u] ^ odd[v] ^ differ
         if ru != rv:
@@ -99,17 +98,16 @@ def _union_find_signs(w, target):
     return 1 - 2 * np.array(odd, dtype=np.int64)
 
 
-def _reference_side(g, k):
-    """The switching side j by the earlier rule, or None: side h = min(k, n-k)
-    when C_h switches to A_h, else side n-h when C_h switches to -A_h and
-    2h != n, each by the reference union-find."""
-    h = min(k, g.n - k)
-    w = build_wedge_graph(g, h)
-    if _union_find_signs(w, 1) is not None:
-        return h
-    if 2 * h == g.n or _union_find_signs(w, -1) is None:
-        return None
-    return g.n - h
+def _twisted(w, twist):
+    """Wedge power w of the signed base: every hop that moves a particle
+    along the edge ``twist`` (a vertex pair, or None) changes sign."""
+    a, b, s = w.hops
+    if twist is not None:
+        moved = set(twist)
+        rows = subset_table(w.base.n, w.k)
+        along = np.array([set(rows[x]) ^ set(rows[y]) == moved for x, y in zip(a.tolist(), b.tolist())], dtype=bool)
+        s = np.where(along, -s, s)
+    return WedgeGraph(w.base, w.k, w.num_vertices, (a, b, s))
 
 
 def _route(g, k):
@@ -119,20 +117,26 @@ def _route(g, k):
     return side if side.route == "lift" else None
 
 
-def _side(route):
-    """The side j of the earlier rule, from the side's h and sigma: h for
-    sigma = +1, n-h for sigma = -1, or None without a route."""
-    if route is None:
-        return None
-    return route.h if route.switching[1] > 0 else route.graph.n - route.h
-
-
-def _assert_exact_on_hops(w, signs, sigma):
-    """D[a] * sign * D[b] == sigma on every hop, which is D . C . D == sigma * A
-    exactly, as C and A share their support."""
+def _assert_exact_on_hops(w, signs):
+    """D[a] * sign * D[b] == 1 on every hop, which is D . C . D == A exactly,
+    as C and A share their support."""
     a, b, s = w.hops
     assert set(signs.tolist()) <= {1, -1}
-    assert np.all(signs[a] * s * signs[b] == sigma)
+    assert np.all(signs[a] * s * signs[b] == 1)
+
+
+def _check_route(g, k):
+    """Sector k lifts exactly where the union-find reference switches its
+    side's wedge on the side's signed base, and then D . C_h(B) . D = A_h
+    exactly; the side, or None."""
+    side = Sides(g, ModelSpec("xy"))(k)
+    twist = None if side.switching is None else side.switching[1]
+    w = _twisted(build_wedge_graph(g, side.h), twist)
+    assert (side.route == "lift") == (_union_find_signs(w) is not None)
+    if side.route != "lift":
+        return None
+    _assert_exact_on_hops(w, side.switching[0])
+    return side
 
 
 def _sectors(graphs):
@@ -152,22 +156,19 @@ SMALL = [
 @pytest.mark.parametrize("name, g, k", [s for s in _sectors(SMALL) if math.comb(s[1].n, s[2]) <= 15])
 def test_switching_signs_is_exact(name, g, k):
     w = build_wedge_graph(g, k)
-    result = switching_signs(w)
-    want = next((sigma for sigma in (1, -1) if _switches_by_search(w, sigma)), None)
-    assert (None if result is None else result[1]) == want
-    if result is not None:
-        d, sigma = result
-        assert np.array_equal(d[:, None] * signed_matrix(w) * d, sigma * wedge_adjacency(w))
+    d = switching_signs(w)
+    assert (d is not None) == _switches_by_search(w)
+    if d is not None:
+        assert np.array_equal(d[:, None] * signed_matrix(w) * d, wedge_adjacency(w))
 
 
 def test_switching_signs_on_every_corpus_wedge():
     for name, g, k in _sectors(default_corpus()):
         w = build_wedge_graph(g, k)
-        result = switching_signs(w)
-        if result is not None:
-            d, sigma = result
-            assert set(d.tolist()) <= {1, -1} and sigma in (1, -1)
-            assert np.array_equal(d[:, None] * signed_matrix(w) * d, sigma * wedge_adjacency(w)), (name, k)
+        d = switching_signs(w)
+        if d is not None:
+            assert set(d.tolist()) <= {1, -1}
+            assert np.array_equal(d[:, None] * signed_matrix(w) * d, wedge_adjacency(w)), (name, k)
         else:
             assert np.any(signed_matrix(w) < 0), (name, k)
 
@@ -177,19 +178,19 @@ def test_switching_signs_rejects_a_frustrated_wedge():
     a, b, s = w.hops
     flipped = WedgeGraph(w.base, w.k, w.num_vertices, (a, b, np.ones_like(s)))
     assert switching_signs(w) is None
-    d, sigma = switching_signs(flipped)
-    assert sigma == 1 and np.array_equal(d, np.ones(w.num_vertices, dtype=np.int64))
+    d = switching_signs(flipped)
+    assert np.array_equal(d, np.ones(w.num_vertices, dtype=np.int64))
 
 
 def test_switching_signs_on_one_subset_or_hop_free_sides():
     # Sides 0 and n have one subset and no hop, and every side of an edgeless
-    # graph has no hop: each switches with D all ones and sigma = 1.
+    # graph has no hop: each switches with D all ones.
     edgeless = Graph(4, ())
     cases = [(g, k) for _, g in default_corpus() + [("edgeless:4", edgeless)] for k in (0, g.n)]
     for g, k in cases + [(edgeless, 1)]:
         w = build_wedge_graph(g, k)
-        d, sigma = switching_signs(w)
-        assert sigma == 1 and d.dtype == np.int64, (g, k)
+        d = switching_signs(w)
+        assert d.dtype == np.int64, (g, k)
         assert np.array_equal(d, np.ones(w.num_vertices, dtype=np.int64)), (g, k)
 
 
@@ -202,9 +203,7 @@ def test_a_hub_hooked_by_every_hop_keeps_one_hops_parity():
     leaves = 1000
     signs = np.where(np.arange(leaves) % 2, -1, 1)
     star = WedgeGraph(path_graph(2), 1, leaves + 1, (np.arange(leaves), np.full(leaves, leaves), signs))
-    d, sigma = switching_signs(star)
-    assert sigma == 1
-    _assert_exact_on_hops(star, d, sigma)
+    _assert_exact_on_hops(star, switching_signs(star))
 
 
 def _route_sets():
@@ -222,51 +221,37 @@ def _route_sets():
 
 def test_forest_route_matches_the_union_find_reference():
     for name, g, k in _route_sets():
-        route = _route(g, k)
-        assert _side(route) == _reference_side(g, k), (name, k)
-        if route is not None:
-            assert route.h == min(k, g.n - k)
-            _assert_exact_on_hops(build_wedge_graph(g, route.h), *route.switching)
-
-
-def _two_build_rule(g, k):
-    """The side the route took before the one-wedge decision: min(k, n-k)
-    first, then the other, each built and tested for switching to A."""
-    for j in sorted({k, g.n - k}):
-        if _union_find_signs(build_wedge_graph(g, j), 1) is not None:
-            return j
-    return None
-
-
-def _check_one_wedge_route(g, k):
-    route = _route(g, k)
-    assert _side(route) == _two_build_rule(g, k)
-    if route is not None:
-        w = build_wedge_graph(g, route.h)
-        d, sigma = route.switching
-        assert np.array_equal(d[:, None] * signed_matrix(w) * d, sigma * wedge_adjacency(w))
-    return route
+        side = _check_route(g, k)
+        if side is not None:
+            assert side.h == min(k, g.n - k), (name, k)
 
 
 @pytest.mark.parametrize("name, g", default_corpus() + [("star:5", STAR5)])
 def test_lift_route_decides_both_sides_from_one_wedge(name, g):
+    # Sectors k and n-k are one side, decided once.
+    sides = Sides(g, ModelSpec("xy"))
     for k in range(g.n + 1):
-        _check_one_wedge_route(g, k)
+        assert sides(k) is sides(g.n - k)
+        _check_route(g, k)
 
 
 def test_route_rule_facts():
+    # Paths and cycles lift at every k, on A for a path and an odd side and on
+    # the twisted base for an even side h >= 2 of a cycle; sides 0 and 1 lift
+    # on every graph; nothing else lifts.
     for n in range(1, 15):
         g = path_graph(n)
         for k in range(n + 1):
-            assert _side(_route(g, k)) == min(k, n - k)
-    c7 = cycle_graph(7)
-    for k in range(1, 7):
-        assert _side(_route(c7, k)) == (k if k % 2 else 7 - k)
+            assert _route(g, k).switching[1] is None
+    for n in (4, 6, 7):
+        g = cycle_graph(n)
+        for k in range(n + 1):
+            h = min(k, n - k)
+            assert _route(g, k).switching[1] == ((0, n - 1) if h >= 2 and h % 2 == 0 else None), (n, k)
     for name, g in default_corpus() + [("star:5", STAR5)]:
         for k in {0, 1, g.n - 1, g.n}:
             assert _route(g, k) is not None, (name, k)
-    dense = [(cycle_graph(6), 2), (cycle_graph(6), 4), (STAR5, 2), (STAR5, 3)]
-    dense += [(erdos_renyi_graph(6, 0.5, 2), k) for k in (2, 3, 4)]
+    dense = [(STAR5, 2), (STAR5, 3)] + [(erdos_renyi_graph(6, 0.5, 2), k) for k in (2, 3, 4)]
     for g, k in dense:
         assert _route(g, k) is None
 
@@ -275,7 +260,7 @@ def test_route_rule_facts():
 def test_spectrum_cap_graphs_stay_dense(seed):
     for g in _spectrum_cap_graphs(seed):
         for k in (5, 9):
-            assert _check_one_wedge_route(g, k) is None
+            assert _check_route(g, k) is None
 
 
 def test_lift_and_dense_routes_agree_on_the_corpus():
@@ -296,11 +281,10 @@ def test_lift_and_dense_routes_agree_on_the_corpus():
 
 
 @pytest.mark.parametrize("name", [name for name, _ in default_corpus()])
-def test_spectrum_routes_agree(name, capsys):
+def test_spectrum_routes_agree(name):
     g = dict(default_corpus())[name]
     for b in (0.0, 0.5):
-        assert cli.main(["spectrum", "--graph", name, "-k", "all", "--field", str(b)]) == 0
-        blocks = json.loads(capsys.readouterr().out)["blocks"]
+        blocks = cli._spectrum_payload(g, name, ModelSpec("xy", b), range(g.n + 1), True)["blocks"]
         oracle = project_full_to_blocks(full_hamiltonian(g, ModelSpec("xy", b)))
         for block in blocks:
             k = block["k"]
@@ -339,12 +323,12 @@ def test_evolve_on_a_3001_vertex_path_takes_the_lift(capsys):
 
 
 def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
-    # Even k on an odd cycle lifts with sigma = -1: h = 2 particles on the
-    # base -A.  The minors are taken on the 2-subsets, never through
-    # C(17, 8) = 24310 of them.
+    # Side 2 of a cycle lifts on the twisted base: h = 2 particles on A with
+    # its closing edge negated.  The minors are taken on the 2-subsets, never
+    # through C(17, 8) = 24310 of them.
     g, times = cycle_graph(17), [0.3, 1.7, 6.0]
     lifted = _route(g, 2)
-    assert (lifted.h, lifted.switching[1], _side(lifted)) == (2, -1, 15)
+    assert (lifted.h, lifted.switching[1]) == (2, (0, 16))
     widths, real = [], dynamics_mod.subset_minors
 
     def recording(x):
@@ -365,15 +349,15 @@ def test_evolve_on_cycle17_k2_takes_the_hole_side(capsys, monkeypatch):
     assert np.max(np.abs(series - dense)) <= 1e-10
 
 
-def _lift_answers(monkeypatch, g, k, r0, times, flip):
+def _lift_answers(monkeypatch, g, k, r0, times, untwist):
     """The spectrum that `spectrum` prints and the amplitudes from rank r0
     that `evolve_subset` returns for XY sector k, each through the lift
-    route of its side, with sigma flipped when ``flip``."""
+    route of its side, with the twist dropped when ``untwist``."""
     real = dynamics_mod._switching
 
     def route_of(g, h):
-        d, sigma = real(g, h)
-        return (d, -sigma) if flip else (d, sigma)
+        d, twist = real(g, h)
+        return d, None if untwist else twist
 
     monkeypatch.setattr(dynamics_mod, "_switching", route_of)
     (block,) = cli._spectrum_payload(g, "g", ModelSpec("xy"), range(k, k + 1), False)["blocks"]
@@ -386,17 +370,21 @@ def _lift_answers(monkeypatch, g, k, r0, times, flip):
     "name, k", [("cycle:5", 2), ("cycle:5", 3), ("cycle:7", 2), ("cycle:7", 5), ("cycle:9", 4), ("cycle:17", 2)]
 )
 def test_negative_sigma_sectors_are_particles_on_minus_a(name, k, monkeypatch):
-    # sigma enters only as the signed base sigma A, in both the spectrum and
-    # the amplitudes; the same route with sigma flipped misses both.
+    # An even side of an odd cycle lifts on the twisted base B, which is -A
+    # switched by E = (-1)^pos: B = -E A E, exactly.  The twist enters only
+    # as B, in both the spectrum and the amplitudes; the same route without
+    # it misses both.
     g, times = cli.parse_graph_source(name), [0.5, 1.0, 5.0]
-    assert _route(g, k).switching[1] == -1
+    twist = _route(g, k).switching[1]
+    e = 1 - 2 * (np.arange(g.n) % 2)
+    assert np.array_equal(adjacency(g, twist), -(e[:, None] * adjacency(g) * e))
     dec = eigh(block_hamiltonian(build_wedge_graph(g, k), ModelSpec("xy")))
     r0 = len(dec.values) // 2
     dense = propagate(dec, np.eye(len(dec.values))[:, r0], times)
-    for flip in (False, True):
-        values, amplitudes = _lift_answers(monkeypatch, g, k, r0, times, flip)
+    for untwist in (False, True):
+        values, amplitudes = _lift_answers(monkeypatch, g, k, r0, times, untwist)
         errors = (spectrum_gap(values, dec.values), float(np.max(np.abs(amplitudes - dense))))
-        assert min(errors) > 0.1 if flip else max(errors) <= DEFAULT_TOL, (flip, errors)
+        assert min(errors) > 0.1 if untwist else max(errors) <= DEFAULT_TOL, (untwist, errors)
 
 
 def test_no_lapack_determinant_in_evolve_or_check_lift(monkeypatch, capsys):
@@ -414,12 +402,13 @@ def test_no_lapack_determinant_in_evolve_or_check_lift(monkeypatch, capsys):
 
 
 def test_verify_check_fails_on_a_false_switching(monkeypatch):
+    # Side 2 of cycle:6 lifts on the twisted base only.
     real = dynamics_mod._switching
     g = cycle_graph(6)
 
     def all_ones(base, h):
         if base == g and h == 2:
-            return np.ones(math.comb(g.n, h), dtype=np.int64), 1
+            return np.ones(math.comb(g.n, h), dtype=np.int64), None
         return real(base, h)
 
     wedges = {k: build_wedge_graph(g, k) for k in range(7)}
@@ -523,7 +512,7 @@ def test_each_lift_side_is_decided_once(monkeypatch, capsys):
 def test_full_corpus_has_one_route_check_per_graph():
     report = run_verification()
     assert report.passed
-    assert len(report.results) == 531
+    assert len(report.results) == 574
     route_checks = [r.subject for r in report.results if r.check == "free_fermion_route"]
     assert route_checks == [name for name, _ in default_corpus()]
 
@@ -565,41 +554,52 @@ def _shape_rule_inputs(seed=5):
 
 
 def test_shape_rule_matches_the_parity_forest():
-    # Every corpus path and cycle is labelled in walk order, where no subset
-    # has an inversion; relabelled ones test the inversion count of D.
-    pairs = lifted = 0
+    # Every walk-order corpus path and cycle has no subset with an inversion;
+    # relabelled ones test the inversion count of D.
+    pairs = lifted = twisted = 0
     for g in _shape_rule_inputs():
         sides = Sides(g, ModelSpec("xy"))
         for h in range(g.n // 2 + 1):
             if math.comb(g.n, h) > wedge_mod.BLOCK_DIM_LIMIT:
                 continue
-            w, rule = build_wedge_graph(g, h), sides(h).switching
+            rule = sides(h).switching
+            twist = None if rule is None else rule[1]
+            w = _twisted(build_wedge_graph(g, h), twist)
             forest = switching_signs(w)
             pairs += 1
             assert (rule is None) == (forest is None), (g, h)
             if rule is not None:
                 lifted += h >= 2
-                d, sigma = rule
-                assert sigma == forest[1], (g, h)
+                twisted += twist is not None
+                assert twist is None or twist in g.edges or twist[::-1] in g.edges, (g, h)
                 c, a = signed_matrix(w).astype(np.int64), wedge_adjacency(w).astype(np.int64)
-                assert np.array_equal(d[:, None] * c * d, sigma * a), (g, h)
-    assert pairs > 3000 and lifted > 600
+                assert np.array_equal(rule[0][:, None] * c * rule[0], a), (g, h)
+    assert pairs > 3000 and lifted > 600 and twisted > 50
 
 
 def _overlifted(real, g, h):
     """Call complete:4 at h = 2 lifted."""
     if g == complete_graph(4) and h == 2:
-        return np.ones(math.comb(g.n, h), dtype=np.int64), 1
+        return np.ones(math.comb(g.n, h), dtype=np.int64), None
     return real(g, h)
 
 
-def _no_position_term(real, g, h):
-    """Drop the (-1)^(sum of pos over S) factor of a sigma = -1 side."""
+def _untwisted(real, g, h):
+    """Lift cycle:4 at h = 2 on A."""
     result = real(g, h)
-    if result is None or result[1] > 0:
-        return result
-    pos, _ = dynamics_mod._walk_order(g)
-    return result[0] * (1 - 2 * (pos[subset_table(g.n, h)].sum(axis=1) & 1)), -1
+    return (result[0], None) if g == cycle_graph(4) and h == 2 else result
+
+
+def _twisted_odd_side(real, g, h):
+    """Twist the closing edge of cycle:7 at the odd side h = 3."""
+    result = real(g, h)
+    return (result[0], (0, 6)) if g == cycle_graph(7) and h == 3 else result
+
+
+def _twist_off_the_cycle(real, g, h):
+    """Put the twist of cycle:6 at h = 2 on the non-edge {0, 3}."""
+    result = real(g, h)
+    return (result[0], (0, 3)) if g == cycle_graph(6) and h == 2 else result
 
 
 def _underlifted(real, g, h):
@@ -609,7 +609,13 @@ def _underlifted(real, g, h):
 
 @pytest.mark.parametrize(
     "graph, fault, h",
-    [("complete:4", _overlifted, 2), ("cycle:5", _no_position_term, 2), ("path:6", _underlifted, 3)],
+    [
+        ("complete:4", _overlifted, 2),
+        ("cycle:4", _untwisted, 2),
+        ("cycle:7", _twisted_odd_side, 3),
+        ("cycle:6", _twist_off_the_cycle, 2),
+        ("path:6", _underlifted, 3),
+    ],
 )
 def test_verify_fails_on_a_faulty_shape_rule(graph, fault, h, monkeypatch, capsys):
     argv = ["verify", "--graph", graph, "--random-states", "1"]
@@ -621,3 +627,57 @@ def test_verify_fails_on_a_faulty_shape_rule(graph, fault, h, monkeypatch, capsy
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
     assert len(failed) == 1 and failed[0].split()[1:3] == ["free_fermion_route", graph], failed
     assert f"k={h}" in failed[0].split()
+
+
+def _no_inversion_count(real, g, h):
+    """D all ones wherever the side lifts: walk order taken for label order."""
+    result = real(g, h)
+    return None if result is None else (np.ones_like(result[0]), result[1])
+
+
+def test_verify_sees_a_wrong_inversion_count(monkeypatch):
+    # The relabelled corpus path and cycle are the entries whose D has
+    # inversions; every other path and cycle is labelled in walk order.
+    corpus = [(name, g) for name, g in default_corpus() if name.startswith("perm:")]
+    assert [name for name, _ in corpus] == ["perm:path:7", "perm:cycle:6"]
+    assert run_verification(corpus=corpus, random_states=1).passed
+    real = dynamics_mod._switching
+    monkeypatch.setattr(dynamics_mod, "_switching", lambda g, j: _no_inversion_count(real, g, j))
+    failed = [r for r in run_verification(corpus=corpus, random_states=1).results if not r.passed]
+    assert [(r.check, r.subject, r.k) for r in failed] == [
+        ("free_fermion_route", "perm:path:7", 2),
+        ("free_fermion_route", "perm:cycle:6", 2),
+    ]
+
+
+def _cycle_levels(n, h):
+    """The h-sums of 2 cos(2 pi (m + phi) / n), phi = 0 for odd h and 1/2 for
+    even h: free fermions on the ring, periodic or antiperiodic."""
+    phi = 0.0 if h % 2 else 0.5
+    eps = 2.0 * np.cos(2.0 * np.pi * (np.arange(n) + phi) / n)
+    return np.sort([math.fsum(eps[list(c)]) for c in itertools.combinations(range(n), h)])
+
+
+def test_every_cycle_sector_lifts_with_the_ring_levels(monkeypatch):
+    builds = []
+    real = dynamics_mod.build_wedge_graph
+    monkeypatch.setattr(dynamics_mod, "build_wedge_graph", lambda g, k: builds.append(k) or real(g, k))
+    for n in range(3, 15):
+        sides = Sides(cycle_graph(n), ModelSpec("xy"))
+        for k in range(n + 1):
+            side = sides(k)
+            assert side.route == "lift", (n, k)
+            assert spectrum_gap(side.values(k), _cycle_levels(n, side.h)) <= DEFAULT_TOL, (n, k)
+    assert builds == []
+
+
+@pytest.mark.parametrize("n, k", [(8, 4), (13, 6)])
+def test_twisted_cycle_amplitudes_match_the_dense_route(n, k):
+    g, times = cycle_graph(n), [0.5, 2.0, 7.0]
+    side = Sides(g, ModelSpec("xy"))(k)
+    assert side.route == "lift" and side.switching[1] == (0, n - 1)
+    dec = eigh(block_hamiltonian(build_wedge_graph(g, k), ModelSpec("xy")))
+    for r0 in (0, len(dec.values) // 3, len(dec.values) - 1):
+        amplitudes, route = side.evolve(k, r0, times)
+        dense = propagate(dec, np.eye(len(dec.values))[:, r0], times)
+        assert route == "lift" and np.max(np.abs(amplitudes - dense)) <= DEFAULT_TOL, r0

@@ -85,14 +85,15 @@ def dropping_builder(target_graph, target_k):
 
 
 # sha256 of the "check subject" lines of the default run, one per check.
-CHECK_LIST_DIGEST = "487b4ee58d3e06580bc716b56eefe37264653610bb1958d12de1c9ca22fbff25"
+CHECK_LIST_DIGEST = "ab03758ca45737477447176ecbf18aea08bb36042788a769eaa326cfd857711c"
 
 
 def test_default_corpus_composition():
     names = [name for name, _ in default_corpus()]
     assert names[:7] == [f"path:{n}" for n in range(2, 9)]
     assert "cycle:7" in names and "complete:6" in names and "er:6:0.5:4" in names
-    assert len(names) == 7 + 5 + 5 + 5
+    assert names[-2:] == ["perm:path:7", "perm:cycle:6"]
+    assert len(names) == 7 + 5 + 5 + 5 + 2
 
 
 def test_small_corpus_passes():
@@ -257,7 +258,7 @@ def test_check_list_is_pinned():
     report = run_verification()
     assert report.passed, report.first_failure
     lines = "\n".join(f"{r.check} {r.subject}" for r in report.results)
-    assert len(report.results) == 531
+    assert len(report.results) == 574
     assert hashlib.sha256(lines.encode()).hexdigest() == CHECK_LIST_DIGEST
 
 
@@ -391,10 +392,12 @@ def test_each_operator_built_once_per_graph(monkeypatch):
     # full oracle once.
     fields = [verify_mod.ModelSpec(m.model, b) for m in models for b in verify_mod.FIELD_VALUES]
     assert fulls == {spec: 1 for spec in models + fields}
-    # One eigh per sector, one per model's full hamiltonian and one of the
-    # base adjacency, shared by check_lift and free_fermion_route.
+    # One eigh per sector, one per model's full hamiltonian, one of the base
+    # adjacency, shared by check_lift and free_fermion_route, and one of the
+    # twisted base of side 2, the only side that reads it.
     assert solves[2**g.n] == len(models)
-    assert sum(solves.values()) == 2 * (g.n + 1) + len(models) + 1
+    assert solves[g.n] == 2 * len(models) + 2  # sectors 1 and 4, A and its twist
+    assert sum(solves.values()) == 2 * (g.n + 1) + len(models) + 2
 
 
 def test_heisenberg_checks_read_the_shared_decompositions(monkeypatch):
